@@ -38,7 +38,6 @@ constexpr double kSimraPerNJitterSigma = 0.30;
 Device::Device(DeviceConfig cfg)
     : cfg_(std::move(cfg)),
       mapping_(cfg_.profile.mapping),
-      decoder_(cfg_.rowsPerSubarray),
       disturb_(cfg_),
       temperature_(cfg_.temperature),
       trrRng_(Rng(cfg_.seed).fork(0x7272)),
@@ -180,20 +179,12 @@ Device::reset(std::uint64_t seed)
             bank.rows[r] = Row{};
         bank.populatedIdx.clear();
 
-        bank.st = BankState::St::Idle;
-        bank.openRows.clear();
-        bank.openKind = OpenKind::Normal;
-        bank.openedAt = 0;
+        bank.proto = BankProtocol{};
         bank.comraDelayOfOpen = 0;
         bank.comraPartnerOfOpen = kNoRow;
         bank.offGapOfOpen = 0;
         bank.simraActToPre = 0;
         bank.simraPreToAct = 0;
-        bank.pendingValid = false;
-        bank.pending = CloseEvent{};
-        bank.pendingClosedAt = 0;
-        bank.pendingOpenedAt = 0;
-        bank.pendingKind = OpenKind::Normal;
         std::fill(bank.trrRing.begin(), bank.trrRing.end(), kNoRow);
         bank.trrPos = 0;
         bank.trrFill = 0;
@@ -267,14 +258,15 @@ Device::viewOf(const Row &row)
 void
 Device::majorityMerge(BankState &bank)
 {
-    const auto n = bank.openRows.size();
+    const std::vector<RowId> &open = bank.proto.openRows;
+    const auto n = open.size();
     if (n < 2)
         return;
 
     RowData out(cfg_.cols);
     for (ColId col = 0; col < cfg_.cols; ++col) {
         unsigned ones = 0;
-        for (RowId r : bank.openRows)
+        for (RowId r : open)
             ones += bank.rows[r].data.get(col);
         bool bit;
         if (2 * ones > n)
@@ -282,10 +274,10 @@ Device::majorityMerge(BankState &bank)
         else if (2 * ones < n)
             bit = false;
         else
-            bit = bank.rows[bank.openRows.front()].data.get(col);
+            bit = bank.rows[open.front()].data.get(col);
         out.set(col, bit);
     }
-    for (RowId r : bank.openRows)
+    for (RowId r : open)
         bank.rows[r].data = out;
 }
 
@@ -351,11 +343,40 @@ Device::refreshRow(BankState &bank, RowId physical)
 }
 
 void
-Device::flushPending(BankState &bank)
+Device::applyPendingClose(BankState &bank, const BankProtocol::Step *copy)
 {
-    if (!bank.pendingValid)
-        return;
-    bank.pendingValid = false;
+    // The event borrows the pending rows (returned below), so a close
+    // allocates nothing.
+    CloseEvent ev;
+    ev.rows.swap(bank.proto.pending.rows);
+    switch (bank.proto.pending.kind) {
+      case OpenKind::ComraDst:
+        ev.cls = TechClass::Comra;
+        ev.comraDelay = bank.comraDelayOfOpen;
+        ev.comraPartner = bank.comraPartnerOfOpen;
+        ev.comraDstRole = true;
+        break;
+      case OpenKind::Simra:
+        ev.cls = TechClass::Simra;
+        ev.simraN = static_cast<int>(ev.rows.size());
+        ev.simraActToPre = bank.simraActToPre;
+        ev.simraPreToAct = bank.simraPreToAct;
+        break;
+      case OpenKind::Normal:
+        break;
+    }
+    if (copy != nullptr) {
+        // Retro-tag the source row's close as the copy cycle's first
+        // half: the disturbance hypothesis (paper §4.3) ties the
+        // amplification to the short wordline off-interval.
+        ev.cls = TechClass::Comra;
+        ev.comraDelay = copy->gap;
+        ev.comraPartner = copy->dst;
+        ev.comraDstRole = false;
+    }
+    ev.tOn = bank.proto.pending.tOn;
+    ev.reopenGap = bank.offGapOfOpen;
+
     if (recorder_.active && !recorder_.inRefresh) {
         // Over-approximate this close's deposit victims: every row in
         // the distance-2 blast radius of each closing aggressor (plus
@@ -363,7 +384,7 @@ Device::flushPending(BankState &bank)
         auto &touched = recorder_.touched[bankIndex(bank)];
         const auto rows =
             static_cast<std::int64_t>(bank.rows.size());
-        for (RowId a : bank.pending.rows) {
+        for (RowId a : ev.rows) {
             touched.push_back(a);
             const SubarrayId sub = subarrayOfPhysical(a);
             for (int d : {-2, -1, 1, 2}) {
@@ -381,7 +402,7 @@ Device::flushPending(BankState &bank)
     // aggressors' +-2 same-subarray blast radius; those victim rows
     // must have their cell populations drawn before the deposit, or a
     // lazily-built device would silently drop it.
-    for (RowId a : bank.pending.rows) {
+    for (RowId a : ev.rows) {
         const SubarrayId sub = subarrayOfPhysical(a);
         for (int d : {-2, -1, 1, 2}) {
             const std::int64_t v = static_cast<std::int64_t>(a) + d;
@@ -393,32 +414,18 @@ Device::flushPending(BankState &bank)
             rowAt(bank, static_cast<RowId>(v));
         }
     }
-    disturb_.applyClose(bank.rows, bank.pending, temperature_);
+    disturb_.applyClose(bank.rows, ev, temperature_);
     if (mitigation_ != nullptr) {
-        // bank.pending still holds the event (only the valid flag was
-        // cleared above), so the hook sees the final classification --
-        // including the CoMRA retro-tag applied by act().
+        // The hook sees the final classification, including the
+        // CoMRA retro-tag.
         mitigationRefresh_.clear();
-        mitigation_->onClose(bankIndex(bank), bank.pending,
-                             mitigationRefresh_);
+        mitigation_->onClose(bankIndex(bank), ev, mitigationRefresh_);
         for (RowId r : mitigationRefresh_) {
             if (r < bank.rows.size())
                 refreshRow(bank, r);
         }
     }
-}
-
-void
-Device::openNormal(BankState &bank, Time t, RowId physical)
-{
-    bank.st = BankState::St::Open;
-    bank.openRows.assign(1, physical);
-    bank.openKind = OpenKind::Normal;
-    bank.openedAt = t;
-    const Time last = rowAt(bank, physical).lastCloseAt;
-    bank.offGapOfOpen = last >= 0 ? t - last : 0;
-    restoreRow(bank, physical);
-    trrRecord(bank, physical);
+    bank.proto.pending.rows.swap(ev.rows);
 }
 
 void
@@ -433,103 +440,51 @@ Device::act(Time t, BankId b, RowId logical_row)
               cfg_.rowsPerBank());
     const RowId phys = mapping_.toPhysical(logical_row);
 
-    if (bank.st == BankState::St::Open)
+    if (bank.proto.isOpen())
         fatal("ACT to bank %u while a row is open (missing PRE)", b);
 
     ++counters_.acts;
 
-    if (bank.pendingValid) {
-        const Time gap = t - bank.pendingClosedAt;
-        const bool single = bank.pending.rows.size() == 1;
-        const bool same_sub =
-            single && subarrayOfPhysical(bank.pending.rows.front()) ==
-                          subarrayOfPhysical(phys);
-
-        // --- SiMRA: ACT-PRE-ACT with both gaps grossly violated -------
-        if (single && same_sub &&
-            bank.pending.tOn <= cfg_.timings.simraMaxActToPre &&
-            gap <= cfg_.timings.simraMaxPreToAct) {
-            if (!cfg_.profile.supportsSimra) {
-                // The chip ignores commands that grossly violate the
-                // nominal timings (paper §5.3 footnote): the quick PRE
-                // and this ACT have no effect; the first row stays
-                // open with its original activation time.
-                counters_.ignoredCommands += 2;
-                bank.st = BankState::St::Open;
-                bank.openRows = bank.pending.rows;
-                bank.openKind = bank.pendingKind;
-                bank.openedAt = bank.pendingOpenedAt;
-                bank.pendingValid = false;
-                return;
-            }
-            auto group =
-                decoder_.activatedSet(bank.pending.rows.front(), phys);
-            if (group.size() > 1) {
-                const Time act_to_pre = bank.pending.tOn;
-                bank.pendingValid = false;  // blip is part of this op
-                for (RowId r : group)
-                    restoreRow(bank, r);
-                bank.st = BankState::St::Open;
-                bank.openRows = std::move(group);
-                bank.openKind = OpenKind::Simra;
-                bank.openedAt = t;
-                bank.simraActToPre = act_to_pre;
-                bank.simraPreToAct = gap;
-                {
-                    const Time last = bank.rows[phys].lastCloseAt;
-                    bank.offGapOfOpen = last >= 0 ? t - last : 0;
-                }
-                majorityMerge(bank);
-                trrRecord(bank, phys);
-                ++counters_.simraOps;
-                return;
-            }
-            // Degenerate pair (same row reissued): fall through.
-        }
-
-        // --- CoMRA: full restore then reopen below tRP -----------------
-        if (single && same_sub && bank.pending.rows.front() != phys &&
-            bank.pending.tOn >= cfg_.timings.tRAS - units::ns &&
-            gap <= cfg_.timings.comraMaxPreToAct) {
-            const RowId src = bank.pending.rows.front();
-            // Retro-tag the source row's close as the copy cycle's
-            // first half: the disturbance hypothesis (paper §4.3) ties
-            // the amplification to the short wordline off-interval.
-            bank.pending.cls = TechClass::Comra;
-            bank.pending.comraDelay = gap;
-            bank.pending.comraPartner = phys;
-            bank.pending.comraDstRole = false;
-            flushPending(bank);
-
-            // Destination latches the source's bitline charge: the
-            // in-DRAM copy, with full charge restoration on dst.
-            restoreRow(bank, src);
-            rowAt(bank, phys).data = bank.rows[src].data;
-            for (WeakCell &c : bank.rows[phys].cells) {
-                c.resetDamage();
-                disturb_.noteReset(c);
-            }
-            noteLoopTouched(bank, phys);
-
-            bank.st = BankState::St::Open;
-            bank.openRows.assign(1, phys);
-            bank.openKind = OpenKind::ComraDst;
-            bank.openedAt = t;
-            bank.comraDelayOfOpen = gap;
-            bank.comraPartnerOfOpen = src;
-            {
-                const Time last = bank.rows[phys].lastCloseAt;
-                bank.offGapOfOpen = last >= 0 ? t - last : 0;
-            }
-            trrRecord(bank, phys);
-            ++counters_.comraCopies;
-            return;
-        }
-
-        flushPending(bank);
+    const BankProtocol::Step step = bank.proto.act(cfg_, t, phys);
+    if (step.transition == Transition::SimraIgnored) {
+        // The previous row (group) stays open with its original
+        // activation time.
+        counters_.ignoredCommands += 2;
+        return;
+    }
+    if (step.closed) {
+        applyPendingClose(
+            bank, step.transition == Transition::ComraCopy ? &step
+                                                           : nullptr);
     }
 
-    openNormal(bank, t, phys);
+    if (step.transition == Transition::SimraGroup) {
+        for (RowId r : bank.proto.openRows)
+            restoreRow(bank, r);
+        bank.simraActToPre = step.tOn;
+        bank.simraPreToAct = step.gap;
+        majorityMerge(bank);
+        ++counters_.simraOps;
+    } else if (step.transition == Transition::ComraCopy) {
+        // Destination latches the source's bitline charge: the
+        // in-DRAM copy, with full charge restoration on dst.
+        restoreRow(bank, step.src);
+        rowAt(bank, phys).data = bank.rows[step.src].data;
+        for (WeakCell &c : bank.rows[phys].cells) {
+            c.resetDamage();
+            disturb_.noteReset(c);
+        }
+        noteLoopTouched(bank, phys);
+        bank.comraDelayOfOpen = step.gap;
+        bank.comraPartnerOfOpen = step.src;
+        ++counters_.comraCopies;
+    } else {
+        restoreRow(bank, phys);
+    }
+
+    const Time last = bank.rows[phys].lastCloseAt;
+    bank.offGapOfOpen = last >= 0 ? t - last : 0;
+    trrRecord(bank, phys);
 }
 
 void
@@ -538,44 +493,10 @@ Device::pre(Time t, BankId b)
     advanceTime(t);
     BankState &bank = banks_.at(b);
     ++counters_.pres;
-    if (bank.st != BankState::St::Open)
-        return;  // PRE on a precharged bank is a no-op
-
-    if (bank.pendingValid)
-        flushPending(bank);
-
-    CloseEvent ev;
-    ev.rows = bank.openRows;
-    switch (bank.openKind) {
-      case OpenKind::ComraDst:
-        ev.cls = TechClass::Comra;
-        ev.comraDelay = bank.comraDelayOfOpen;
-        ev.comraPartner = bank.comraPartnerOfOpen;
-        ev.comraDstRole = true;
-        break;
-      case OpenKind::Simra:
-        ev.cls = TechClass::Simra;
-        ev.simraN = static_cast<int>(bank.openRows.size());
-        ev.simraActToPre = bank.simraActToPre;
-        ev.simraPreToAct = bank.simraPreToAct;
-        break;
-      default:
-        ev.cls = TechClass::Conventional;
-        break;
-    }
-    ev.tOn = t - bank.openedAt;
-    ev.reopenGap = bank.offGapOfOpen;
-    for (RowId r : bank.openRows)
+    for (RowId r : bank.proto.openRows)
         bank.rows[r].lastCloseAt = t;
-
-    bank.pending = std::move(ev);
-    bank.pendingValid = true;
-    bank.pendingClosedAt = t;
-    bank.pendingKind = bank.openKind;
-    bank.pendingOpenedAt = bank.openedAt;
-
-    bank.st = BankState::St::Precharging;
-    bank.openRows.clear();
+    // PRE on a precharged bank is a no-op.
+    bank.proto.pre(t);
 }
 
 void
@@ -590,9 +511,9 @@ Device::rd(Time t, BankId b)
 {
     advanceTime(t);
     BankState &bank = banks_.at(b);
-    if (bank.st != BankState::St::Open)
+    if (!bank.proto.isOpen())
         fatal("RD on bank %u with no open row", b);
-    return viewOf(bank.rows[bank.openRows.front()]);
+    return viewOf(bank.rows[bank.proto.openRows.front()]);
 }
 
 void
@@ -600,11 +521,11 @@ Device::wr(Time t, BankId b, const RowData &data)
 {
     advanceTime(t);
     BankState &bank = banks_.at(b);
-    if (bank.st != BankState::St::Open)
+    if (!bank.proto.isOpen())
         fatal("WR on bank %u with no open row", b);
     if (data.bits() != cfg_.cols)
         fatal("WR with %u bits to a %u-bit row", data.bits(), cfg_.cols);
-    for (RowId r : bank.openRows) {
+    for (RowId r : bank.proto.openRows) {
         bank.rows[r].data = data;
         for (WeakCell &c : bank.rows[r].cells) {
             c.resetDamage();
@@ -653,7 +574,7 @@ Device::ref(Time t)
              {"recording", recorder_.active}});
 
     for (BankState &bank : banks_) {
-        if (bank.st == BankState::St::Open)
+        if (bank.proto.isOpen())
             fatal("REF issued with an open bank");
         flushPending(bank);
         for (RowId r = start; r < end; ++r)
@@ -984,12 +905,13 @@ Device::shiftLoopTimestamps(Time from, Time delta)
     if (delta <= 0)
         return;
     for (BankState &bank : banks_) {
-        if (bank.pendingValid && bank.pendingClosedAt >= from) {
-            bank.pendingClosedAt += delta;
-            bank.pendingOpenedAt += delta;
+        BankProtocol &proto = bank.proto;
+        if (proto.pending.valid && proto.pending.closedAt >= from) {
+            proto.pending.closedAt += delta;
+            proto.pending.openedAt += delta;
         }
-        if (bank.st == BankState::St::Open && bank.openedAt >= from)
-            bank.openedAt += delta;
+        if (proto.isOpen() && proto.openedAt >= from)
+            proto.openedAt += delta;
         for (Row &row : bank.rows)
             if (row.lastCloseAt >= from)
                 row.lastCloseAt += delta;

@@ -14,6 +14,9 @@
  *    tolerate the sequence (SK Hynix in the paper); other chips ignore
  *    the violating commands, matching the paper's §5.3 footnote.
  *
+ * Which of these an ACT performs is decided by dram::BankProtocol
+ * (protocol.h), the kernel the static analyses in src/lint share.
+ *
  * Every row-close feeds the DisturbanceModel, which accrues read-
  * disturbance damage on neighbouring rows' weak cells.  REF performs
  * stripe refresh and, when enabled, sampling-based Target Row Refresh.
@@ -31,7 +34,7 @@
 #include "dram/datapattern.h"
 #include "dram/disturb.h"
 #include "dram/mapping.h"
-#include "dram/simra_decoder.h"
+#include "dram/protocol.h"
 #include "dram/types.h"
 #include "util/rng.h"
 #include "util/units.h"
@@ -256,8 +259,6 @@ class Device
   private:
     struct BankState
     {
-        enum class St { Idle, Open, Precharging };
-
         std::vector<Row> rows;
 
         /**
@@ -269,21 +270,16 @@ class Device
          */
         std::vector<RowId> populatedIdx;
 
-        St st = St::Idle;
-        std::vector<RowId> openRows;  //!< physical, sorted
-        OpenKind openKind = OpenKind::Normal;
-        Time openedAt = 0;
+        BankProtocol proto;
+
+        // Condition factors of the open row (group).  An ACT replaces
+        // them only after applying or consuming the pending close, so
+        // until then they also describe that close.
         Time comraDelayOfOpen = 0;
         RowId comraPartnerOfOpen = kNoRow;
         Time offGapOfOpen = 0;
         Time simraActToPre = 0;
         Time simraPreToAct = 0;
-
-        bool pendingValid = false;
-        CloseEvent pending;
-        Time pendingClosedAt = 0;
-        Time pendingOpenedAt = 0;
-        OpenKind pendingKind = OpenKind::Normal;
 
         // TRR sampler: ring of the last kTrrWindow ACT row addresses.
         std::vector<RowId> trrRing;
@@ -309,8 +305,23 @@ class Device
     }
 
     void advanceTime(Time t);
-    void flushPending(BankState &bank);
-    void openNormal(BankState &bank, Time t, RowId physical);
+
+    /**
+     * Deposit the bank's resolved pending close (and run the
+     * mitigation hook on it); a non-null `copy` retro-tags it as the
+     * source half of that CoMRA copy cycle.
+     */
+    void applyPendingClose(BankState &bank,
+                           const BankProtocol::Step *copy);
+
+    /** Apply the pending close, if any, without a consuming ACT. */
+    void
+    flushPending(BankState &bank)
+    {
+        if (bank.proto.dropPending())
+            applyPendingClose(bank, nullptr);
+    }
+
     void trrRecord(BankState &bank, RowId physical);
     void refreshRow(BankState &bank, RowId physical);
 
@@ -352,7 +363,6 @@ class Device
 
     DeviceConfig cfg_;
     RowMapping mapping_;
-    SimraDecoder decoder_;
     DisturbanceModel disturb_;
     std::vector<BankState> banks_;
     LoopRecorder recorder_;

@@ -8,7 +8,7 @@
 
 #include "dram/device.h"
 #include "dram/mapping.h"
-#include "dram/simra_decoder.h"
+#include "dram/protocol.h"
 
 namespace pud::lint {
 
@@ -60,9 +60,9 @@ satMulU(std::uint64_t a, std::uint64_t n)
 }
 
 /**
- * The abstract walk: a per-bank open/pending machine mirroring
- * Device::act/pre classification, with loop bodies walked at most
- * twice and the remaining iterations replayed arithmetically.
+ * The abstract walk: the device's per-bank protocol machine
+ * (dram::BankProtocol), with loop bodies walked at most twice and the
+ * remaining iterations replayed arithmetically.
  */
 class AbsWalker
 {
@@ -72,7 +72,6 @@ class AbsWalker
         : program_(program),
           cfg_(cfg),
           mapping_(cfg.profile.mapping),
-          decoder_(cfg.rowsPerSubarray),
           out_(out),
           trace_(trace),
           banks_(cfg.banks)
@@ -100,21 +99,10 @@ class AbsWalker
   private:
     struct BankSt
     {
-        bool open = false;
-        std::vector<RowId> openRows;  //!< physical; > 1 for SiMRA
-        OpenKind kind = OpenKind::Normal;
-        Time openedAt = 0;
+        dram::BankProtocol proto;
         Time comraDelay = 0;  //!< of a ComraDst open
         Time simraActToPre = 0, simraPreToAct = 0;
-
-        bool pendingValid = false;
         bool pendingRecorded = false;  //!< close already counted
-        std::vector<RowId> pendingRows;
-        Time pendingTOn = 0;
-        Time pendingClosedAt = 0;
-        Time pendingOpenedAt = 0;
-        OpenKind pendingKind = OpenKind::Normal;
-        Time pendingComraDelay = 0;
     };
 
     /** Additive state captured before a steady-state pass. */
@@ -330,9 +318,9 @@ class AbsWalker
         if (lastRefAt_ >= 0)
             shift(lastRefAt_);
         for (BankSt &bank : banks_) {
-            shift(bank.openedAt);
-            shift(bank.pendingClosedAt);
-            shift(bank.pendingOpenedAt);
+            shift(bank.proto.openedAt);
+            shift(bank.proto.pending.closedAt);
+            shift(bank.proto.pending.openedAt);
         }
     }
 
@@ -379,7 +367,7 @@ class AbsWalker
 
     void
     recordClose(BankId b, const BankSt &bank, TechClass cls, RowId phys,
-                Time t_on)
+                int group_size, Time t_on)
     {
         RowActivity &ra = rowOf(b, phys);
         const int c = static_cast<int>(cls);
@@ -405,45 +393,50 @@ class AbsWalker
                 std::max(ra.maxSimraActToPre, bank.simraActToPre);
             ra.maxSimraPreToAct =
                 std::max(ra.maxSimraPreToAct, bank.simraPreToAct);
-            ra.simraN = std::max(
-                ra.simraN, static_cast<int>(bank.openRows.size()));
+            ra.simraN = std::max(ra.simraN, group_size);
             break;
           case TechClass::Conventional:
             break;
         }
     }
 
-    /** Record the close(s) of an open row (group), classified by kind. */
+    /** Record the close(s) of a row (group) opened as `kind`. */
     void
-    recordOpenClose(BankId b, BankSt &bank, Time t_on)
+    recordCloses(BankId b, const BankSt &bank, OpenKind kind,
+                 const std::vector<RowId> &rows, Time t_on)
     {
         TechClass cls = TechClass::Conventional;
-        if (bank.kind == OpenKind::ComraDst)
+        if (kind == OpenKind::ComraDst)
             cls = TechClass::Comra;
-        else if (bank.kind == OpenKind::Simra)
+        else if (kind == OpenKind::Simra)
             cls = TechClass::Simra;
-        for (RowId r : bank.openRows)
-            recordClose(b, bank, cls, r, t_on);
+        for (RowId r : rows)
+            recordClose(b, bank, cls, r, static_cast<int>(rows.size()),
+                        t_on);
+    }
+
+    /** Count a resolved pending close as conventional, once. */
+    void
+    recordPendingClose(BankId b, const BankSt &bank)
+    {
+        if (bank.pendingRecorded)
+            return;
+        const Time t_on = std::max<Time>(bank.proto.pending.tOn, 0);
+        for (RowId r : bank.proto.pending.rows) {
+            RowActivity &ra = rowOf(b, r);
+            ra.closes[0] = satAddU(ra.closes[0], 1);
+            ra.epochCloses[0] = satAddU(ra.epochCloses[0], 1);
+            ra.onTime[0] = satAddT(ra.onTime[0], t_on);
+            ra.maxOnTime[0] = std::max(ra.maxOnTime[0], t_on);
+        }
     }
 
     /** Resolve an unconsumed pending close as conventional. */
     void
     dropPending(BankId b, BankSt &bank)
     {
-        if (!bank.pendingValid)
-            return;
-        bank.pendingValid = false;
-        if (bank.pendingRecorded)
-            return;
-        for (RowId r : bank.pendingRows) {
-            RowActivity &ra = rowOf(b, r);
-            ra.closes[0] = satAddU(ra.closes[0], 1);
-            ra.epochCloses[0] = satAddU(ra.epochCloses[0], 1);
-            ra.onTime[0] = satAddT(ra.onTime[0],
-                                   std::max<Time>(bank.pendingTOn, 0));
-            ra.maxOnTime[0] = std::max(
-                ra.maxOnTime[0], std::max<Time>(bank.pendingTOn, 0));
-        }
+        if (bank.proto.dropPending())
+            recordPendingClose(b, bank);
     }
 
     void
@@ -453,90 +446,42 @@ class AbsWalker
             return;  // protocol errors are the Walker's business
         BankSt &bank = banks_[inst.bank];
         const RowId phys = mapping_.toPhysical(inst.row);
-        if (bank.open)
+        if (bank.proto.isOpen())
             return;  // ACT-while-open fatals at execution time
 
-        if (bank.pendingValid) {
-            const dram::TimingParams &t = cfg_.timings;
-            const Time gap = cursor_ - bank.pendingClosedAt;
-            const bool single = bank.pendingRows.size() == 1;
-            const bool same_sub =
-                single && bank.pendingRows.front() /
-                                  cfg_.rowsPerSubarray ==
-                              phys / cfg_.rowsPerSubarray;
-
-            // SiMRA: ACT-PRE-ACT with both gaps grossly violated.
-            if (single && same_sub &&
-                bank.pendingTOn <= t.simraMaxActToPre &&
-                gap <= t.simraMaxPreToAct) {
-                if (!cfg_.profile.supportsSimra) {
-                    // Chip ignores both commands; the first row stays
-                    // open with its original activation time.
-                    bank.open = true;
-                    bank.openRows = bank.pendingRows;
-                    bank.kind = bank.pendingKind;
-                    bank.openedAt = bank.pendingOpenedAt;
-                    bank.comraDelay = bank.pendingComraDelay;
-                    bank.pendingValid = false;
-                    return;
-                }
-                auto group = decoder_.activatedSet(
-                    bank.pendingRows.front(), phys);
-                if (group.size() > 1) {
-                    // The blip is part of this op, not a real close.
-                    bank.pendingValid = false;
-                    bank.open = true;
-                    bank.openRows.assign(group.begin(), group.end());
-                    bank.kind = OpenKind::Simra;
-                    bank.openedAt = cursor_;
-                    bank.simraActToPre = bank.pendingTOn;
-                    bank.simraPreToAct = gap;
-                    recordAct(inst.bank, phys, i);
-                    return;
-                }
-                // Degenerate pair: fall through to normal handling.
+        const dram::BankProtocol::Step s =
+            bank.proto.act(cfg_, cursor_, phys);
+        switch (s.transition) {
+          case dram::Transition::SimraIgnored:
+            // Chip ignores both commands; the first row stays open
+            // with its original activation time.
+            return;
+          case dram::Transition::SimraGroup:
+            // The blip is part of this op, not a real close.
+            bank.simraActToPre = s.tOn;
+            bank.simraPreToAct = s.gap;
+            break;
+          case dram::Transition::ComraCopy:
+            if (!bank.pendingRecorded) {
+                // Retro-tag the source close as the copy cycle's
+                // first half.
+                RowActivity &src = rowOf(inst.bank, s.src);
+                const Time t_on = std::max<Time>(s.tOn, 0);
+                src.closes[1] = satAddU(src.closes[1], 1);
+                src.epochCloses[1] = satAddU(src.epochCloses[1], 1);
+                src.onTime[1] = satAddT(src.onTime[1], t_on);
+                src.maxOnTime[1] = std::max(src.maxOnTime[1], t_on);
+                src.comraDelaySum = satAddT(src.comraDelaySum, s.gap);
+                if (src.minComraDelay < 0 || s.gap < src.minComraDelay)
+                    src.minComraDelay = s.gap;
             }
-
-            // CoMRA: full restore, then reopen below tRP.
-            if (single && same_sub && bank.pendingRows.front() != phys &&
-                bank.pendingTOn >= t.tRAS - units::ns &&
-                gap <= t.comraMaxPreToAct) {
-                if (!bank.pendingRecorded) {
-                    // Retro-tag the source close as the copy cycle's
-                    // first half.
-                    RowActivity &src =
-                        rowOf(inst.bank, bank.pendingRows.front());
-                    src.closes[1] = satAddU(src.closes[1], 1);
-                    src.epochCloses[1] =
-                        satAddU(src.epochCloses[1], 1);
-                    src.onTime[1] = satAddT(
-                        src.onTime[1],
-                        std::max<Time>(bank.pendingTOn, 0));
-                    src.maxOnTime[1] = std::max(
-                        src.maxOnTime[1],
-                        std::max<Time>(bank.pendingTOn, 0));
-                    src.comraDelaySum = satAddT(src.comraDelaySum, gap);
-                    if (src.minComraDelay < 0 ||
-                        gap < src.minComraDelay)
-                        src.minComraDelay = gap;
-                }
-                bank.pendingValid = false;
-                bank.open = true;
-                bank.openRows.assign(1, phys);
-                bank.kind = OpenKind::ComraDst;
-                bank.openedAt = cursor_;
-                bank.comraDelay = gap;
-                recordAct(inst.bank, phys, i);
-                return;
-            }
-
-            dropPending(inst.bank, bank);
+            bank.comraDelay = s.gap;
+            break;
+          case dram::Transition::Conventional:
+            if (s.closed)
+                recordPendingClose(inst.bank, bank);
+            break;
         }
-
-        bank.open = true;
-        bank.openRows.assign(1, phys);
-        bank.kind = OpenKind::Normal;
-        bank.openedAt = cursor_;
         recordAct(inst.bank, phys, i);
     }
 
@@ -544,24 +489,15 @@ class AbsWalker
     pre(BankId b)
     {
         BankSt &bank = banks_[b];
-        if (!bank.open)
+        if (!bank.proto.pre(cursor_))
             return;
-        dropPending(b, bank);
-        const Time t_on = cursor_ - bank.openedAt;
-        bank.pendingValid = true;
-        bank.pendingRows = bank.openRows;
-        bank.pendingTOn = t_on;
-        bank.pendingClosedAt = cursor_;
-        bank.pendingOpenedAt = bank.openedAt;
-        bank.pendingKind = bank.kind;
-        bank.pendingComraDelay = bank.comraDelay;
         // Non-conventional closes can never reclassify (a SiMRA group
         // pending is multi-row; a CoMRA dst pending re-copying is
         // still one Comra close), so count them immediately.
-        bank.pendingRecorded = bank.kind != OpenKind::Normal;
+        const auto &p = bank.proto.pending;
+        bank.pendingRecorded = p.kind != OpenKind::Normal;
         if (bank.pendingRecorded)
-            recordOpenClose(b, bank, t_on);
-        bank.open = false;
+            recordCloses(b, bank, p.kind, p.rows, p.tOn);
     }
 
     void
@@ -651,11 +587,12 @@ class AbsWalker
     {
         for (BankId b = 0; b < cfg_.banks; ++b) {
             BankSt &bank = banks_[b];
-            if (bank.open) {
+            const dram::BankProtocol &p = bank.proto;
+            if (p.isOpen()) {
                 // The row will disturb its neighbours whenever it is
                 // eventually closed; count that close now.
-                recordOpenClose(b, bank, cursor_ - bank.openedAt);
-                bank.open = false;
+                recordCloses(b, bank, p.openKind, p.openRows,
+                             cursor_ - p.openedAt);
             }
             dropPending(b, bank);
         }
@@ -668,7 +605,6 @@ class AbsWalker
     const Program &program_;
     const dram::DeviceConfig &cfg_;
     dram::RowMapping mapping_;
-    dram::SimraDecoder decoder_;
     ProgramEffects &out_;
     SamplerTrace *trace_;
     std::vector<BankSt> banks_;

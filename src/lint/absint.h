@@ -15,10 +15,10 @@
  * so analysis cost is O(program size), independent of iteration
  * counts.
  *
- * Close events are classified against the device model's CoMRA/SiMRA
- * reopen windows (mirroring Device::act), which is what lets the
- * effect predictor (effects.h) fold the summary through the same
- * threshold model the device applies at execution time.
+ * Close events are classified by the device's own bank protocol
+ * kernel (dram::BankProtocol), which is what lets the effect predictor
+ * (effects.h) fold the summary through the same threshold model the
+ * device applies at execution time.
  */
 
 #ifndef PUD_LINT_ABSINT_H

@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "dram/mapping.h"
+#include "dram/protocol.h"
 #include "lint/effects.h"
 #include "pud/semantics.h"
 
@@ -90,9 +91,9 @@ valueLess(const RowState &a, const RowState &b)
 }
 
 /**
- * The dataflow walk: the absint bank machine (open / pending close,
- * reopen classification through pud::semantics) extended with the
- * per-row contents lattice, loop bodies walked to a state fixpoint.
+ * The dataflow walk: the device's per-bank protocol machine
+ * (dram::BankProtocol) extended with the per-row contents lattice,
+ * loop bodies walked to a state fixpoint.
  */
 class DfWalker
 {
@@ -116,26 +117,15 @@ class DfWalker
     }
 
   private:
-    struct BankSt
-    {
-        bool open = false;
-        std::vector<RowId> openRows;  //!< physical; > 1 for SiMRA
-        Time openedAt = 0;
-
-        bool pendingValid = false;
-        std::vector<RowId> pendingRows;
-        Time pendingTOn = 0;
-        Time pendingClosedAt = 0;
-        Time pendingOpenedAt = 0;
-    };
+    using BankSt = dram::BankProtocol;
 
     /** Time-free machine + row-state image for fixpoint detection. */
     struct Snapshot
     {
         std::map<std::uint64_t, RowState> rows;
         std::vector<std::pair<std::vector<RowId>, std::vector<RowId>>>
-            banks;  //!< (openRows-or-empty, pendingRows-or-empty)
-        std::vector<std::uint8_t> flags;  //!< open<<1 | pendingValid
+            banks;  //!< (openRows, pending.rows-or-empty)
+        std::vector<std::uint8_t> flags;  //!< open<<1 | pending.valid
     };
 
     Snapshot
@@ -144,12 +134,12 @@ class DfWalker
         Snapshot s;
         s.rows = out_.rows;
         for (const BankSt &b : banks_) {
-            s.banks.push_back({b.open ? b.openRows : std::vector<RowId>{},
-                               b.pendingValid ? b.pendingRows
-                                              : std::vector<RowId>{}});
+            s.banks.push_back({b.openRows,
+                               b.pending.valid ? b.pending.rows
+                                               : std::vector<RowId>{}});
             s.flags.push_back(
-                static_cast<std::uint8_t>((b.open ? 2 : 0) |
-                                          (b.pendingValid ? 1 : 0)));
+                static_cast<std::uint8_t>((b.isOpen() ? 2 : 0) |
+                                          (b.pending.valid ? 1 : 0)));
         }
         return s;
     }
@@ -168,12 +158,12 @@ class DfWalker
         for (std::size_t b = 0; b < banks_.size(); ++b) {
             const BankSt &bk = banks_[b];
             const std::uint8_t f = static_cast<std::uint8_t>(
-                (bk.open ? 2 : 0) | (bk.pendingValid ? 1 : 0));
+                (bk.isOpen() ? 2 : 0) | (bk.pending.valid ? 1 : 0));
             if (s.flags[b] != f)
                 return false;
-            if (bk.open && s.banks[b].first != bk.openRows)
+            if (s.banks[b].first != bk.openRows)
                 return false;
-            if (bk.pendingValid && s.banks[b].second != bk.pendingRows)
+            if (bk.pending.valid && s.banks[b].second != bk.pending.rows)
                 return false;
         }
         return true;
@@ -298,8 +288,8 @@ class DfWalker
                     t = satAddT(t, skipped);
             };
             shift(bank.openedAt);
-            shift(bank.pendingClosedAt);
-            shift(bank.pendingOpenedAt);
+            shift(bank.pending.closedAt);
+            shift(bank.pending.openedAt);
         }
         cursor_ = satAddT(cursor_, skipped);
     }
@@ -573,69 +563,20 @@ class DfWalker
             return;  // protocol errors are the Walker's business
         BankSt &bank = banks_[inst.bank];
         const RowId phys = mapping_.toPhysical(inst.row);
-        if (bank.open)
+        if (bank.isOpen())
             return;  // ACT-while-open fatals at execution time
 
-        if (bank.pendingValid) {
-            const Time gap = cursor_ - bank.pendingClosedAt;
-            const semantics::ReopenClass cls =
-                bank.pendingRows.size() == 1
-                    ? semantics::classifyReopen(
-                          cfg_.timings, geom_, bank.pendingRows.front(),
-                          phys, bank.pendingTOn, gap)
-                    : semantics::ReopenClass::Conventional;
-            switch (cls) {
-              case semantics::ReopenClass::SimraIgnored:
-                // Chip ignores both commands; the previous row stays
-                // open with its original activation time.
-                bank.open = true;
-                bank.openRows = bank.pendingRows;
-                bank.openedAt = bank.pendingOpenedAt;
-                bank.pendingValid = false;
-                return;
-              case semantics::ReopenClass::SimraGroup: {
-                const auto group = semantics::simraActivatedSet(
-                    geom_, bank.pendingRows.front(), phys);
-                bank.pendingValid = false;
-                bank.open = true;
-                bank.openRows.clear();
-                for (RowId r : group)
-                    if (geom_.contains(r))
-                        bank.openRows.push_back(r);
-                bank.openedAt = cursor_;
-                doMerge(i, inst.bank, group, phys);
-                return;
-              }
-              case semantics::ReopenClass::ComraCopy:
-                doCopy(i, inst.bank, bank.pendingRows.front(), phys);
-                bank.pendingValid = false;
-                bank.open = true;
-                bank.openRows.assign(1, phys);
-                bank.openedAt = cursor_;
-                return;
-              case semantics::ReopenClass::Conventional:
-                bank.pendingValid = false;
-                break;
-            }
-        }
-
-        bank.open = true;
-        bank.openRows.assign(1, phys);
-        bank.openedAt = cursor_;
+        const dram::BankProtocol::Step s = bank.act(cfg_, cursor_, phys);
+        if (s.transition == dram::Transition::SimraGroup)
+            doMerge(i, inst.bank, bank.openRows, phys);
+        else if (s.transition == dram::Transition::ComraCopy)
+            doCopy(i, inst.bank, s.src, s.dst);
     }
 
     void
     pre(BankId b)
     {
-        BankSt &bank = banks_[b];
-        if (!bank.open)
-            return;
-        bank.pendingValid = true;
-        bank.pendingRows = bank.openRows;
-        bank.pendingTOn = cursor_ - bank.openedAt;
-        bank.pendingClosedAt = cursor_;
-        bank.pendingOpenedAt = bank.openedAt;
-        bank.open = false;
+        banks_[b].pre(cursor_);
     }
 
     void
@@ -644,7 +585,7 @@ class DfWalker
         if (inst.bank >= cfg_.banks)
             return;
         BankSt &bank = banks_[inst.bank];
-        if (!bank.open || bank.openRows.empty())
+        if (!bank.isOpen())
             return;  // RdOnClosedBank is the Walker's error
         const RowId phys = bank.openRows.front();
         const RowState &st = stateOf(inst.bank, phys);
@@ -669,7 +610,7 @@ class DfWalker
         if (inst.bank >= cfg_.banks)
             return;
         BankSt &bank = banks_[inst.bank];
-        if (!bank.open)
+        if (!bank.isOpen())
             return;  // WrOnClosedBank is the Walker's error
         RowState v;
         if (inst.dataIndex >= 0 &&
@@ -710,8 +651,8 @@ class DfWalker
             wr(i, inst);
             break;
           case Op::Ref:
-            for (BankId b = 0; b < cfg_.banks; ++b)
-                banks_[b].pendingValid = false;
+            for (BankSt &bank : banks_)
+                bank.dropPending();
             break;
           case Op::Nop:
           case Op::LoopBegin:

@@ -12,6 +12,7 @@
 
 #include "bender/plan.h"
 #include "dram/mapping.h"
+#include "dram/protocol.h"
 #include "lint/absint.h"
 #include "lint/dataflow.h"
 #include "lint/effects.h"
@@ -189,19 +190,8 @@ class Walker
   private:
     struct BankSt
     {
-        enum class St { Idle, Open, Closed };
-
-        St st = St::Idle;
-        Time openedAt = 0;
-        dram::RowId openPhys = 0;
-
-        // The most recent close, pending classification against the
-        // next ACT (mirrors Device::BankState::pending).
-        bool pendingValid = false;
-        Time pendingTOn = 0;
-        Time pendingClosedAt = 0;
-        dram::RowId pendingPhys = 0;
-        std::size_t pendingPreIndex = 0;
+        dram::BankProtocol proto;
+        std::size_t pendingPreIndex = 0;  //!< the PRE of proto.pending
     };
 
     template <typename... Args>
@@ -345,55 +335,41 @@ class Walker
     void
     dropPending(BankSt &bank)
     {
-        if (!bank.pendingValid)
+        if (!bank.proto.dropPending())
             return;
-        bank.pendingValid = false;
-        if (bank.pendingTOn < cfg_.timings.tRAS) {
+        const Time t_on = bank.proto.pending.tOn;
+        if (t_on < cfg_.timings.tRAS) {
             add(Code::SuspiciousActToPre, bank.pendingPreIndex,
                 "row held open only %.2f ns, violating nominal tRAS "
                 "(%.2f ns) with no SiMRA-completing ACT following: "
                 "the row is left with a partial charge restore",
-                units::toNs(bank.pendingTOn),
-                units::toNs(cfg_.timings.tRAS));
+                units::toNs(t_on), units::toNs(cfg_.timings.tRAS));
         }
     }
 
     /**
-     * Classify the PRE->ACT transition on one bank: intended CoMRA,
-     * intended SiMRA, or a suspicious timing violation (paper §4.1,
-     * §5.1; windows from the device model).
+     * Report how the bank protocol resolved a PRE->ACT transition:
+     * intended CoMRA, intended SiMRA, or a suspicious timing violation
+     * (paper §4.1, §5.1).
      */
     void
-    classifyReopen(BankSt &bank, std::size_t act_index,
-                   dram::RowId act_phys)
+    reportReopen(const BankSt &bank, const dram::BankProtocol::Step &s,
+                 std::size_t act_index, dram::RowId act_phys)
     {
         const dram::TimingParams &t = cfg_.timings;
-        const Time t_on = bank.pendingTOn;
-        const Time gap = cursor_ - bank.pendingClosedAt;
-        const bool same_subarray =
-            bank.pendingPhys / cfg_.rowsPerSubarray ==
-            act_phys / cfg_.rowsPerSubarray;
-        bank.pendingValid = false;
+        const Time t_on = s.tOn;
+        const Time gap = s.gap;
 
-        if (t_on <= t.simraMaxActToPre && gap <= t.simraMaxPreToAct) {
-            if (!same_subarray) {
-                add(Code::SuspiciousActToPre, bank.pendingPreIndex,
-                    "ACT-PRE-ACT with SiMRA-grade violations "
-                    "(t_AggOn %.2f ns, PRE->ACT %.2f ns) but the two "
-                    "rows are in different subarrays: no group "
-                    "activates",
-                    units::toNs(t_on), units::toNs(gap));
-                return;
-            }
-            if (!cfg_.profile.supportsSimra) {
-                add(Code::SimraUnsupported, act_index,
-                    "ACT-PRE-ACT matches the SiMRA signature, but "
-                    "module %s ignores grossly violating commands "
-                    "(no SiMRA support): the quick PRE and this ACT "
-                    "have no effect",
-                    cfg_.profile.moduleId.c_str());
-                return;
-            }
+        switch (s.transition) {
+          case dram::Transition::SimraIgnored:
+            add(Code::SimraUnsupported, act_index,
+                "ACT-PRE-ACT matches the SiMRA signature, but "
+                "module %s ignores grossly violating commands "
+                "(no SiMRA support): the quick PRE and this ACT "
+                "have no effect",
+                cfg_.profile.moduleId.c_str());
+            return;
+          case dram::Transition::SimraGroup:
             add(Code::IntendedSimra, act_index,
                 "ACT-PRE-ACT with t_AggOn %.2f ns (<= %.2f ns) and "
                 "PRE->ACT %.2f ns (<= %.2f ns): intended SiMRA "
@@ -401,26 +377,37 @@ class Walker
                 units::toNs(t_on), units::toNs(t.simraMaxActToPre),
                 units::toNs(gap), units::toNs(t.simraMaxPreToAct));
             return;
-        }
-
-        if (t_on >= t.tRAS - units::ns && gap <= t.comraMaxPreToAct &&
-            bank.pendingPhys != act_phys) {
-            if (!same_subarray) {
-                add(Code::SuspiciousPreToAct, act_index,
-                    "PRE->ACT gap %.2f ns is in the CoMRA window "
-                    "(<= %.2f ns) but source and destination are in "
-                    "different subarrays: no copy occurs, only an "
-                    "accidental tRP violation",
-                    units::toNs(gap),
-                    units::toNs(t.comraMaxPreToAct));
-                return;
-            }
+          case dram::Transition::ComraCopy:
             add(Code::IntendedComra, act_index,
                 "full tRAS restore then PRE->ACT %.2f ns (nominal "
                 "tRP %.2f ns, CoMRA window <= %.2f ns): intended "
                 "in-DRAM RowClone copy",
                 units::toNs(gap), units::toNs(t.tRP),
                 units::toNs(t.comraMaxPreToAct));
+            return;
+          case dram::Transition::Conventional:
+            break;
+        }
+
+        const bool cross_subarray =
+            bank.proto.pending.rows.front() / cfg_.rowsPerSubarray !=
+            act_phys / cfg_.rowsPerSubarray;
+        if (cross_subarray && s.window == dram::PudWindow::Simra) {
+            add(Code::SuspiciousActToPre, bank.pendingPreIndex,
+                "ACT-PRE-ACT with SiMRA-grade violations "
+                "(t_AggOn %.2f ns, PRE->ACT %.2f ns) but the two "
+                "rows are in different subarrays: no group "
+                "activates",
+                units::toNs(t_on), units::toNs(gap));
+            return;
+        }
+        if (cross_subarray && s.window == dram::PudWindow::Comra) {
+            add(Code::SuspiciousPreToAct, act_index,
+                "PRE->ACT gap %.2f ns is in the CoMRA window "
+                "(<= %.2f ns) but source and destination are in "
+                "different subarrays: no copy occurs, only an "
+                "accidental tRP violation",
+                units::toNs(gap), units::toNs(t.comraMaxPreToAct));
             return;
         }
 
@@ -452,26 +439,25 @@ class Walker
         }
     }
 
-    void
+    /** PRE (or PREA) at instruction `pre_index`; false when idle. */
+    bool
     closeBank(BankSt &bank, std::size_t pre_index)
     {
-        dropPending(bank);
-        bank.pendingValid = true;
-        bank.pendingTOn = cursor_ - bank.openedAt;
-        bank.pendingClosedAt = cursor_;
-        bank.pendingPhys = bank.openPhys;
+        if (!bank.proto.pre(cursor_))
+            return false;
         bank.pendingPreIndex = pre_index;
-        bank.st = BankSt::St::Closed;
+        return true;
     }
 
     void
     checkColumnTiming(const BankSt &bank, std::size_t i, const char *op)
     {
-        if (cursor_ - bank.openedAt < cfg_.timings.tRCD) {
+        const Time since = cursor_ - bank.proto.openedAt;
+        if (since < cfg_.timings.tRCD) {
             add(Code::ColumnBeforeTrcd, i,
                 "%s %.2f ns after ACT violates nominal tRCD "
                 "(%.2f ns): the row is not yet sensed",
-                op, units::toNs(cursor_ - bank.openedAt),
+                op, units::toNs(since),
                 units::toNs(cfg_.timings.tRCD));
         }
     }
@@ -525,25 +511,21 @@ class Walker
             }
             BankSt &bank = banks_[inst.bank];
             const dram::RowId phys = mapping_.toPhysical(inst.row);
-            if (bank.st == BankSt::St::Open) {
+            if (bank.proto.isOpen()) {
                 add(Code::ActWhileOpen, i,
                     "ACT to bank %u while row %u is open (missing "
                     "PRE): the device fatals here",
-                    inst.bank, bank.openPhys);
-            } else if (bank.pendingValid) {
-                classifyReopen(bank, i, phys);
+                    inst.bank, bank.proto.openRows.front());
             }
-            bank.st = BankSt::St::Open;
-            bank.openedAt = cursor_;
-            bank.openPhys = phys;
-            bank.pendingValid = false;
+            const bool reopen = bank.proto.pending.valid;
+            const dram::BankProtocol::Step s =
+                bank.proto.act(cfg_, cursor_, phys);
+            if (reopen)
+                reportReopen(bank, s, i, phys);
             break;
           }
           case Op::Pre: {
-            BankSt &bank = banks_[inst.bank];
-            if (bank.st == BankSt::St::Open)
-                closeBank(bank, i);
-            else
+            if (!closeBank(banks_[inst.bank], i))
                 add(Code::PreOnIdleBank, i,
                     "PRE on bank %u with no open row is a no-op "
                     "(duplicate PRE or wrong bank?)",
@@ -552,13 +534,12 @@ class Walker
           }
           case Op::PreAll: {
             for (BankSt &bank : banks_)
-                if (bank.st == BankSt::St::Open)
-                    closeBank(bank, i);
+                closeBank(bank, i);
             break;
           }
           case Op::Rd: {
             BankSt &bank = banks_[inst.bank];
-            if (bank.st != BankSt::St::Open)
+            if (!bank.proto.isOpen())
                 add(Code::RdOnClosedBank, i,
                     "RD on bank %u with no open row: the device "
                     "fatals here",
@@ -569,7 +550,7 @@ class Walker
           }
           case Op::Wr: {
             BankSt &bank = banks_[inst.bank];
-            if (bank.st != BankSt::St::Open)
+            if (!bank.proto.isOpen())
                 add(Code::WrOnClosedBank, i,
                     "WR on bank %u with no open row: the device "
                     "fatals here",
@@ -598,7 +579,7 @@ class Walker
           case Op::Ref: {
             for (dram::BankId b = 0; b < cfg_.banks; ++b) {
                 BankSt &bank = banks_[b];
-                if (bank.st == BankSt::St::Open)
+                if (bank.proto.isOpen())
                     add(Code::RefWithOpenBank, i,
                         "REF issued while bank %u has an open row: "
                         "the device fatals here",
@@ -623,7 +604,7 @@ class Walker
             program_.insts().empty() ? 0 : program_.insts().size() - 1;
         for (dram::BankId b = 0; b < cfg_.banks; ++b) {
             BankSt &bank = banks_[b];
-            if (bank.st == BankSt::St::Open)
+            if (bank.proto.isOpen())
                 add(Code::OpenBankAtEnd, last,
                     "program ends with a row open on bank %u: the "
                     "next program's ACT to this bank will fatal",

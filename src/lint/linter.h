@@ -12,9 +12,10 @@
  * a PRE->ACT gap below tRP is exactly how CoMRA copies and an
  * ACT-PRE-ACT with both gaps grossly violated is exactly how SiMRA
  * opens a row group.  The analyzer therefore never treats a violated
- * nominal parameter as an error; instead it classifies each violation
- * against the device model's CoMRA/SiMRA windows and labels it
- * *intended* (Note) or *suspicious* (Warning).
+ * nominal parameter as an error; instead it walks each bank through
+ * the device's own protocol kernel (dram::BankProtocol) and labels
+ * each violation by the transition it resolves to: *intended* (Note)
+ * or *suspicious* (Warning).
  *
  * The walk mirrors the executor: loop bodies are traversed twice (the
  * second pass observes cross-iteration gaps at the back edge) with

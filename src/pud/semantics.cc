@@ -14,35 +14,6 @@ geometryOf(const dram::DeviceConfig &cfg)
     return g;
 }
 
-ReopenClass
-classifyReopen(const dram::TimingParams &t, const Geometry &g,
-               RowId prev_phys, RowId next_phys, Time t_on, Time gap)
-{
-    const bool same_sub = g.sameSubarray(prev_phys, next_phys);
-
-    if (same_sub && t_on <= t.simraMaxActToPre &&
-        gap <= t.simraMaxPreToAct) {
-        if (!g.supportsSimra)
-            return ReopenClass::SimraIgnored;
-        // A degenerate pair (same row reissued) resolves to a single
-        // wordline and falls through to the conventional/CoMRA rules.
-        if (simraActivatedSet(g, prev_phys, next_phys).size() > 1)
-            return ReopenClass::SimraGroup;
-    }
-
-    if (same_sub && prev_phys != next_phys &&
-        t_on >= t.tRAS - units::ns && gap <= t.comraMaxPreToAct)
-        return ReopenClass::ComraCopy;
-
-    return ReopenClass::Conventional;
-}
-
-std::vector<RowId>
-simraActivatedSet(const Geometry &g, RowId r1, RowId r2)
-{
-    return dram::SimraDecoder(g.rowsPerSubarray).activatedSet(r1, r2);
-}
-
 MacroEffect
 comraCopy(const Geometry &g, RowId src_phys, RowId dst_phys)
 {

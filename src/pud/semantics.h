@@ -30,10 +30,7 @@
 #include <vector>
 
 #include "dram/config.h"
-#include "dram/simra_decoder.h"
-#include "dram/timing.h"
 #include "dram/types.h"
-#include "util/units.h"
 
 namespace pud::semantics {
 
@@ -68,54 +65,6 @@ struct Geometry
 
 /** Extract the geometry of one bank from a device configuration. */
 Geometry geometryOf(const dram::DeviceConfig &cfg);
-
-/**
- * How an ACT following a pending (PRE'd but unclassified) close
- * resolves.  This is the single definition of the CoMRA/SiMRA timing
- * windows, mirrored by Device::act and consumed by the lint walkers.
- */
-enum class ReopenClass : std::uint8_t
-{
-    /** Plain reopen: the pending close resolves conventionally. */
-    Conventional,
-
-    /**
-     * CoMRA window hit (full tRAS restore, PRE->ACT at most
-     * comraMaxPreToAct, same subarray, different row): the destination
-     * row latches the source's bitline charge -- an in-DRAM copy.
-     */
-    ComraCopy,
-
-    /**
-     * SiMRA window hit (t_AggOn at most simraMaxActToPre, PRE->ACT at
-     * most simraMaxPreToAct, same subarray) and the decoder resolves a
-     * multi-row set: the group opens and every bitline resolves to the
-     * majority of the activated cells.
-     */
-    SimraGroup,
-
-    /**
-     * SiMRA-grade violations on a chip that ignores grossly violating
-     * commands: the quick PRE and the new ACT have no effect and the
-     * previous row stays open.
-     */
-    SimraIgnored,
-};
-
-/**
- * Classify the reopen of one bank: the previous open lasted `t_on`,
- * the bank sat precharged for `gap`, and the new ACT targets
- * `next_phys` after the previous open of `prev_phys`.  Pure function
- * of the timing parameters and geometry; `prev_phys` must be the
- * single pending row (multi-row pendings never reclassify).
- */
-ReopenClass classifyReopen(const dram::TimingParams &t,
-                           const Geometry &g, RowId prev_phys,
-                           RowId next_phys, Time t_on, Time gap);
-
-/** The simultaneously-activated physical row set of an ACT-PRE-ACT pair. */
-std::vector<RowId> simraActivatedSet(const Geometry &g, RowId r1,
-                                     RowId r2);
 
 /**
  * One macro-op's row-state footprint: which physical rows it consumes,

@@ -13,11 +13,13 @@
 #include <string>
 
 #include "bender/host.h"
+#include "dram/device.h"
 #include "hammer/patterns.h"
 #include "lint/absint.h"
 #include "lint/effects.h"
 #include "lint/linter.h"
 #include "lint/report.h"
+#include "util/rng.h"
 
 namespace {
 
@@ -386,6 +388,144 @@ TEST(Lint, RefSuppressesWindowWarning)
         .loopEnd();
     const auto r = lintProgram(p, smallConfig());
     EXPECT_FALSE(has(r, Code::RefreshWindowExceeded));
+}
+
+// ---- lint verdicts vs the executed device --------------------------------
+
+/** Run `p` on a fresh device with pre-flight off; its counters. */
+dram::DeviceCounters
+execute(const Program &p, const dram::DeviceConfig &cfg)
+{
+    TestBench bench(cfg);
+    bench.executor().setPreflight(false);
+    bench.run(p);
+    return bench.device().counters();
+}
+
+TEST(LintDevice, IgnoredSimraKeepsTheFirstRowOpen)
+{
+    // The ignored ACT-PRE-ACT leaves row 32 open since its first ACT,
+    // so the full-restore PRE and the quick ACT copy 32 -> 38.
+    const dram::DeviceConfig cfg = smallConfig("KVR21S15S8/4");
+    Program p;
+    p.act(0, 32, kT.tRP)
+        .pre(0, units::fromNs(3))
+        .act(0, 38, units::fromNs(3))
+        .pre(0, kT.tRAS)
+        .act(0, 38, units::fromNs(7.5));
+    const auto dev = execute(p, cfg);
+    EXPECT_EQ(dev.ignoredCommands, 2u);
+    EXPECT_EQ(dev.comraCopies, 1u);
+
+    const auto r = lintProgram(p, cfg);
+    EXPECT_TRUE(has(r, Code::SimraUnsupported));
+    EXPECT_TRUE(has(r, Code::IntendedComra));
+    EXPECT_FALSE(has(r, Code::SuspiciousPreToAct));
+}
+
+TEST(LintDevice, DegenerateSimraPairIsAConventionalReopen)
+{
+    // ACT-PRE-ACT of the same row resolves to a single wordline.
+    const dram::DeviceConfig cfg = smallConfig();
+    Program p;
+    p.act(0, 32, kT.tRP)
+        .pre(0, units::fromNs(3))
+        .act(0, 32, units::fromNs(3));
+    EXPECT_EQ(execute(p, cfg).simraOps, 0u);
+
+    const auto r = lintProgram(p, cfg);
+    EXPECT_FALSE(has(r, Code::IntendedSimra));
+    EXPECT_TRUE(has(r, Code::SuspiciousActToPre));
+}
+
+TEST(LintDevice, SimraGroupCloseNeverCopies)
+{
+    // The PRE closes the 4-row group {32, 34, 36, 38}: a multi-row
+    // pending close never reclassifies, so ACT 34 copies nothing.
+    const dram::DeviceConfig cfg = smallConfig();
+    Program p;
+    p.act(0, 32, kT.tRP)
+        .pre(0, units::fromNs(3))
+        .act(0, 38, units::fromNs(3))
+        .pre(0, kT.tRAS)
+        .act(0, 34, units::fromNs(7.5));
+    const auto dev = execute(p, cfg);
+    EXPECT_EQ(dev.simraOps, 1u);
+    EXPECT_EQ(dev.comraCopies, 0u);
+
+    const auto r = lintProgram(p, cfg);
+    EXPECT_TRUE(has(r, Code::IntendedSimra));
+    EXPECT_FALSE(has(r, Code::IntendedComra));
+}
+
+/**
+ * Seeded property: on straight-line ACT/PRE programs with on-times and
+ * gaps on both sides of every PuD window edge, and rows drawn as the
+ * same row, the same subarray or the other subarray, the linter's
+ * intended-PuD verdicts count exactly the PuD operations the executed
+ * device performs.
+ */
+TEST(LintDevice, ReopenVerdictsMatchExecutedDevice)
+{
+    constexpr int kProgramsPerModule = 5000;
+    const Time edges[] = {kT.simraMaxActToPre, kT.simraMaxPreToAct,
+                          kT.tRAS - units::ns, kT.comraMaxPreToAct};
+    const Time offsets[] = {-units::ns, -units::ps, 0, units::ps,
+                            units::ns};
+    Rng rng(0x5EED14);
+    const auto draw = [&] {
+        return edges[rng.below(4)] + offsets[rng.below(5)];
+    };
+
+    LintOptions opts;
+    opts.maxRepeatsPerCode = 0;
+    dram::DeviceCounters total;
+    for (const char *module : {"HMA81GU7AFR8N-UH", "KVR21S15S8/4"}) {
+        const dram::DeviceConfig cfg = smallConfig(module);
+        const dram::RowId rps = cfg.rowsPerSubarray;
+        for (int n = 0; n < kProgramsPerModule; ++n) {
+            Program p;
+            auto row = static_cast<dram::RowId>(
+                rng.below(cfg.rowsPerBank()));
+            Time gap = kT.tRP;
+            const auto opens = 2 + rng.below(5);
+            for (std::uint64_t k = 0; k < opens; ++k) {
+                p.act(0, row, gap).pre(0, draw());
+                gap = draw();
+                const auto sub = row / rps;
+                switch (rng.below(3)) {
+                  case 0:  // same row
+                    break;
+                  case 1:  // same subarray
+                    row = sub * rps +
+                          static_cast<dram::RowId>(rng.below(rps));
+                    break;
+                  default:  // the other subarray
+                    row = (sub ^ 1) * rps +
+                          static_cast<dram::RowId>(rng.below(rps));
+                    break;
+                }
+            }
+            const auto dev = execute(p, cfg);
+            const auto r = lintProgram(p, cfg, opts);
+            const std::string where = std::string(module) +
+                                      " program " + std::to_string(n);
+            ASSERT_EQ(countCode(r, Code::IntendedComra), dev.comraCopies)
+                << where;
+            ASSERT_EQ(countCode(r, Code::IntendedSimra), dev.simraOps)
+                << where;
+            ASSERT_EQ(2 * countCode(r, Code::SimraUnsupported),
+                      dev.ignoredCommands)
+                << where;
+            total.comraCopies += dev.comraCopies;
+            total.simraOps += dev.simraOps;
+            total.ignoredCommands += dev.ignoredCommands;
+        }
+    }
+    // The draws reach every PuD transition.
+    EXPECT_GT(total.comraCopies, 0u);
+    EXPECT_GT(total.simraOps, 0u);
+    EXPECT_GT(total.ignoredCommands, 0u);
 }
 
 // ---- golden clean programs ---------------------------------------------

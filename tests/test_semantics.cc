@@ -1,8 +1,7 @@
 /**
  * @file
  * Unit tests for the declarative PuD op-semantics table: geometry
- * rules, reopen-window classification against the device model's
- * behaviour, tie-ability of replication weights, and the control-row
+ * rules, tie-ability of replication weights, and the control-row
  * selection at subarray boundaries.
  */
 
@@ -27,8 +26,6 @@ smallGeom(dram::RowId rows_per_subarray = 64,
     return g;
 }
 
-const dram::TimingParams kT{};
-
 TEST(Semantics, GeometryOfConfig)
 {
     dram::DeviceConfig cfg = dram::makeConfig("HMA81GU7AFR8N-UH");
@@ -42,63 +39,6 @@ TEST(Semantics, GeometryOfConfig)
     EXPECT_EQ(g.subarrayOf(32), 1u);
     EXPECT_TRUE(g.sameSubarray(0, 31));
     EXPECT_FALSE(g.sameSubarray(31, 32));
-}
-
-// ---- reopen classification ---------------------------------------------
-
-TEST(Semantics, ClassifyReopenComraWindow)
-{
-    const Geometry g = smallGeom();
-    // Full tRAS restore, reopen inside the CoMRA window, same
-    // subarray, different row: a copy.
-    EXPECT_EQ(classifyReopen(kT, g, 10, 12, kT.tRAS,
-                             units::fromNs(7.5)),
-              ReopenClass::ComraCopy);
-    // Same row: no copy, plain reopen.
-    EXPECT_EQ(classifyReopen(kT, g, 10, 10, kT.tRAS,
-                             units::fromNs(7.5)),
-              ReopenClass::Conventional);
-    // Cross-subarray: the bitline charge cannot cross.
-    EXPECT_EQ(classifyReopen(kT, g, 10, 70, kT.tRAS,
-                             units::fromNs(7.5)),
-              ReopenClass::Conventional);
-    // Gap beyond the window: conventional.
-    EXPECT_EQ(classifyReopen(kT, g, 10, 12, kT.tRAS,
-                             kT.comraMaxPreToAct + units::ns),
-              ReopenClass::Conventional);
-    // Short restore disqualifies CoMRA (and is not SiMRA-grade).
-    EXPECT_EQ(classifyReopen(kT, g, 10, 12, kT.tRAS / 2,
-                             units::fromNs(7.5)),
-              ReopenClass::Conventional);
-}
-
-TEST(Semantics, ClassifyReopenSimraWindow)
-{
-    const Geometry g = smallGeom();
-    const Time t_on = units::fromNs(3);
-    const Time gap = units::fromNs(3);
-    EXPECT_EQ(classifyReopen(kT, g, 8, 15, t_on, gap),
-              ReopenClass::SimraGroup);
-    // Unsupported chip: the violating commands are ignored.
-    EXPECT_EQ(classifyReopen(kT, smallGeom(64, 2, false), 8, 15, t_on,
-                             gap),
-              ReopenClass::SimraIgnored);
-    // Same row reissued: degenerate single-wordline set, falls back
-    // to conventional (not CoMRA either -- same row).
-    EXPECT_EQ(classifyReopen(kT, g, 8, 8, t_on, gap),
-              ReopenClass::Conventional);
-    // Cross-subarray: no group forms.
-    EXPECT_EQ(classifyReopen(kT, g, 8, 70, t_on, gap),
-              ReopenClass::Conventional);
-}
-
-TEST(Semantics, SimraActivatedSetMatchesDecoder)
-{
-    const Geometry g = smallGeom();
-    const auto set = simraActivatedSet(g, 8, 15);  // hd 3 -> 8 rows
-    ASSERT_EQ(set.size(), 8u);
-    for (dram::RowId r = 8; r < 16; ++r)
-        EXPECT_EQ(set[r - 8], r);
 }
 
 // ---- CoMRA copy ---------------------------------------------------------

@@ -144,10 +144,41 @@ cmdReveng(const Args &args)
     return 0;
 }
 
+/** Parse a --technique value (rh|comra|simra); fatal otherwise. */
+TrrTechnique
+parseTechnique(const std::string &technique)
+{
+    if (technique == "rh")
+        return TrrTechnique::RowHammer;
+    if (technique == "comra")
+        return TrrTechnique::Comra;
+    if (technique == "simra")
+        return TrrTechnique::Simra;
+    fatal("unknown --technique=%s (rh|comra|simra)", technique.c_str());
+}
+
+/** The double-sided HC_first measurement of `tech` (SiMRA-`n`). */
+MeasureFn
+measureFor(TrrTechnique tech, const ModuleTester::Options &opt, int n)
+{
+    if (tech == TrrTechnique::RowHammer)
+        return [opt](ModuleTester &t, dram::RowId v) {
+            return t.rhDouble(v, opt);
+        };
+    if (tech == TrrTechnique::Comra)
+        return [opt](ModuleTester &t, dram::RowId v) {
+            return t.comraDouble(v, opt);
+        };
+    return [opt, n](ModuleTester &t, dram::RowId v) {
+        return t.simraDouble(v, n, opt);
+    };
+}
+
 int
 cmdHcFirst(const Args &args)
 {
     const std::string technique = args.get("technique", "rh");
+    const TrrTechnique tech = parseTechnique(technique);
     const int n = static_cast<int>(args.getInt("n", 4));
     const double temp = args.getDouble("temp", 80.0);
 
@@ -167,22 +198,7 @@ cmdHcFirst(const Args &args)
         fatal("unknown --pattern=%s", pattern.c_str());
     }
 
-    MeasureFn measure;
-    if (technique == "rh")
-        measure = [opt](ModuleTester &t, dram::RowId v) {
-            return t.rhDouble(v, opt);
-        };
-    else if (technique == "comra")
-        measure = [opt](ModuleTester &t, dram::RowId v) {
-            return t.comraDouble(v, opt);
-        };
-    else if (technique == "simra")
-        measure = [opt, n](ModuleTester &t, dram::RowId v) {
-            return t.simraDouble(v, n, opt);
-        };
-    else
-        fatal("unknown --technique=%s (rh|comra|simra)",
-              technique.c_str());
+    const MeasureFn measure = measureFor(tech, opt, n);
 
     // Route through the population runner so the sweep parallelizes
     // under --jobs.  With jobs > 1 the victim list is cut into fixed
@@ -194,7 +210,7 @@ cmdHcFirst(const Args &args)
     pop.modules = 1;
     pop.victimsPerSubarray =
         static_cast<dram::RowId>(args.getInt("victims", 8));
-    pop.oddOnly = technique == "simra";
+    pop.oddOnly = tech == TrrTechnique::Simra;
     pop.seed = static_cast<std::uint64_t>(args.getInt("seed", 1));
     pop.rowsPerSubarray =
         static_cast<dram::RowId>(args.getInt("rows", 128));
@@ -220,7 +236,7 @@ cmdHcFirst(const Args &args)
     std::printf("technique %s%s, %zu victims (%zu without flips in "
                 "budget)\n",
                 technique.c_str(),
-                technique == "simra"
+                tech == TrrTechnique::Simra
                     ? ("-" + std::to_string(n)).c_str()
                     : "",
                 series[0].size(), noflip);
@@ -241,36 +257,21 @@ int
 cmdPopsweep(const Args &args)
 {
     const std::string technique = args.get("technique", "rh");
+    const TrrTechnique tech = parseTechnique(technique);
     const int n = static_cast<int>(args.getInt("n", 4));
     const double temp = args.getDouble("temp", 80.0);
 
     ModuleTester::Options opt;
     opt.searchWcdp = false;
     opt.pattern = dram::DataPattern::P55;
-
-    MeasureFn measure;
-    if (technique == "rh")
-        measure = [opt](ModuleTester &t, dram::RowId v) {
-            return t.rhDouble(v, opt);
-        };
-    else if (technique == "comra")
-        measure = [opt](ModuleTester &t, dram::RowId v) {
-            return t.comraDouble(v, opt);
-        };
-    else if (technique == "simra")
-        measure = [opt, n](ModuleTester &t, dram::RowId v) {
-            return t.simraDouble(v, n, opt);
-        };
-    else
-        fatal("unknown --technique=%s (rh|comra|simra)",
-              technique.c_str());
+    const MeasureFn measure = measureFor(tech, opt, n);
 
     PopulationConfig pop;
     pop.moduleId = args.get("module", "HMA81GU7AFR8N-UH");
     pop.modules = static_cast<int>(args.getInt("modules", 100));
     pop.victimsPerSubarray =
         static_cast<dram::RowId>(args.getInt("victims", 2));
-    pop.oddOnly = technique == "simra";
+    pop.oddOnly = tech == TrrTechnique::Simra;
     pop.seed = static_cast<std::uint64_t>(args.getInt("seed", 1));
     pop.rowsPerSubarray =
         static_cast<dram::RowId>(args.getInt("rows", 128));
@@ -328,7 +329,7 @@ cmdPopsweep(const Args &args)
     std::printf("popsweep %s technique=%s%s modules=%d victims=%zu "
                 "shards=%zu\n",
                 pop.moduleId.c_str(), technique.c_str(),
-                technique == "simra"
+                tech == TrrTechnique::Simra
                     ? ("-" + std::to_string(n)).c_str()
                     : "",
                 pop.modules,
@@ -351,16 +352,8 @@ cmdPopsweep(const Args &args)
 int
 cmdAttack(const Args &args)
 {
-    const std::string technique = args.get("technique", "simra");
-    TrrTechnique tech;
-    if (technique == "rh")
-        tech = TrrTechnique::RowHammer;
-    else if (technique == "comra")
-        tech = TrrTechnique::Comra;
-    else if (technique == "simra")
-        tech = TrrTechnique::Simra;
-    else
-        fatal("unknown --technique=%s", technique.c_str());
+    const TrrTechnique tech =
+        parseTechnique(args.get("technique", "simra"));
 
     TrrConfig cfg;
     cfg.nSided = static_cast<int>(args.getInt("n", 2));
