@@ -167,8 +167,9 @@ runSweep(const hammer::PopulationConfig &cfg,
     }
     out.sketch = out.sweep.sketches[0].serialize();
     out.wallSeconds = out.sweep.telemetry.wallSeconds;
-    out.acts = out.sweep.telemetry.acts();
-    out.workUnits = out.sweep.telemetry.workUnits();
+    const hammer::ShardReport total = out.sweep.telemetry.total();
+    out.acts = total.acts;
+    out.workUnits = total.workUnits;
     out.resumedShards = out.sweep.resumedShards;
     out.totalShards = out.sweep.totalShards;
     out.maxPopulatedRows = out.sweep.telemetry.maxPopulatedRows();

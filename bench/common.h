@@ -22,7 +22,7 @@
  *
  * Determinism guarantee: --jobs only changes wall-clock time, never
  * results.  Population sweeps shard at module granularity (each shard
- * owns its identically-seeded ModuleTester, replaying the serial
+ * runs on a tester reset to its module's seed, replaying the serial
  * per-module loop verbatim) and every measurement lands in a pre-sized
  * slot keyed by (module, victim, measure), so stdout is byte-identical
  * for every --jobs value.  Per-shard wall time and work-unit counts
@@ -121,12 +121,12 @@ class JobsSummary
     {
         if (runs_.empty())
             return;
-        double wall = 0.0, busy = 0.0;
-        std::size_t units = 0;
+        double wall = 0.0;
+        hammer::PopulationTelemetry all;  // every sweep's shards
         for (const auto &t : runs_) {
             wall += t.wallSeconds;
-            busy += t.busySeconds();
-            units += t.workUnits();
+            all.shards.insert(all.shards.end(), t.shards.begin(),
+                              t.shards.end());
         }
         std::fprintf(stderr,
                      "--- pud::exec summary: %zu population sweep(s), "
@@ -134,14 +134,14 @@ class JobsSummary
                      runs_.size(), runs_.front().jobs);
         for (std::size_t r = 0; r < runs_.size(); ++r) {
             const auto &t = runs_[r];
+            const double busy = t.total().seconds;
             std::fprintf(stderr,
                          "sweep %2zu: %3zu shard(s), %5zu work units, "
                          "wall %7.2f s, busy %7.2f s (%.2fx)\n",
                          r + 1, t.shards.size(), t.workUnits(),
-                         t.wallSeconds, t.busySeconds(),
-                         t.wallSeconds > 0.0
-                             ? t.busySeconds() / t.wallSeconds
-                             : 0.0);
+                         t.wallSeconds, busy,
+                         t.wallSeconds > 0.0 ? busy / t.wallSeconds
+                                             : 0.0);
             for (const auto &s : t.shards) {
                 std::fprintf(stderr,
                              "  shard module=%-3d slots=[%zu,%zu) "
@@ -151,22 +151,20 @@ class JobsSummary
                              s.seconds);
             }
         }
+        const hammer::ShardReport total = all.total();
         std::fprintf(stderr,
                      "total: %zu work units, wall %.2f s, busy %.2f s "
                      "(parallel speedup %.2fx)\n",
-                     units, wall, busy, wall > 0.0 ? busy / wall : 0.0);
-        std::uint64_t fast_iters = 0, hits = 0, misses = 0;
-        for (const auto &t : runs_) {
-            fast_iters += t.fastPathIterations();
-            hits += t.planCacheHits();
-            misses += t.planCacheMisses();
-        }
+                     total.workUnits, wall, total.seconds,
+                     wall > 0.0 ? total.seconds / wall : 0.0);
         std::fprintf(stderr,
                      "executor: %llu fastPathIterations, "
                      "%llu planCacheHits, %llu planCacheMisses\n",
-                     static_cast<unsigned long long>(fast_iters),
-                     static_cast<unsigned long long>(hits),
-                     static_cast<unsigned long long>(misses));
+                     static_cast<unsigned long long>(
+                         total.fastPathIterations),
+                     static_cast<unsigned long long>(total.planCacheHits),
+                     static_cast<unsigned long long>(
+                         total.planCacheMisses));
     }
 
   private:

@@ -131,6 +131,17 @@ class Executor
     /** Cumulative fast-path / plan-cache counters. */
     const ExecStats &stats() const { return stats_; }
 
+    /**
+     * Forget every compiled plan and zero the stats, as if freshly
+     * constructed (the settings above are kept).
+     */
+    void
+    reset()
+    {
+        planCache_.clear();
+        stats_ = ExecStats{};
+    }
+
     /** Minimum trip count before the fast-path engages. */
     static constexpr std::uint64_t kFastPathThreshold =
         bender::kFastPathThreshold;

@@ -67,7 +67,8 @@ class TestBench
      * Re-seed the socket for the next module instance without
      * reconstructing the Device arena: O(populated rows), and the
      * Executor's shape-keyed plan cache stays warm (plans depend only
-     * on program shape, never on module state).
+     * on program shape, never on module state).  ModuleTester::reset
+     * also empties it.
      */
     void reset(std::uint64_t seed) { device_->reset(seed); }
 

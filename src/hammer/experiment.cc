@@ -1,30 +1,14 @@
 #include "hammer/experiment.h"
 
 #include <algorithm>
-#include <chrono>
-#include <limits>
 
-#include "exec/pool.h"
 #include "hammer/enumerate.h"
 #include "lint/absint.h"
 #include "lint/effects.h"
 #include "lint/linter.h"
-#include "obs/trace.h"
 #include "util/logging.h"
 
 namespace pud::hammer {
-
-namespace {
-
-double
-secondsSince(std::chrono::steady_clock::time_point start)
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - start)
-        .count();
-}
-
-} // namespace
 
 dram::DeviceConfig
 populationDeviceConfig(const PopulationConfig &cfg, int module)
@@ -73,113 +57,6 @@ planPopulationShards(const PopulationConfig &cfg,
         }
     }
     return shards;
-}
-
-std::vector<std::vector<double>>
-measurePopulation(const PopulationConfig &cfg,
-                  const std::vector<MeasureFn> &measures,
-                  PopulationTelemetry *telemetry)
-{
-    const auto wall_start = std::chrono::steady_clock::now();
-    const int jobs = exec::resolveJobs(cfg.jobs);
-
-    // Enumerate the victim population up front so every measurement
-    // has a pre-sized result slot: slot order is (module, victim,
-    // measure), exactly the serial iteration order, so the output can
-    // never depend on how shards are scheduled.  Enumeration is
-    // geometry-only and shared by every instance: sweep startup is
-    // O(1) in the module count, not O(modules) device builds.
-    const std::vector<RowId> victims = populationVictims(cfg);
-    const std::size_t total_victims =
-        victims.size() *
-        static_cast<std::size_t>(std::max(0, cfg.modules));
-
-    // Shard at module granularity by default; opt-in victim chunks cut
-    // each module's list into fixed-size pieces (independent of jobs).
-    const std::vector<ShardPlan> shards =
-        planPopulationShards(cfg, victims.size());
-
-    std::vector<std::vector<double>> series(
-        measures.size(), std::vector<double>(total_victims, 0.0));
-    std::vector<ShardReport> reports(shards.size());
-
-    if (obs::traceOn()) [[unlikely]]
-        obs::trace().event(
-            "sweep_start",
-            {{"module_id", cfg.moduleId},
-             {"modules", static_cast<std::int64_t>(cfg.modules)},
-             {"victims", total_victims},
-             {"measures", measures.size()},
-             {"shards", shards.size()},
-             {"jobs", static_cast<std::int64_t>(jobs)}});
-
-    exec::parallelFor(jobs, shards.size(), [&](std::size_t si) {
-        const ShardPlan &shard = shards[si];
-        const auto shard_start = std::chrono::steady_clock::now();
-
-        // Each shard owns a private tester seeded exactly like the
-        // serial loop's per-module tester, so module shards replay the
-        // serial path verbatim and chunk shards are reproducible.
-        ModuleTester tester(populationDeviceConfig(cfg, shard.module));
-        if (cfg.setup)
-            cfg.setup(tester);
-
-        for (std::size_t v = shard.victimBegin; v < shard.victimEnd;
-             ++v) {
-            const std::size_t slot =
-                shard.slotBase + (v - shard.victimBegin);
-            for (std::size_t i = 0; i < measures.size(); ++i) {
-                const std::uint64_t hc =
-                    measures[i](tester, victims[v]);
-                series[i][slot] =
-                    hc == kNoFlip
-                        ? std::numeric_limits<double>::quiet_NaN()
-                        : static_cast<double>(hc);
-            }
-        }
-
-        ShardReport &r = reports[si];
-        r.module = shard.module;
-        r.firstSlot = shard.slotBase;
-        r.victims = shard.victimEnd - shard.victimBegin;
-        r.workUnits = r.victims * measures.size();
-        r.seconds = secondsSince(shard_start);
-        r.acts = tester.device().counters().acts;
-        r.populatedRows = tester.device().populatedRowCount();
-        const bender::ExecStats &xs = tester.bench().executor().stats();
-        r.fastPathIterations = xs.fastPathIterations;
-        r.planCacheHits = xs.planCacheHits;
-        r.planCacheMisses = xs.planCacheMisses;
-        if (obs::traceOn()) [[unlikely]]
-            obs::trace().event(
-                "work_unit",
-                {{"module", static_cast<std::int64_t>(r.module)},
-                 {"first_slot", r.firstSlot},
-                 {"victims", r.victims},
-                 {"units", r.workUnits},
-                 {"seconds", r.seconds},
-                 {"fastpath_iters", r.fastPathIterations},
-                 {"plan_hits", r.planCacheHits},
-                 {"plan_misses", r.planCacheMisses}});
-    });
-
-    if (obs::traceOn()) [[unlikely]] {
-        std::size_t units = 0;
-        for (const ShardReport &r : reports)
-            units += r.workUnits;
-        obs::trace().event("sweep_end",
-                           {{"wall_s", secondsSince(wall_start)},
-                            {"units", units},
-                            {"shards", reports.size()}});
-    }
-
-    if (telemetry) {
-        telemetry->jobs = jobs;
-        telemetry->perVictimChunks = cfg.perVictimChunks;
-        telemetry->shards = std::move(reports);
-        telemetry->wallSeconds = secondsSince(wall_start);
-    }
-    return series;
 }
 
 std::vector<std::vector<double>>

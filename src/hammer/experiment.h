@@ -43,9 +43,9 @@ struct PopulationConfig
      * Worker threads for the population sweep; 1 is the legacy serial
      * path (no threads created), <= 0 means hardware concurrency.
      * Results are bit-identical for every value: work is sharded at
-     * module granularity (each shard owns its ModuleTester, exactly
-     * the serial per-module loop body) and every measurement is
-     * written into a pre-sized slot keyed by (module, victim,
+     * module granularity (each shard runs on a tester reset to its
+     * module's seed, exactly the serial per-module loop body) and
+     * every measurement lands in a slot keyed by (module, victim,
      * measure), so scheduling never affects output.
      */
     int jobs = 1;
@@ -137,7 +137,7 @@ std::vector<ShardPlan>
 planPopulationShards(const PopulationConfig &cfg,
                      std::size_t victims_per_module);
 
-/** What one measurePopulation call did, shard by shard. */
+/** What one population run did, shard by shard. */
 struct PopulationTelemetry
 {
     int jobs = 1;
@@ -145,63 +145,29 @@ struct PopulationTelemetry
     double wallSeconds = 0.0;
     std::vector<ShardReport> shards;
 
-    std::size_t
-    workUnits() const
+    /**
+     * Every additive ShardReport field summed over the shards:
+     * `seconds` is the serial-equivalent busy time, `populatedRows`
+     * the fleet total (see maxPopulatedRows).  module/firstSlot are 0.
+     */
+    ShardReport
+    total() const
     {
-        std::size_t n = 0;
-        for (const ShardReport &s : shards)
-            n += s.workUnits;
-        return n;
-    }
-
-    /** Summed per-shard busy time (serial-equivalent wall time). */
-    double
-    busySeconds() const
-    {
-        double t = 0.0;
-        for (const ShardReport &s : shards)
-            t += s.seconds;
+        ShardReport t;
+        for (const ShardReport &s : shards) {
+            t.victims += s.victims;
+            t.workUnits += s.workUnits;
+            t.seconds += s.seconds;
+            t.acts += s.acts;
+            t.populatedRows += s.populatedRows;
+            t.fastPathIterations += s.fastPathIterations;
+            t.planCacheHits += s.planCacheHits;
+            t.planCacheMisses += s.planCacheMisses;
+        }
         return t;
     }
 
-    /** Total ACT commands issued across all shards. */
-    std::uint64_t
-    acts() const
-    {
-        std::uint64_t n = 0;
-        for (const ShardReport &s : shards)
-            n += s.acts;
-        return n;
-    }
-
-    /** Loop iterations replayed arithmetically instead of executed. */
-    std::uint64_t
-    fastPathIterations() const
-    {
-        std::uint64_t n = 0;
-        for (const ShardReport &s : shards)
-            n += s.fastPathIterations;
-        return n;
-    }
-
-    /** Program runs that reused a cached ExecPlan. */
-    std::uint64_t
-    planCacheHits() const
-    {
-        std::uint64_t n = 0;
-        for (const ShardReport &s : shards)
-            n += s.planCacheHits;
-        return n;
-    }
-
-    std::uint64_t
-    planCacheMisses() const
-    {
-        std::uint64_t n = 0;
-        for (const ShardReport &s : shards)
-            n += s.planCacheMisses;
-        return n;
-    }
+    std::size_t workUnits() const { return total().workUnits; }
 
     /** Largest per-shard materialized-row count (RSS sublinearity). */
     std::size_t
@@ -219,7 +185,9 @@ using MeasureFn =
     std::function<std::uint64_t(ModuleTester &, RowId victim)>;
 
 /**
- * Run several measurements over the same victim population.
+ * Run several measurements over the same victim population, keeping
+ * every sample (O(modules * victims) memory).  Shares its shard loop
+ * with sweepPopulation (population.h), which keeps sketches instead.
  *
  * With `cfg.jobs > 1` the (module, victim, measure) work units run in
  * parallel on a pud::exec pool; the output is guaranteed bit-identical

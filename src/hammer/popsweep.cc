@@ -11,13 +11,13 @@
 #include <sys/prctl.h>
 #endif
 
-#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <thread>
 
+#include "hammer/sweep_util.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/logging.h"
@@ -25,14 +25,6 @@
 namespace pud::hammer {
 
 namespace {
-
-double
-secondsSince(std::chrono::steady_clock::time_point start)
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - start)
-        .count();
-}
 
 std::string
 workerCheckpointPath(const std::string &dir, int w)
@@ -62,22 +54,6 @@ selfPeakRssBytes()
     return static_cast<std::uint64_t>(ru.ru_maxrss) * 1024;
 }
 
-template <typename T>
-bool
-kvInt(std::istream &line, const char *key, T *out)
-{
-    std::string tok;
-    if (!(line >> tok))
-        return false;
-    const std::string prefix = std::string(key) + "=";
-    if (tok.rfind(prefix, 0) != 0)
-        return false;
-    const char *first = tok.data() + prefix.size();
-    const char *last = tok.data() + tok.size();
-    const auto [ptr, ec] = std::from_chars(first, last, *out);
-    return ec == std::errc() && ptr == last;
-}
-
 /** The completion sidecar a worker writes as its very last action. */
 struct WorkerMeta
 {
@@ -103,13 +79,8 @@ readWorkerMeta(const std::string &path, int worker, WorkerMeta *meta)
         !kvInt(ls, "worker", &w) || w != worker ||
         !kvInt(ls, "rss", &meta->rssBytes))
         return false;
-    {
-        std::string tok;
-        if (!(ls >> tok) || tok.rfind("seconds=", 0) != 0 ||
-            !stats::parseHexDouble(tok.substr(8), &meta->wallSeconds))
-            return false;
-    }
-    return kvInt(ls, "resumed", &meta->resumedShards) &&
+    return kvHexDouble(ls, "seconds", &meta->wallSeconds) &&
+           kvInt(ls, "resumed", &meta->resumedShards) &&
            kvInt(ls, "shards", &meta->shards);
 }
 
@@ -196,8 +167,9 @@ popsweep(const PopulationConfig &cfg,
 
     const std::uint64_t fingerprint =
         populationFingerprint(cfg, measures.size());
-    const std::size_t total_shards =
-        planPopulationShards(cfg, populationVictims(cfg).size()).size();
+    const std::vector<ShardPlan> shards =
+        planPopulationShards(cfg, populationVictims(cfg).size());
+    const std::size_t total_shards = shards.size();
 
     struct Slot
     {
@@ -300,29 +272,21 @@ popsweep(const PopulationConfig &cfg,
                                  stats::SampleSketch(opt.sketchAlpha));
     result.sweep.telemetry.jobs = opt.jobsPerWorker;
     result.sweep.telemetry.perVictimChunks = cfg.perVictimChunks;
-    result.sweep.totalShards = total_shards;
 
     for (Slot &s : slots) {
         const std::string path =
             workerCheckpointPath(opt.dir, s.worker);
-        auto records = loadCheckpointRecords(path, fingerprint,
-                                             measures.size(),
-                                             total_shards);
+        const auto records = loadCheckpointRecords(
+            path, fingerprint, measures.size(), total_shards);
         if (records.size() != s.end - s.begin ||
             (!records.empty() && records.front().first != s.begin))
             fatal("popsweep: worker %d checkpoint %s holds %zu "
                   "records, expected shards [%zu, %zu)",
                   s.worker, path.c_str(), records.size(), s.begin,
                   s.end);
-        for (auto &[index, rec] : records) {
-            if (rec.sketches.size() != measures.size())
-                fatal("popsweep: shard %zu record with %zu sketches, "
-                      "expected %zu",
-                      index, rec.sketches.size(), measures.size());
-            for (std::size_t i = 0; i < measures.size(); ++i)
-                result.sweep.sketches[i].merge(rec.sketches[i]);
-            result.sweep.telemetry.shards.push_back(rec.report);
-        }
+        // Workers own ascending ranges: merging worker by worker is
+        // the global shard order.
+        mergeShardRecords(shards, records, result.sweep);
 
         WorkerMeta meta;
         if (!readWorkerMeta(workerMetaPath(opt.dir, s.worker),

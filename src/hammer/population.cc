@@ -3,7 +3,6 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -16,6 +15,7 @@
 
 #include "exec/pool.h"
 #include "hammer/hcfirst.h"
+#include "hammer/sweep_util.h"
 #include "obs/trace.h"
 #include "util/logging.h"
 #include "util/rng.h"
@@ -23,14 +23,6 @@
 namespace pud::hammer {
 
 namespace {
-
-double
-secondsSince(std::chrono::steady_clock::time_point start)
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - start)
-        .count();
-}
 
 std::string
 encodeRecord(std::size_t index, const ShardRecord &rec)
@@ -52,23 +44,6 @@ encodeRecord(std::size_t index, const ShardRecord &rec)
         out += '\n';
     }
     return out;
-}
-
-/** Parse "key=value" with an integral value; false on mismatch. */
-template <typename T>
-bool
-kvInt(std::istream &line, const char *key, T *out)
-{
-    std::string tok;
-    if (!(line >> tok))
-        return false;
-    const std::string prefix = std::string(key) + "=";
-    if (tok.rfind(prefix, 0) != 0)
-        return false;
-    const char *first = tok.data() + prefix.size();
-    const char *last = tok.data() + tok.size();
-    const auto [ptr, ec] = std::from_chars(first, last, *out);
-    return ec == std::errc() && ptr == last;
 }
 
 struct CheckpointHeader
@@ -108,15 +83,9 @@ parseRecord(std::istream &in, std::string &line, std::size_t expect,
         index >= total_shards ||
         !kvInt(ls, "module", &rec->report.module) ||
         !kvInt(ls, "victims", &rec->report.victims) ||
-        !kvInt(ls, "units", &rec->report.workUnits))
-        return false;
-    {
-        std::string tok;
-        if (!(ls >> tok) || tok.rfind("seconds=", 0) != 0 ||
-            !stats::parseHexDouble(tok.substr(8), &rec->report.seconds))
-            return false;
-    }
-    if (!kvInt(ls, "acts", &rec->report.acts) ||
+        !kvInt(ls, "units", &rec->report.workUnits) ||
+        !kvHexDouble(ls, "seconds", &rec->report.seconds) ||
+        !kvInt(ls, "acts", &rec->report.acts) ||
         !kvInt(ls, "populated", &rec->report.populatedRows) ||
         !kvInt(ls, "fast", &rec->report.fastPathIterations) ||
         !kvInt(ls, "hits", &rec->report.planCacheHits) ||
@@ -363,13 +332,202 @@ loadCheckpointRecords(const std::string &path, std::uint64_t fingerprint,
     return loaded;
 }
 
+namespace {
+
+/**
+ * The population shard loop: the one place population shards run.
+ * measurePopulation and sweepPopulation differ only in how they
+ * reduce what it measures.
+ *
+ * Runs shards [begin + resumed, end) of the plan on cfg.jobs threads
+ * (the resumed prefix only shows in the trace).  Each shard takes a
+ * tester from the arena pool, reset to its module's seed, runs
+ * cfg.setup and the (victim x measure) loop, hands every HC_first to
+ * `sample(shard index, global slot, measure index, hc)` -- kNoFlip as
+ * NaN -- and then its report to `done(shard index, report)`.  Both
+ * callbacks run on the shard's thread.  Returns the telemetry of the
+ * computed shards, in shard order.
+ */
+template <typename Sample, typename Done>
+PopulationTelemetry
+runShards(const PopulationConfig &cfg,
+          const std::vector<MeasureFn> &measures,
+          const std::vector<RowId> &victims,
+          const std::vector<ShardPlan> &shards, std::size_t begin,
+          std::size_t resumed, std::size_t end, Sample &&sample,
+          Done &&done)
+{
+    const auto wall_start = std::chrono::steady_clock::now();
+    PopulationTelemetry tel;
+    tel.jobs = exec::resolveJobs(cfg.jobs);
+    tel.perVictimChunks = cfg.perVictimChunks;
+    const std::size_t first = begin + resumed;
+    tel.shards.resize(end - first);
+
+    if (obs::traceOn()) [[unlikely]]
+        obs::trace().event(
+            "sweep_start",
+            {{"module_id", cfg.moduleId},
+             {"modules", static_cast<std::int64_t>(cfg.modules)},
+             {"victims", victims.size() *
+                             static_cast<std::size_t>(
+                                 std::max(0, cfg.modules))},
+             {"measures", measures.size()},
+             {"shards", end - begin},
+             {"shard_base", begin},
+             {"resumed", resumed},
+             {"jobs", static_cast<std::int64_t>(tel.jobs)}});
+
+    // ---- tester arena pool -------------------------------------------
+    //
+    // Module instances of one population differ only in their device
+    // seed (populationDeviceConfig), so a finished shard's tester is
+    // reset for the next shard -- an O(populated-rows) Device::reset
+    // plus an emptied plan cache -- instead of reconstructing the
+    // whole arena.  The pool holds at most `jobs` testers.  A reset
+    // tester is a fresh one (pinned by ArenaReuse), so neither results
+    // nor executor counters depend on which arena a shard lands on.
+    std::mutex arena_mutex;
+    std::vector<std::unique_ptr<ModuleTester>> arenas;
+
+    exec::parallelFor(tel.jobs, tel.shards.size(), [&](std::size_t k) {
+        const std::size_t si = first + k;
+        const ShardPlan &shard = shards[si];
+        const auto shard_start = std::chrono::steady_clock::now();
+
+        std::unique_ptr<ModuleTester> tester;
+        {
+            std::lock_guard<std::mutex> lock(arena_mutex);
+            if (!arenas.empty()) {
+                tester = std::move(arenas.back());
+                arenas.pop_back();
+            }
+        }
+        dram::DeviceConfig dev_cfg =
+            populationDeviceConfig(cfg, shard.module);
+        if (tester)
+            tester->reset(dev_cfg.seed);
+        else
+            tester = std::make_unique<ModuleTester>(std::move(dev_cfg));
+        if (cfg.setup)
+            cfg.setup(*tester);
+
+        for (std::size_t v = shard.victimBegin; v < shard.victimEnd;
+             ++v) {
+            const std::size_t slot =
+                shard.slotBase + (v - shard.victimBegin);
+            for (std::size_t i = 0; i < measures.size(); ++i) {
+                const std::uint64_t hc =
+                    measures[i](*tester, victims[v]);
+                sample(si, slot, i,
+                       hc == kNoFlip
+                           ? std::numeric_limits<double>::quiet_NaN()
+                           : static_cast<double>(hc));
+            }
+        }
+
+        ShardReport &r = tel.shards[k];
+        r.module = shard.module;
+        r.firstSlot = shard.slotBase;
+        r.victims = shard.victimEnd - shard.victimBegin;
+        r.workUnits = r.victims * measures.size();
+        r.seconds = secondsSince(shard_start);
+        r.acts = tester->device().counters().acts;
+        r.populatedRows = tester->device().populatedRowCount();
+        const bender::ExecStats &xs =
+            tester->bench().executor().stats();
+        r.fastPathIterations = xs.fastPathIterations;
+        r.planCacheHits = xs.planCacheHits;
+        r.planCacheMisses = xs.planCacheMisses;
+        {
+            std::lock_guard<std::mutex> lock(arena_mutex);
+            arenas.push_back(std::move(tester));
+        }
+        if (obs::traceOn()) [[unlikely]]
+            obs::trace().event(
+                "work_unit",
+                {{"module", static_cast<std::int64_t>(r.module)},
+                 {"first_slot", r.firstSlot},
+                 {"victims", r.victims},
+                 {"units", r.workUnits},
+                 {"seconds", r.seconds},
+                 {"fastpath_iters", r.fastPathIterations},
+                 {"plan_hits", r.planCacheHits},
+                 {"plan_misses", r.planCacheMisses}});
+        done(si, r);
+    });
+
+    tel.wallSeconds = secondsSince(wall_start);
+    if (obs::traceOn()) [[unlikely]]
+        obs::trace().event("sweep_end",
+                           {{"wall_s", tel.wallSeconds},
+                            {"units", tel.workUnits()},
+                            {"shards", end - begin},
+                            {"resumed", resumed}});
+    return tel;
+}
+
+} // namespace
+
+std::vector<std::vector<double>>
+measurePopulation(const PopulationConfig &cfg,
+                  const std::vector<MeasureFn> &measures,
+                  PopulationTelemetry *telemetry)
+{
+    // Every measurement has a pre-sized result slot in (module,
+    // victim, measure) order, exactly the serial iteration order, so
+    // the output can never depend on how shards are scheduled.
+    const std::vector<RowId> victims = populationVictims(cfg);
+    const std::vector<ShardPlan> shards =
+        planPopulationShards(cfg, victims.size());
+    std::vector<std::vector<double>> series(
+        measures.size(),
+        std::vector<double>(victims.size() *
+                                static_cast<std::size_t>(
+                                    std::max(0, cfg.modules)),
+                            0.0));
+
+    PopulationTelemetry tel = runShards(
+        cfg, measures, victims, shards, 0, 0, shards.size(),
+        [&](std::size_t, std::size_t slot, std::size_t i, double hc) {
+            series[i][slot] = hc;
+        },
+        [](std::size_t, const ShardReport &) {});
+    if (telemetry)
+        *telemetry = std::move(tel);
+    return series;
+}
+
+void
+mergeShardRecords(
+    const std::vector<ShardPlan> &shards,
+    const std::vector<std::pair<std::size_t, ShardRecord>> &records,
+    SweepResult &into)
+{
+    std::size_t next = 0;
+    for (const auto &[index, rec] : records) {
+        if (index < next || index >= shards.size())
+            fatal("shard record %zu is out of canonical order",
+                  index);
+        if (rec.sketches.size() != into.sketches.size())
+            fatal("shard %zu record holds %zu sketches, expected %zu",
+                  index, rec.sketches.size(), into.sketches.size());
+        for (std::size_t i = 0; i < rec.sketches.size(); ++i)
+            into.sketches[i].merge(rec.sketches[i]);
+        ShardReport report = rec.report;
+        report.firstSlot = shards[index].slotBase;
+        into.telemetry.shards.push_back(report);
+        ++into.totalShards;
+        next = index + 1;
+    }
+}
+
 SweepResult
 sweepPopulation(const PopulationConfig &cfg,
                 const std::vector<MeasureFn> &measures,
                 const SweepOptions &opt)
 {
     const auto wall_start = std::chrono::steady_clock::now();
-    const int jobs = exec::resolveJobs(cfg.jobs);
     const std::uint64_t fingerprint =
         populationFingerprint(cfg, measures.size());
 
@@ -383,31 +541,28 @@ sweepPopulation(const PopulationConfig &cfg,
     if (begin > end)
         fatal("sweepPopulation: shard range [%zu, %zu) is invalid",
               begin, end);
-    const std::size_t range = end - begin;
 
-    std::vector<ShardRecord> records(range);
-    std::vector<bool> resumed(range, false);
+    // records[k] holds global shard begin + k.
+    std::vector<std::pair<std::size_t, ShardRecord>> records;
 
     // ---- resume -------------------------------------------------------
-    std::size_t resumed_count = 0;
     if (!opt.checkpointPath.empty()) {
-        auto loaded =
+        records =
             loadCheckpointRecords(opt.checkpointPath, fingerprint,
                                   measures.size(), shards.size());
-        if (!loaded.empty() && loaded.front().first != begin)
+        if (!records.empty() && records.front().first != begin)
             fatal("checkpoint %s covers shards starting at %zu, "
                   "expected %zu; refusing to resume",
-                  opt.checkpointPath.c_str(), loaded.front().first,
+                  opt.checkpointPath.c_str(), records.front().first,
                   begin);
-        for (auto &[index, rec] : loaded) {
-            if (index >= end)
-                break;
-            records[index - begin] = std::move(rec);
-            records[index - begin].report.firstSlot =
-                shards[index].slotBase;
-            resumed[index - begin] = true;
-            ++resumed_count;
-        }
+        records.resize(std::min(records.size(), end - begin));
+    }
+    const std::size_t resumed = records.size();
+    records.resize(end - begin);
+    for (std::size_t k = resumed; k < records.size(); ++k) {
+        records[k].first = begin + k;
+        records[k].second.sketches.assign(
+            measures.size(), stats::SampleSketch(opt.sketchAlpha));
     }
 
     // ---- checkpoint writer (canonical-order atomic commits) -----------
@@ -420,146 +575,38 @@ sweepPopulation(const PopulationConfig &cfg,
                              " shards=" + std::to_string(shards.size()) +
                              " base=" + std::to_string(begin) + '\n';
         ckpt = std::make_unique<CheckpointWriter>(
-            opt.checkpointPath, std::move(header),
-            begin + resumed_count);
-        for (std::size_t i = 0; i < resumed_count; ++i)
-            ckpt->addResumed(encodeRecord(begin + i, records[i]));
+            opt.checkpointPath, std::move(header), begin + resumed);
+        for (std::size_t k = 0; k < resumed; ++k)
+            ckpt->addResumed(encodeRecord(begin + k, records[k].second));
         // Rewrite the validated prefix rather than trusting whatever
         // the old file ends with; from here on every commit replaces
         // the file atomically.
         ckpt->commitInitial();
     }
 
-    if (obs::traceOn()) [[unlikely]]
-        obs::trace().event(
-            "sweep_start",
-            {{"module_id", cfg.moduleId},
-             {"modules", static_cast<std::int64_t>(cfg.modules)},
-             {"victims", victims.size() *
-                             static_cast<std::size_t>(
-                                 std::max(0, cfg.modules))},
-             {"measures", measures.size()},
-             {"shards", range},
-             {"shard_base", begin},
-             {"resumed", resumed_count},
-             {"jobs", static_cast<std::int64_t>(jobs)}});
-
-    // ---- tester arena pool -------------------------------------------
-    //
-    // Module instances of one sweep differ only in their device seed
-    // (populationDeviceConfig), so a finished shard's tester can be
-    // re-seeded for the next shard with the O(populated-rows)
-    // Device::reset instead of reconstructing the whole arena: row
-    // arrays, TRR rings, and the executor's shape-keyed plan cache all
-    // stay warm.  The pool holds at most `jobs` testers.  A reset
-    // tester is bit-identical to a fresh one (pinned by
-    // DeviceResetTest), so results do not depend on which arena a
-    // shard lands on.
-    std::mutex arena_mutex;
-    std::vector<std::unique_ptr<ModuleTester>> arenas;
-
-    // ---- sweep --------------------------------------------------------
-    exec::parallelFor(jobs, range, [&](std::size_t ri) {
-        if (resumed[ri])
-            return;
-        const ShardPlan &shard = shards[begin + ri];
-        const auto shard_start = std::chrono::steady_clock::now();
-
-        std::unique_ptr<ModuleTester> tester_slot;
-        {
-            std::lock_guard<std::mutex> lock(arena_mutex);
-            if (!arenas.empty()) {
-                tester_slot = std::move(arenas.back());
-                arenas.pop_back();
-            }
-        }
-        dram::DeviceConfig dev_cfg =
-            populationDeviceConfig(cfg, shard.module);
-        if (tester_slot)
-            tester_slot->reset(dev_cfg.seed);
-        else
-            tester_slot =
-                std::make_unique<ModuleTester>(std::move(dev_cfg));
-        ModuleTester &tester = *tester_slot;
-        if (cfg.setup)
-            cfg.setup(tester);
-
-        // The executor's stats survive a reset (the plan cache is
-        // kept warm on purpose); report per-shard deltas.
-        const bender::ExecStats stats_before =
-            tester.bench().executor().stats();
-
-        ShardRecord &rec = records[ri];
-        rec.sketches.assign(measures.size(),
-                            stats::SampleSketch(opt.sketchAlpha));
-        for (std::size_t v = shard.victimBegin; v < shard.victimEnd;
-             ++v) {
-            for (std::size_t i = 0; i < measures.size(); ++i) {
-                const std::uint64_t hc =
-                    measures[i](tester, victims[v]);
-                rec.sketches[i].add(
-                    hc == kNoFlip
-                        ? std::numeric_limits<double>::quiet_NaN()
-                        : static_cast<double>(hc));
-            }
-        }
-
-        ShardReport &r = rec.report;
-        r.module = shard.module;
-        r.firstSlot = shard.slotBase;
-        r.victims = shard.victimEnd - shard.victimBegin;
-        r.workUnits = r.victims * measures.size();
-        r.seconds = secondsSince(shard_start);
-        r.acts = tester.device().counters().acts;
-        r.populatedRows = tester.device().populatedRowCount();
-        const bender::ExecStats &xs = tester.bench().executor().stats();
-        r.fastPathIterations =
-            xs.fastPathIterations - stats_before.fastPathIterations;
-        r.planCacheHits =
-            xs.planCacheHits - stats_before.planCacheHits;
-        r.planCacheMisses =
-            xs.planCacheMisses - stats_before.planCacheMisses;
-
-        {
-            std::lock_guard<std::mutex> lock(arena_mutex);
-            arenas.push_back(std::move(tester_slot));
-        }
-        if (ckpt)
-            ckpt->offer(begin + ri, encodeRecord(begin + ri, rec));
-    });
-
+    // ---- sweep: each shard reduces into its own sketches ---------------
+    const PopulationTelemetry computed = runShards(
+        cfg, measures, victims, shards, begin, resumed, end,
+        [&](std::size_t si, std::size_t, std::size_t i, double hc) {
+            records[si - begin].second.sketches[i].add(hc);
+        },
+        [&](std::size_t si, const ShardReport &report) {
+            ShardRecord &rec = records[si - begin].second;
+            rec.report = report;
+            if (ckpt)
+                ckpt->offer(si, encodeRecord(si, rec));
+        });
     if (ckpt)
         ckpt->finish();
 
-    // ---- canonical-order fleet merge ----------------------------------
     SweepResult result;
     result.sketches.assign(measures.size(),
                            stats::SampleSketch(opt.sketchAlpha));
-    for (const ShardRecord &rec : records) {
-        if (rec.sketches.size() != measures.size())
-            fatal("sweepPopulation: shard record with %zu sketches, "
-                  "expected %zu",
-                  rec.sketches.size(), measures.size());
-        for (std::size_t i = 0; i < measures.size(); ++i)
-            result.sketches[i].merge(rec.sketches[i]);
-    }
-
-    result.telemetry.jobs = jobs;
+    mergeShardRecords(shards, records, result);
+    result.telemetry.jobs = computed.jobs;
     result.telemetry.perVictimChunks = cfg.perVictimChunks;
     result.telemetry.wallSeconds = secondsSince(wall_start);
-    result.telemetry.shards.reserve(records.size());
-    for (const ShardRecord &rec : records)
-        result.telemetry.shards.push_back(rec.report);
-    result.resumedShards = resumed_count;
-    result.totalShards = range;
-
-    if (obs::traceOn()) [[unlikely]]
-        obs::trace().event(
-            "sweep_end",
-            {{"wall_s", result.telemetry.wallSeconds},
-             {"units", result.telemetry.workUnits()},
-             {"shards", records.size()},
-             {"resumed", resumed_count}});
+    result.resumedShards = resumed;
     return result;
 }
 

@@ -5,11 +5,12 @@
  *
  * measurePopulation (experiment.h) returns whole-population sample
  * vectors -- O(modules * victims) memory -- and loses everything if
- * the process dies mid-run.  sweepPopulation is its fleet-scale
- * sibling: each shard reduces its measurements into per-measure
- * SampleSketches, completed shards are appended to a checkpoint file
- * in canonical shard order, and a resumed run folds the recorded
- * prefix back in and computes only the remainder.
+ * the process dies mid-run.  sweepPopulation runs the same shard loop
+ * (population.cc) with a fleet-scale reduction: each shard reduces its
+ * measurements into per-measure SampleSketches, completed shards are
+ * appended to a checkpoint file in canonical shard order, and a
+ * resumed run folds the recorded prefix back in and computes only the
+ * remainder.
  *
  * Determinism contract: the fleet sketch is the shard sketches merged
  * in *shard index order* (never completion order), and every shard's
@@ -133,6 +134,21 @@ struct SweepResult
     /** Total planned shards (resumed + computed). */
     std::size_t totalShards = 0;
 };
+
+/**
+ * The canonical fleet merge, shared by sweepPopulation and popsweep:
+ * fold `records` (global shard indices, ascending) into `into`, whose
+ * sketches must already hold one (possibly empty) sketch per measure.
+ * Sketches merge in shard order, which pins the floating-point
+ * summation order; reports are appended to the telemetry with
+ * firstSlot stamped from `shards` (popckpt1 records do not store it),
+ * and totalShards counts the merged records.  Fatal on out-of-order
+ * indices or a record with the wrong number of sketches.
+ */
+void mergeShardRecords(
+    const std::vector<ShardPlan> &shards,
+    const std::vector<std::pair<std::size_t, ShardRecord>> &records,
+    SweepResult &into);
 
 /**
  * Stable hash of everything that determines the sweep's work: module

@@ -71,13 +71,19 @@ class ModuleTester
     explicit ModuleTester(dram::DeviceConfig cfg) : bench_(std::move(cfg)) {}
 
     /**
-     * Re-seed the underlying bench for the next module instance
-     * (arena reuse; see TestBench::reset).  The once-per-tester
-     * warning/lint latches stay latched: under arena reuse they mean
-     * once per worker slot, which is the intended warning cadence for
-     * fleet sweeps anyway.
+     * Turn this tester into a fresh one for module seed `seed` (arena
+     * reuse): the device is re-seeded (TestBench::reset) and the
+     * executor drops its plan cache and stats, so what a reset tester
+     * measures and counts never depends on what it ran before.  Only
+     * the once-per-tester warning latches stay latched: under arena
+     * reuse they fire once per arena, which changes stderr only.
      */
-    void reset(std::uint64_t seed) { bench_.reset(seed); }
+    void
+    reset(std::uint64_t seed)
+    {
+        bench_.reset(seed);
+        bench_.executor().reset();
+    }
 
     bender::TestBench &bench() { return bench_; }
     dram::Device &device() { return bench_.device(); }

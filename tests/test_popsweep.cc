@@ -134,6 +134,19 @@ TEST(Popsweep, ByteIdenticalAcrossWorkersAndJobsVsSingleProcess)
                       single.telemetry.shards.size());
             EXPECT_EQ(r.sweep.telemetry.workUnits(),
                       single.telemetry.workUnits());
+            // Every merged shard report describes the same work as the
+            // single-process one, firstSlot included (checkpoint
+            // records do not store it; the merge stamps it).
+            for (std::size_t i = 0; i < single.telemetry.shards.size() &&
+                                    i < r.sweep.telemetry.shards.size();
+                 ++i) {
+                const ShardReport &got = r.sweep.telemetry.shards[i];
+                const ShardReport &ref = single.telemetry.shards[i];
+                EXPECT_EQ(got.module, ref.module) << "shard " << i;
+                EXPECT_EQ(got.firstSlot, ref.firstSlot) << "shard " << i;
+                EXPECT_EQ(got.victims, ref.victims) << "shard " << i;
+                EXPECT_EQ(got.workUnits, ref.workUnits) << "shard " << i;
+            }
             ASSERT_EQ(r.workers.size(),
                       static_cast<std::size_t>(workers));
             for (const WorkerReport &w : r.workers) {
@@ -334,6 +347,15 @@ TEST(ArenaReuse, ResetTesterMatchesFreshConstructionBitIdentically)
     reused.reset(dev_a.seed);
     for (std::size_t i = 0; i < victims.size(); ++i)
         EXPECT_EQ(reused.rhDouble(victims[i], opt), want[i]);
+
+    // The executor restarts too: a reset arena compiles and counts
+    // exactly what a fresh tester does.
+    const bender::ExecStats &got = reused.bench().executor().stats();
+    const bender::ExecStats &ref = fresh.bench().executor().stats();
+    EXPECT_EQ(got.planCacheHits, ref.planCacheHits);
+    EXPECT_EQ(got.planCacheMisses, ref.planCacheMisses);
+    EXPECT_EQ(got.fastPathIterations, ref.fastPathIterations);
+    EXPECT_EQ(got.phaseBreaks, ref.phaseBreaks);
 }
 
 /**

@@ -19,6 +19,7 @@
 
 #include "hammer/hcfirst.h"
 #include "hammer/population.h"
+#include "obs/metrics.h"
 
 namespace {
 
@@ -252,6 +253,73 @@ TEST(Sweep, LazySweepMatchesEagerlyMaterializedSweep)
         << "search budget found no flips; equivalence would be vacuous";
     EXPECT_EQ(lazy.sketches[0].serialize(),
               eager.sketches[0].serialize());
+}
+
+/**
+ * The two reductions of the one shard loop agree: measurePopulation's
+ * dense series, sliced by the shard plan, sketched per shard and
+ * merged in shard order, is exactly sweepPopulation's fleet sketch.
+ */
+TEST(Sweep, DenseSeriesSketchedByShardMatchesSweep)
+{
+    ModuleTester::Options opt;
+    const MeasureFn real = [&](ModuleTester &t, dram::RowId v) {
+        return t.rhDouble(v, opt);
+    };
+    for (bool chunks : {false, true}) {
+        for (int jobs : {1, 2}) {
+            PopulationConfig cfg = tinyPopulation(3);
+            cfg.perVictimChunks = chunks;
+            cfg.victimChunk = 5;
+            cfg.jobs = jobs;
+            const auto series = measurePopulation(cfg, {real});
+            const auto shards =
+                planPopulationShards(cfg, populationVictims(cfg).size());
+
+            stats::SampleSketch merged;
+            for (const ShardPlan &sp : shards) {
+                stats::SampleSketch shard;
+                for (std::size_t v = sp.victimBegin; v < sp.victimEnd;
+                     ++v)
+                    shard.add(series[0][sp.slotBase + v - sp.victimBegin]);
+                merged.merge(shard);
+            }
+            const SweepResult sweep = sweepPopulation(cfg, {real});
+            EXPECT_GT(sweep.sketches[0].count(), 0u);
+            EXPECT_EQ(merged.serialize(), sweep.sketches[0].serialize())
+                << "chunks=" << chunks << " jobs=" << jobs;
+        }
+    }
+}
+
+/**
+ * With --metrics on, a sweep's counters are a property of the work,
+ * not of how shards landed on arenas: every shard starts from a fresh
+ * (reset) tester, plan cache included.
+ */
+TEST(Sweep, MetricsSnapshotIsIdenticalAcrossJobs)
+{
+    PopulationConfig cfg = tinyPopulation(6);
+    cfg.victimsPerSubarray = 1;
+    ModuleTester::Options opt;
+    const MeasureFn real = [&](ModuleTester &t, dram::RowId v) {
+        return t.rhDouble(v, opt);
+    };
+    auto metricsAt = [&](int jobs) {
+        obs::metrics().reset();
+        obs::metrics().setEnabled(true);
+        cfg.jobs = jobs;
+        sweepPopulation(cfg, {real});
+        obs::metrics().setEnabled(false);
+        const std::string json =
+            obs::snapshotToJson(obs::metrics().snapshot());
+        obs::metrics().reset();
+        return json;
+    };
+    const std::string serial = metricsAt(1);
+    EXPECT_NE(serial.find("executor.plan_cache_misses"),
+              std::string::npos);
+    EXPECT_EQ(metricsAt(2), serial);
 }
 
 TEST(Sweep, EmptyPopulationProducesEmptySketches)
