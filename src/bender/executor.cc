@@ -7,6 +7,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/logging.h"
+#include "util/saturate.h"
 
 namespace pud::bender {
 
@@ -64,13 +65,10 @@ Executor::execLoop(const Program &program, const ExecPlan &plan,
                    const RunCosts &costs, std::size_t loop_index,
                    std::uint64_t n, Time &cursor, ExecResult &result)
 {
-    const PlanLoop &loop = plan.loops()[loop_index];
-    const std::size_t body_begin = loop.begin + 1;
-    const std::size_t body_end = loop.end;
+    const BodyClass cls = program.loops()[loop_index].cls;
 
     auto body = [&] {
-        execRange(program, plan, costs, body_begin, body_end, cursor,
-                  result);
+        execBody(program, plan, costs, loop_index, cursor, result);
     };
 
     // Recording an outer loop runs its body fully naively once, so it
@@ -78,10 +76,10 @@ Executor::execLoop(const Program &program, const ExecPlan &plan,
     // across (n - 2) live iterations.  For flat bodies the inequality
     // is trivially true.
     const bool eligible =
-        fastPath_ && !recording_ && loop.cls != BodyClass::Naive &&
+        fastPath_ && !recording_ && cls != BodyClass::Naive &&
         n >= kFastPathThreshold &&
-        costs.naiveCost[loop_index] <=
-            satMul(costs.fastCost[loop_index], n - 2);
+        costs.loops[loop_index].naiveCost <=
+            satMul(costs.loops[loop_index].fastCost, n - 2);
 
     if (!eligible) {
         // Only a loop that *could* have fast-pathed is an interesting
@@ -98,7 +96,7 @@ Executor::execLoop(const Program &program, const ExecPlan &plan,
                     "naive_fallback",
                     {{"loop", loop_index},
                      {"trip", n},
-                     {"reason", loop.cls == BodyClass::Naive
+                     {"reason", cls == BodyClass::Naive
                                     ? "body-class"
                                     : "cost-model"}});
         }
@@ -144,8 +142,8 @@ Executor::execLoop(const Program &program, const ExecPlan &plan,
         const std::uint64_t replayed =
             device_->replayLoopIterations(rec, n - it);
         if (replayed > 0) {
-            const Time skipped = static_cast<Time>(replayed) *
-                                 costs.duration[loop_index];
+            const Time skipped =
+                satMulT(costs.loops[loop_index].duration, replayed);
             device_->shiftLoopTimestamps(chunk_start, skipped);
             cursor += skipped;
             it += replayed;
@@ -194,28 +192,20 @@ Executor::execLoop(const Program &program, const ExecPlan &plan,
     }
 }
 
-std::size_t
-Executor::execRange(const Program &program, const ExecPlan &plan,
-                    const RunCosts &costs, std::size_t begin,
-                    std::size_t end, Time &cursor, ExecResult &result)
+void
+Executor::execBody(const Program &program, const ExecPlan &plan,
+                   const RunCosts &costs, std::size_t loop_id, Time &cursor,
+                   ExecResult &result)
 {
     const auto &insts = program.insts();
-    std::size_t i = begin;
-    while (i < end) {
-        const Inst &inst = insts[i];
-        if (inst.op == Op::LoopEnd) {
-            panic("Executor: stray LoopEnd at %zu", i);
-        } else if (inst.op == Op::LoopBegin) {
-            const std::int32_t li = plan.loopAt(i);
-            execLoop(program, plan, costs, static_cast<std::size_t>(li),
-                     inst.count, cursor, result);
-            i = plan.loops()[li].end + 1;
-        } else {
-            execOne(program, inst, cursor, result);
-            ++i;
-        }
-    }
-    return i;
+    program.forEachInBody(
+        loop_id,
+        [&](std::size_t i) { execOne(program, insts[i], cursor, result); },
+        [&](std::size_t li) {
+            execLoop(program, plan, costs, li,
+                     insts[program.loops()[li].begin].count, cursor,
+                     result);
+        });
 }
 
 void
@@ -316,14 +306,22 @@ Executor::run(const Program &program)
     const ExecPlan &plan = planFor(program);
     const RunCosts costs = RunCosts::compute(plan, program);
 
-    ExecResult result;
-    result.reads.reserve(static_cast<std::size_t>(
-        std::min(costs.totalRds, kReadReserveCap)));
     // Leave a bus-turnaround gap after whatever ran before.
     Time cursor = device_->now() + units::fromNs(100);
+    const Time duration = costs.total.duration;
+    if (duration > kMaxTime - cursor)
+        fatal("Executor: program duration (%s%.0f s) would carry the "
+              "device clock past the end of its range (%.1f days); "
+              "lower the trip counts",
+              duration == kMaxTime ? ">= " : "",
+              units::toUs(duration) / 1e6,
+              units::toUs(kMaxTime) / 86400e6);
+
+    ExecResult result;
+    result.reads.reserve(static_cast<std::size_t>(
+        std::min(costs.total.rds, kReadReserveCap)));
     result.startTime = cursor;
-    execRange(program, plan, costs, 0, program.insts().size(), cursor,
-              result);
+    execBody(program, plan, costs, Program::npos, cursor, result);
     device_->flush();
     result.endTime = cursor;
 

@@ -152,14 +152,10 @@ class Executor
 
     void preflightCheck(const Program &program);
 
-    /**
-     * Execute instructions in [begin, end); returns one past the last
-     * consumed instruction index.  `cursor` is the running issue time.
-     */
-    std::size_t execRange(const Program &program, const ExecPlan &plan,
-                          const RunCosts &costs, std::size_t begin,
-                          std::size_t end, Time &cursor,
-                          ExecResult &result);
+    /** Execute loop `loop_id`'s body once (Program::npos: the program). */
+    void execBody(const Program &program, const ExecPlan &plan,
+                  const RunCosts &costs, std::size_t loop_id, Time &cursor,
+                  ExecResult &result);
 
     /** Run one counted loop (fast-path or naive). */
     void execLoop(const Program &program, const ExecPlan &plan,

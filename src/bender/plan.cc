@@ -1,6 +1,6 @@
 #include "bender/plan.h"
 
-#include "util/logging.h"
+#include "util/saturate.h"
 
 namespace pud::bender {
 
@@ -52,61 +52,21 @@ ExecPlan::compile(const Program &program)
     const auto &insts = program.insts();
 
     ExecPlan plan;
-    plan.loopAt_.assign(insts.size(), -1);
-
-    // Open-loop stack; -1 marks top level.
-    std::vector<std::int32_t> stack;
-
-    auto flat_gap_of = [&](std::int32_t li) -> Time & {
-        return li < 0 ? plan.topFlatGap_ : plan.loops_[li].flatGap;
+    plan.loops_.resize(program.loopCount());
+    auto summarize = [&](std::size_t id, BodyCost &flat) {
+        program.forEachInBody(
+            id,
+            [&](std::size_t i) {
+                flat.duration += insts[i].gap;
+                flat.rds += insts[i].op == Op::Rd ? 1 : 0;
+                ++flat.naiveCost;
+                ++flat.fastCost;
+            },
+            [](std::size_t) {});
     };
-
-    for (std::size_t i = 0; i < insts.size(); ++i) {
-        const Inst &inst = insts[i];
-        const std::int32_t owner = stack.empty() ? -1 : stack.back();
-        switch (inst.op) {
-          case Op::LoopBegin: {
-            const auto li =
-                static_cast<std::int32_t>(plan.loops_.size());
-            plan.loops_.emplace_back();
-            plan.loops_.back().begin = i;
-            plan.loopAt_[i] = li;
-            if (owner < 0)
-                plan.topLoops_.push_back(
-                    static_cast<std::uint32_t>(li));
-            else
-                plan.loops_[owner].children.push_back(
-                    static_cast<std::uint32_t>(li));
-            stack.push_back(li);
-            break;
-          }
-          case Op::LoopEnd: {
-            if (stack.empty())
-                fatal("ExecPlan: stray LoopEnd at instruction %zu", i);
-            PlanLoop &loop = plan.loops_[stack.back()];
-            loop.end = i;
-            loop.cls = classifyBody(insts, loop.begin + 1, i);
-            stack.pop_back();
-            break;
-          }
-          default: {
-            flat_gap_of(owner) += inst.gap;
-            if (owner < 0) {
-                if (inst.op == Op::Rd)
-                    ++plan.topFlatRds_;
-            } else {
-                PlanLoop &loop = plan.loops_[owner];
-                if (inst.op == Op::Rd)
-                    ++loop.flatRds;
-                ++loop.flatInsts;
-            }
-            break;
-          }
-        }
-    }
-    if (!stack.empty())
-        fatal("ExecPlan: unbalanced loop at instruction %zu",
-              plan.loops_[stack.back()].begin);
+    summarize(Program::npos, plan.top_);
+    for (std::size_t li = 0; li < plan.loops_.size(); ++li)
+        summarize(li, plan.loops_[li]);
 
     plan.shapeHash_ = shapeHashOf(program);
     plan.shapeInsts_ = insts;
@@ -146,51 +106,31 @@ ExecPlan::matchesShape(const Program &program) const
 RunCosts
 RunCosts::compute(const ExecPlan &plan, const Program &program)
 {
-    const auto &loops = plan.loops();
-    const auto &insts = program.insts();
+    const auto &tree = program.loops();
+    RunCosts out{plan.loops(), plan.top()};
 
-    RunCosts out;
-    out.duration.assign(loops.size(), 0);
-    out.rds.assign(loops.size(), 0);
-    out.naiveCost.assign(loops.size(), 0);
-    out.fastCost.assign(loops.size(), 0);
-
-    // Children always have a larger loop index than their parent (the
-    // compiler appends loops in LoopBegin order), so one descending
-    // pass is a postorder traversal.
-    for (std::size_t li = loops.size(); li-- > 0;) {
-        const PlanLoop &loop = loops[li];
-        Time d = loop.flatGap;
-        std::uint64_t rds = loop.flatRds;
-        std::uint64_t naive = loop.flatInsts;
-        std::uint64_t fast = loop.flatInsts;
-        for (std::uint32_t c : loop.children) {
-            const std::uint64_t count = insts[loops[c].begin].count;
-            d += static_cast<Time>(count) * out.duration[c];
-            rds = satAdd(rds, satMul(count, out.rds[c]));
-            naive = satAdd(naive, satMul(count, out.naiveCost[c]));
-            // A fast-pathable child costs ~3 live iterations (warm-ups
-            // + recording) plus O(1) replay bookkeeping, regardless of
-            // its own trip count.
-            const bool child_fast =
-                loops[c].cls != BodyClass::Naive &&
-                count >= kFastPathThreshold;
-            fast = satAdd(fast,
-                          child_fast
-                              ? satAdd(satMul(3, out.fastCost[c]), 16)
-                              : satMul(count, out.fastCost[c]));
-        }
-        out.duration[li] = d;
-        out.rds[li] = rds;
-        out.naiveCost[li] = naive;
-        out.fastCost[li] = fast;
-    }
-
-    out.totalRds = plan.topFlatRds();
-    for (std::uint32_t t : plan.topLoops()) {
-        const std::uint64_t count = insts[loops[t].begin].count;
-        out.totalRds =
-            satAdd(out.totalRds, satMul(count, out.rds[t]));
+    // Children have larger ids than their parent (loops are numbered
+    // in LoopBegin order), so folding each loop into its parent in
+    // descending id order completes every loop before it is folded.
+    for (std::size_t li = out.loops.size(); li-- > 0;) {
+        const BodyCost &body = out.loops[li];
+        BodyCost &into = tree[li].parent == Program::npos
+                             ? out.total
+                             : out.loops[tree[li].parent];
+        const std::uint64_t count = program.insts()[tree[li].begin].count;
+        into.duration =
+            satAddT(into.duration, satMulT(body.duration, count));
+        into.rds = satAdd(into.rds, satMul(count, body.rds));
+        into.naiveCost =
+            satAdd(into.naiveCost, satMul(count, body.naiveCost));
+        // A fast-pathable child costs ~3 live iterations (warm-ups +
+        // recording) plus O(1) replay bookkeeping, regardless of its
+        // own trip count.
+        const bool child_fast = tree[li].cls != BodyClass::Naive &&
+                                count >= kFastPathThreshold;
+        into.fastCost = satAdd(
+            into.fastCost, child_fast ? satAdd(satMul(3, body.fastCost), 16)
+                                      : satMul(count, body.fastCost));
     }
     return out;
 }

@@ -2,26 +2,19 @@
  * @file
  * Compiled execution plans for bender programs.
  *
- * The executor used to rescan a program on every run: matching each
- * LoopBegin to its LoopEnd, re-deciding fast-path eligibility, and
- * re-summing body durations.  An ExecPlan performs that analysis once
- * and is cached by *shape*: two programs that differ only in loop trip
- * counts (exactly what an HC_first bisection produces, dozens of
- * probes per victim) share one plan.  Everything trip-count-dependent
- * (durations, RD totals, record-vs-replay cost estimates) lives in
- * RunCosts, recomputed per run in O(#loops).
- *
- * The eligibility classification here is the single source of truth,
- * shared with pud::lint's FastPathEligible/Ineligible notes -- which
- * is why classifyBody is a header-only inline: pud_bender links
- * pud_lint for the pre-flight, so pud_lint cannot link back.
+ * The Program builder records the loop tree and each body's fast-path
+ * class (Program::loops()).  An ExecPlan adds each loop's flat body
+ * cost and is cached by *shape*: two programs that differ only in
+ * loop trip counts (exactly what an HC_first bisection produces,
+ * dozens of probes per victim) share one plan.  Everything
+ * trip-count-dependent (durations, RD totals, record-vs-replay cost
+ * estimates) lives in RunCosts, recomputed per run in O(#loops).
  */
 
 #ifndef PUD_BENDER_PLAN_H
 #define PUD_BENDER_PLAN_H
 
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "bender/program.h"
@@ -36,86 +29,36 @@ namespace pud::bender {
  */
 inline constexpr std::uint64_t kFastPathThreshold = 8;
 
-/** How the executor may run a hot loop body. */
-enum class BodyClass : std::uint8_t
-{
-    /**
-     * No REF, RD, or nested loop anywhere in the body: one recorded
-     * iteration replays arithmetically for the whole remaining trip
-     * count in a single step.
-     */
-    Simple,
-    /**
-     * Contains REF and/or nested loops but no RD: still recordable --
-     * REF stripe/TRR effects and nested-loop damage advance by
-     * closed-form per-iteration deltas, with a live "phase break"
-     * whenever a refresh is about to touch a loop-damaged row.
-     */
-    Recorded,
-    /** Contains RD: results must be collected per iteration. */
-    Naive,
-};
-
 /**
- * Classify a loop body [begin, end) -- `end` is the matching LoopEnd.
- * RD anywhere (nested loops included) defeats the fast-path; REF and
- * nesting merely demote Simple to Recorded.
+ * Per-iteration cost of one loop body, or of the whole program run
+ * once.  A plan holds the flat costs (directly-owned instructions
+ * only); RunCosts folds nested loops in at the run's trip counts.
  */
-inline BodyClass
-classifyBody(const std::vector<Inst> &insts, std::size_t begin,
-             std::size_t end)
+struct BodyCost
 {
-    bool recorded = false;
-    for (std::size_t i = begin; i < end; ++i) {
-        switch (insts[i].op) {
-          case Op::Rd:
-            return BodyClass::Naive;
-          case Op::Ref:
-          case Op::LoopBegin:
-          case Op::LoopEnd:
-            recorded = true;
-            break;
-          default:
-            break;
-        }
-    }
-    return recorded ? BodyClass::Recorded : BodyClass::Simple;
-}
-
-/** One loop of the compiled tree. */
-struct PlanLoop
-{
-    std::size_t begin = 0;  //!< index of the LoopBegin instruction
-    std::size_t end = 0;    //!< index of the matching LoopEnd
-    BodyClass cls = BodyClass::Naive;
-    std::vector<std::uint32_t> children;  //!< indices into loops()
-
-    // Flat (per-iteration, excluding nested subtrees) body summary.
-    Time flatGap = 0;             //!< gap sum of directly-owned insts
-    std::uint64_t flatRds = 0;    //!< RD count of directly-owned insts
-    std::uint64_t flatInsts = 0;  //!< directly-owned non-marker insts
+    Time duration = 0;            //!< saturating at the Time range ends
+    std::uint64_t rds = 0;        //!< RD commands
+    /** Commands issued by one live iteration (nested unrolled). */
+    std::uint64_t naiveCost = 0;
+    /** Commands issued by one fast-pathed iteration. */
+    std::uint64_t fastCost = 0;
 };
 
 /**
- * The compiled, trip-count-independent structure of a program: the
- * loop tree with per-loop classification and flat summaries, plus the
- * normalized shape used for cache identity.
+ * The compiled, trip-count-independent data of a program: per-loop
+ * flat costs, plus the normalized shape used for cache identity.  The
+ * loop tree itself is the Program's (Program::loops()).
  */
 class ExecPlan
 {
   public:
     static ExecPlan compile(const Program &program);
 
-    const std::vector<PlanLoop> &loops() const { return loops_; }
+    /** Flat body costs, indexed like Program::loops(). */
+    const std::vector<BodyCost> &loops() const { return loops_; }
 
-    /** Loop index of the LoopBegin at `inst`; -1 otherwise. */
-    std::int32_t loopAt(std::size_t inst) const { return loopAt_[inst]; }
-
-    /** Indices of top-level loops, in program order. */
-    const std::vector<std::uint32_t> &topLoops() const { return topLoops_; }
-
-    Time topFlatGap() const { return topFlatGap_; }
-    std::uint64_t topFlatRds() const { return topFlatRds_; }
+    /** Flat cost of the instructions outside every loop. */
+    const BodyCost &top() const { return top_; }
 
     /** Trip-count-independent hash (= shapeHashOf of the source). */
     std::uint64_t shapeHash() const { return shapeHash_; }
@@ -124,11 +67,8 @@ class ExecPlan
     bool matchesShape(const Program &program) const;
 
   private:
-    std::vector<PlanLoop> loops_;
-    std::vector<std::int32_t> loopAt_;
-    std::vector<std::uint32_t> topLoops_;
-    Time topFlatGap_ = 0;
-    std::uint64_t topFlatRds_ = 0;
+    std::vector<BodyCost> loops_;
+    BodyCost top_;
 
     std::uint64_t shapeHash_ = 0;
     std::vector<Inst> shapeInsts_;       //!< LoopBegin counts zeroed
@@ -139,38 +79,17 @@ class ExecPlan
 std::uint64_t shapeHashOf(const Program &program);
 
 /**
- * Per-run, trip-count-dependent plan data: body durations, RD totals,
- * and the cost estimates that decide whether recording an outer loop
- * beats letting its inner loops fast-path on their own.
+ * Per-run, trip-count-dependent costs: body durations, RD totals, and
+ * the estimates that decide whether recording an outer loop beats
+ * letting its inner loops fast-path on their own.
  */
 struct RunCosts
 {
-    std::vector<Time> duration;            //!< one body iteration
-    std::vector<std::uint64_t> rds;        //!< RDs per body iteration
-    /** Commands issued by one live body iteration (nested unrolled). */
-    std::vector<std::uint64_t> naiveCost;
-    /** Commands issued by one fast-pathed body iteration. */
-    std::vector<std::uint64_t> fastCost;
-    std::uint64_t totalRds = 0;            //!< whole-program RD count
+    std::vector<BodyCost> loops;  //!< indexed like Program::loops()
+    BodyCost total;               //!< the whole program
 
     static RunCosts compute(const ExecPlan &plan, const Program &program);
 };
-
-/** Saturating helpers for RunCosts arithmetic. */
-inline std::uint64_t
-satAdd(std::uint64_t a, std::uint64_t b)
-{
-    const std::uint64_t s = a + b;
-    return s < a ? std::numeric_limits<std::uint64_t>::max() : s;
-}
-
-inline std::uint64_t
-satMul(std::uint64_t a, std::uint64_t b)
-{
-    if (a != 0 && b > std::numeric_limits<std::uint64_t>::max() / a)
-        return std::numeric_limits<std::uint64_t>::max();
-    return a * b;
-}
 
 } // namespace pud::bender
 

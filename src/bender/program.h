@@ -53,6 +53,45 @@ struct Inst
     std::uint64_t count = 0;   //!< LoopBegin only
 };
 
+/** How the executor may run a hot loop body. */
+enum class BodyClass : std::uint8_t
+{
+    /**
+     * No REF, RD, or nested loop anywhere in the body: one recorded
+     * iteration replays arithmetically for the whole remaining trip
+     * count in a single step.
+     */
+    Simple,
+    /**
+     * Contains REF and/or nested loops but no RD: still recordable --
+     * REF stripe/TRR effects and nested-loop damage advance by
+     * closed-form per-iteration deltas, with a live "phase break"
+     * whenever a refresh is about to touch a loop-damaged row.
+     */
+    Recorded,
+    /** Contains RD: results must be collected per iteration. */
+    Naive,
+};
+
+/**
+ * One loop of a program's loop tree.  Loop ids are LoopBegin order,
+ * which is a preorder: a loop's descendants are exactly the ids in
+ * (id, next).
+ */
+struct LoopNode
+{
+    std::size_t begin = 0;       //!< index of the LoopBegin instruction
+    std::size_t end = 0;         //!< matching LoopEnd; npos while open
+    std::size_t parent = 0;      //!< enclosing loop id; npos at top level
+    std::size_t next = 0;        //!< first loop id after this subtree
+    /**
+     * RD anywhere in the body (nested loops included) makes it Naive;
+     * otherwise a REF or a nested loop makes it Recorded.  This is the
+     * fast-path eligibility the executor and pud::lint both read.
+     */
+    BodyClass cls = BodyClass::Simple;
+};
+
 /**
  * A test program.  Built fluently:
  *
@@ -63,10 +102,15 @@ struct Inst
  *        .act(0, dst, violated)   // CoMRA
  *        .pre(0, tRAS)
  *    .loopEnd();
+ *
+ * The builder records the loop tree (loops()) as it goes; it is the
+ * only place that pairs a LoopBegin with its LoopEnd.
  */
 class Program
 {
   public:
+    static constexpr std::size_t npos = static_cast<std::size_t>(-1);
+
     Program &
     act(BankId bank, RowId row, Time gap)
     {
@@ -92,6 +136,7 @@ class Program
     rd(BankId bank, Time gap)
     {
         insts_.push_back({Op::Rd, gap, bank, 0, -1, 0});
+        raiseOpenLoops(BodyClass::Naive);
         return *this;
     }
 
@@ -129,6 +174,7 @@ class Program
     ref(Time gap)
     {
         insts_.push_back({Op::Ref, gap, 0, 0, -1, 0});
+        raiseOpenLoops(BodyClass::Recorded);
         return *this;
     }
 
@@ -142,17 +188,25 @@ class Program
     Program &
     loopBegin(std::uint64_t count)
     {
+        raiseOpenLoops(BodyClass::Recorded);
+        // Every open loop's subtree grows by this one.
+        for (std::size_t a = open_; a != npos; a = loops_[a].parent)
+            ++loops_[a].next;
+        const std::size_t id = loops_.size();
+        loops_.push_back({insts_.size(), npos, open_, id + 1,
+                          BodyClass::Simple});
         insts_.push_back({Op::LoopBegin, 0, 0, 0, -1, count});
-        ++openLoops_;
+        open_ = id;
         return *this;
     }
 
     Program &
     loopEnd()
     {
-        if (openLoops_ == 0)
+        if (open_ == npos)
             fatal("Program: loopEnd without loopBegin");
-        --openLoops_;
+        loops_[open_].end = insts_.size();
+        open_ = loops_[open_].parent;
         insts_.push_back({Op::LoopEnd, 0, 0, 0, -1, 0});
         return *this;
     }
@@ -169,17 +223,9 @@ class Program
     void
     setLoopCount(std::size_t loop_index, std::uint64_t count)
     {
-        std::size_t seen = 0;
-        for (auto &inst : insts_) {
-            if (inst.op == Op::LoopBegin) {
-                if (seen == loop_index) {
-                    inst.count = count;
-                    return;
-                }
-                ++seen;
-            }
-        }
-        fatal("Program: no loop with index %zu", loop_index);
+        if (loop_index >= loops_.size())
+            fatal("Program: no loop with index %zu", loop_index);
+        insts_[loops_[loop_index].begin].count = count;
     }
 
     /**
@@ -197,23 +243,63 @@ class Program
     }
 
     /** Number of loops (LoopBegin instructions) in the program. */
-    std::size_t
-    loopCount() const
+    std::size_t loopCount() const { return loops_.size(); }
+
+    /** The loop tree, one entry per loop in LoopBegin order. */
+    const std::vector<LoopNode> &loops() const { return loops_; }
+
+    /**
+     * Walk the body of loop `id`, or the whole program for id npos:
+     * onInst(i) for each command directly inside, onLoop(child) for
+     * each loop directly inside, in program order.  An unclosed loop
+     * runs to the end of the program, so nothing follows it.
+     */
+    template <typename OnInst, typename OnLoop>
+    void
+    forEachInBody(std::size_t id, OnInst &&on_inst,
+                  OnLoop &&on_loop) const
     {
-        std::size_t n = 0;
-        for (const auto &inst : insts_)
-            n += inst.op == Op::LoopBegin ? 1 : 0;
-        return n;
+        std::size_t i = id == npos ? 0 : loops_[id].begin + 1;
+        const std::size_t end =
+            id == npos || loops_[id].end == npos ? insts_.size()
+                                                 : loops_[id].end;
+        std::size_t child = id + 1;  // npos + 1 wraps to loop 0
+        while (i < end) {
+            if (insts_[i].op != Op::LoopBegin) {
+                on_inst(i++);
+                continue;
+            }
+            const LoopNode &loop = loops_[child];
+            on_loop(child);
+            if (loop.end == npos)
+                return;
+            i = loop.end + 1;
+            child = loop.next;
+        }
     }
 
     const std::vector<Inst> &insts() const { return insts_; }
     const std::vector<RowData> &dataTable() const { return dataTable_; }
-    bool balanced() const { return openLoops_ == 0; }
+    bool balanced() const { return open_ == npos; }
 
   private:
+    /**
+     * Raise every open loop's class to at least `cls`.  The walk
+     * stops at the first loop already there: its ancestors are too
+     * (they nest it, and saw every RD it did).
+     */
+    void
+    raiseOpenLoops(BodyClass cls)
+    {
+        for (std::size_t a = open_; a != npos && loops_[a].cls < cls;
+             a = loops_[a].parent)
+            loops_[a].cls = cls;
+    }
+
     std::vector<Inst> insts_;
     std::vector<RowData> dataTable_;
-    int openLoops_ = 0;
+    std::vector<LoopNode> loops_;
+    std::size_t open_ = npos;  //!< innermost open loop
 };
 
 } // namespace pud::bender

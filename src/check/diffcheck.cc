@@ -357,8 +357,7 @@ checkOneSeed(std::uint64_t seed, DiffCheckStats &stats)
     ++stats.programs;
     stats.instructions += program.insts().size();
     stats.merges += df.merges.size();
-    for (const bender::Inst &inst : program.insts())
-        stats.loops += inst.op == bender::Op::LoopBegin;
+    stats.loops += program.loopCount();
 
     for (RowId phys = 0; phys < rows; ++phys) {
         const RowState *st = df.find(kBank, phys);
@@ -664,8 +663,7 @@ checkOneMitigationSeed(std::uint64_t seed, MitigationUnderTest mode,
 
     ++stats.programs;
     stats.instructions += program.insts().size();
-    for (const bender::Inst &inst : program.insts())
-        stats.loops += inst.op == bender::Op::LoopBegin;
+    stats.loops += program.loopCount();
 
     for (const lint::VictimPrediction &vp : report.victims) {
         const RowData got_plain = plain.readRow(kBank, vp.victimPhys);

@@ -130,6 +130,7 @@ withRefInterleave(const Program &flat, const dram::TimingParams &t)
     const auto &insts = flat.insts();
     Program p;
     std::size_t i = 0;
+    std::size_t next_loop = 0;  // id of the next top-level loop
     while (i < insts.size()) {
         const auto &inst = insts[i];
         if (inst.op != bender::Op::LoopBegin) {
@@ -158,24 +159,24 @@ withRefInterleave(const Program &flat, const dram::TimingParams &t)
         }
 
         // Validate the body is flat ACT/PRE and sum its duration.
-        std::size_t close = i + 1;
+        const bender::LoopNode &loop = flat.loops()[next_loop];
+        next_loop = loop.next;
+        const std::size_t close = std::min(loop.end, insts.size());
         Time body_gap = 0;
-        for (; close < insts.size() &&
-               insts[close].op != bender::Op::LoopEnd;
-             ++close) {
-            switch (insts[close].op) {
+        for (std::size_t k = i + 1; k < close; ++k) {
+            switch (insts[k].op) {
               case bender::Op::Act:
               case bender::Op::Pre:
               case bender::Op::PreAll:
               case bender::Op::Nop:
-                body_gap += insts[close].gap;
+                body_gap += insts[k].gap;
                 break;
               default:
                 fatal("withRefInterleave: loop body must be flat "
-                      "ACT/PRE (instruction %zu)", close);
+                      "ACT/PRE (instruction %zu)", k);
             }
         }
-        if (close == insts.size())
+        if (loop.end == Program::npos)
             fatal("withRefInterleave: unbalanced loop at %zu", i);
 
         auto emit_body = [&] {

@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <deque>
-#include <limits>
 #include <set>
 #include <vector>
 
 #include "dram/device.h"
 #include "dram/mapping.h"
 #include "dram/protocol.h"
+#include "util/saturate.h"
 
 namespace pud::lint {
 
@@ -21,43 +21,6 @@ using dram::BankId;
 using dram::OpenKind;
 using dram::RowId;
 using dram::TechClass;
-
-constexpr Time kMaxTime = std::numeric_limits<Time>::max();
-constexpr std::uint64_t kMaxU64 =
-    std::numeric_limits<std::uint64_t>::max();
-
-Time
-satAddT(Time a, Time b)
-{
-    if (b > 0 && a > kMaxTime - b)
-        return kMaxTime;
-    return a + b;
-}
-
-Time
-satMulT(Time a, std::uint64_t n)
-{
-    if (a <= 0 || n == 0)
-        return 0;
-    if (static_cast<std::uint64_t>(a) > static_cast<std::uint64_t>(
-                                            kMaxTime) / n)
-        return kMaxTime;
-    return a * static_cast<Time>(n);
-}
-
-std::uint64_t
-satAddU(std::uint64_t a, std::uint64_t b)
-{
-    return a > kMaxU64 - b ? kMaxU64 : a + b;
-}
-
-std::uint64_t
-satMulU(std::uint64_t a, std::uint64_t n)
-{
-    if (a == 0 || n == 0)
-        return 0;
-    return a > kMaxU64 / n ? kMaxU64 : a * n;
-}
 
 /**
  * The abstract walk: the device's per-bank protocol machine
@@ -90,7 +53,7 @@ class AbsWalker
     void
     run()
     {
-        walkRange(0, program_.insts().size());
+        walkBody(Program::npos);
         finish();
         out_.duration = cursor_;
         out_.lastRefAt = lastRefAt_;
@@ -118,69 +81,53 @@ class AbsWalker
         return out_.rows[rowKey(b, phys)];
     }
 
-    std::size_t
-    matchEnd(std::size_t begin) const
+    void
+    walkBody(std::size_t id)
     {
-        const auto &insts = program_.insts();
-        int depth = 0;
-        for (std::size_t i = begin; i < insts.size(); ++i) {
-            if (insts[i].op == Op::LoopBegin)
-                ++depth;
-            else if (insts[i].op == Op::LoopEnd && --depth == 0)
-                return i;
-        }
-        return npos;
+        program_.forEachInBody(
+            id,
+            [&](std::size_t i) {
+                ++out_.steps;
+                step(i);
+            },
+            [&](std::size_t li) {
+                ++out_.steps;
+                walkLoop(li);
+            });
     }
 
     void
-    walkRange(std::size_t begin, std::size_t end)
+    walkLoop(std::size_t id)
     {
-        const auto &insts = program_.insts();
-        std::size_t i = begin;
-        while (i < end) {
-            const Inst &inst = insts[i];
-            ++out_.steps;
-            if (inst.op == Op::LoopBegin) {
-                std::size_t close = matchEnd(i);
-                if (close == npos || close > end) {
-                    // Unbalanced (an error elsewhere): analyze the
-                    // tail once; counts become a lower bound.
-                    out_.exact = false;
-                    walkRange(i + 1, end);
-                    return;
-                }
-                if (inst.count == 0) {
-                    i = close + 1;
-                    continue;
-                }
-                walkRange(i + 1, close);  // warm-up pass
-                if (inst.count >= 2) {
-                    const Snapshot snap{out_.totalActs, out_.totalRefs,
-                                        out_.rows};
-                    const Time loop_start = cursor_;
-                    std::size_t refs_mark = 0;
-                    std::vector<std::size_t> push_marks;
-                    if (trace_ != nullptr) {
-                        refs_mark = trace_->refs.size();
-                        push_marks.reserve(pushLogs_.size());
-                        for (const auto &log : pushLogs_)
-                            push_marks.push_back(log.size());
-                    }
-                    walkRange(i + 1, close);  // steady-state pass
-                    if (inst.count > 2) {
-                        if (trace_ != nullptr)
-                            replaySamplerTail(refs_mark, push_marks,
-                                              inst.count - 2);
-                        replayTail(snap, loop_start, inst.count - 2);
-                    }
-                }
-                i = close + 1;
-            } else if (inst.op == Op::LoopEnd) {
-                ++i;
-            } else {
-                step(i);
-                ++i;
-            }
+        const bender::LoopNode &loop = program_.loops()[id];
+        const std::uint64_t count = program_.insts()[loop.begin].count;
+        if (loop.end == Program::npos) {
+            // Unbalanced (an error elsewhere): analyze the tail once;
+            // counts become a lower bound.
+            out_.exact = false;
+            walkBody(id);
+            return;
+        }
+        if (count == 0)
+            return;
+        walkBody(id);  // warm-up pass
+        if (count < 2)
+            return;
+        const Snapshot snap{out_.totalActs, out_.totalRefs, out_.rows};
+        const Time loop_start = cursor_;
+        std::size_t refs_mark = 0;
+        std::vector<std::size_t> push_marks;
+        if (trace_ != nullptr) {
+            refs_mark = trace_->refs.size();
+            push_marks.reserve(pushLogs_.size());
+            for (const auto &log : pushLogs_)
+                push_marks.push_back(log.size());
+        }
+        walkBody(id);  // steady-state pass
+        if (count > 2) {
+            if (trace_ != nullptr)
+                replaySamplerTail(refs_mark, push_marks, count - 2);
+            replayTail(snap, loop_start, count - 2);
         }
     }
 
@@ -197,26 +144,26 @@ class AbsWalker
         const std::uint64_t body_refs =
             out_.totalRefs - snap.totalRefs;
 
-        out_.totalActs = satAddU(
+        out_.totalActs = satAdd(
             out_.totalActs,
-            satMulU(out_.totalActs - snap.totalActs, reps));
-        out_.totalRefs = satAddU(
-            out_.totalRefs, satMulU(body_refs, reps));
+            satMul(out_.totalActs - snap.totalActs, reps));
+        out_.totalRefs = satAdd(
+            out_.totalRefs, satMul(body_refs, reps));
 
         static const RowActivity kZero{};
         for (auto &[key, cur] : out_.rows) {
             const auto it = snap.rows.find(key);
             const RowActivity &old =
                 it == snap.rows.end() ? kZero : it->second;
-            cur.acts = satAddU(cur.acts,
-                               satMulU(cur.acts - old.acts, reps));
+            cur.acts = satAdd(cur.acts,
+                               satMul(cur.acts - old.acts, reps));
             for (int c = 0; c < 3; ++c) {
-                cur.closes[c] = satAddU(
+                cur.closes[c] = satAdd(
                     cur.closes[c],
-                    satMulU(cur.closes[c] - old.closes[c], reps));
+                    satMul(cur.closes[c] - old.closes[c], reps));
                 cur.onTime[c] = satAddT(
                     cur.onTime[c],
-                    satMulT(cur.onTime[c] - old.onTime[c], reps));
+                    satRepeat(cur.onTime[c] - old.onTime[c], reps));
                 // Epoch counts: a body with REFs resets the epoch
                 // every iteration, so the steady-state value is the
                 // periodic fixed point; a REF-free body's epoch keeps
@@ -224,27 +171,27 @@ class AbsWalker
                 // per-epoch maxima are fixed points either way (they
                 // fold at the next REF or at finish()).
                 if (body_refs == 0) {
-                    cur.epochCloses[c] = satAddU(
+                    cur.epochCloses[c] = satAdd(
                         cur.epochCloses[c],
-                        satMulU(cur.epochCloses[c] -
+                        satMul(cur.epochCloses[c] -
                                     old.epochCloses[c],
                                 reps));
                 }
             }
             cur.comraDelaySum = satAddT(
                 cur.comraDelaySum,
-                satMulT(cur.comraDelaySum - old.comraDelaySum, reps));
+                satRepeat(cur.comraDelaySum - old.comraDelaySum, reps));
             cur.simraActToPreSum = satAddT(
                 cur.simraActToPreSum,
-                satMulT(cur.simraActToPreSum - old.simraActToPreSum,
+                satRepeat(cur.simraActToPreSum - old.simraActToPreSum,
                         reps));
             cur.simraPreToActSum = satAddT(
                 cur.simraPreToActSum,
-                satMulT(cur.simraPreToActSum - old.simraPreToActSum,
+                satRepeat(cur.simraPreToActSum - old.simraPreToActSum,
                         reps));
         }
 
-        const Time skipped = satMulT(body, reps);
+        const Time skipped = satRepeat(body, reps);
         shiftTimes(loop_start, skipped);
         cursor_ = satAddT(cursor_, skipped);
     }
@@ -297,9 +244,9 @@ class AbsWalker
 
         for (std::size_t b = 0; b < taint_.size(); ++b) {
             taint_[b].insert(body_rows[b].begin(), body_rows[b].end());
-            trace_->pushes[b] = satAddU(
+            trace_->pushes[b] = satAdd(
                 trace_->pushes[b],
-                satMulU(pushLogs_[b].size() - push_marks[b], reps));
+                satMul(pushLogs_[b].size() - push_marks[b], reps));
         }
     }
 
@@ -338,7 +285,7 @@ class AbsWalker
         if (ring.size() > dram::Device::kTrrWindow)
             ring.pop_front();
         pushLogs_[b].push_back(phys);
-        trace_->pushes[b] = satAddU(trace_->pushes[b], 1);
+        trace_->pushes[b] = satAdd(trace_->pushes[b], 1);
     }
 
     void
@@ -347,8 +294,8 @@ class AbsWalker
         RowActivity &ra = rowOf(b, phys);
         if (ra.acts == 0)
             ra.firstActIndex = i;
-        ra.acts = satAddU(ra.acts, 1);
-        out_.totalActs = satAddU(out_.totalActs, 1);
+        ra.acts = satAdd(ra.acts, 1);
+        out_.totalActs = satAdd(out_.totalActs, 1);
         if (trace_ != nullptr)
             samplerPush(b, phys);
 
@@ -371,8 +318,8 @@ class AbsWalker
     {
         RowActivity &ra = rowOf(b, phys);
         const int c = static_cast<int>(cls);
-        ra.closes[c] = satAddU(ra.closes[c], 1);
-        ra.epochCloses[c] = satAddU(ra.epochCloses[c], 1);
+        ra.closes[c] = satAdd(ra.closes[c], 1);
+        ra.epochCloses[c] = satAdd(ra.epochCloses[c], 1);
         ra.onTime[c] = satAddT(ra.onTime[c], std::max<Time>(t_on, 0));
         ra.maxOnTime[c] =
             std::max(ra.maxOnTime[c], std::max<Time>(t_on, 0));
@@ -424,8 +371,8 @@ class AbsWalker
         const Time t_on = std::max<Time>(bank.proto.pending.tOn, 0);
         for (RowId r : bank.proto.pending.rows) {
             RowActivity &ra = rowOf(b, r);
-            ra.closes[0] = satAddU(ra.closes[0], 1);
-            ra.epochCloses[0] = satAddU(ra.epochCloses[0], 1);
+            ra.closes[0] = satAdd(ra.closes[0], 1);
+            ra.epochCloses[0] = satAdd(ra.epochCloses[0], 1);
             ra.onTime[0] = satAddT(ra.onTime[0], t_on);
             ra.maxOnTime[0] = std::max(ra.maxOnTime[0], t_on);
         }
@@ -467,8 +414,8 @@ class AbsWalker
                 // first half.
                 RowActivity &src = rowOf(inst.bank, s.src);
                 const Time t_on = std::max<Time>(s.tOn, 0);
-                src.closes[1] = satAddU(src.closes[1], 1);
-                src.epochCloses[1] = satAddU(src.epochCloses[1], 1);
+                src.closes[1] = satAdd(src.closes[1], 1);
+                src.epochCloses[1] = satAdd(src.epochCloses[1], 1);
                 src.onTime[1] = satAddT(src.onTime[1], t_on);
                 src.maxOnTime[1] = std::max(src.maxOnTime[1], t_on);
                 src.comraDelaySum = satAddT(src.comraDelaySum, s.gap);
@@ -518,7 +465,7 @@ class AbsWalker
                 pre(b);
             break;
           case Op::Ref: {
-            out_.totalRefs = satAddU(out_.totalRefs, 1);
+            out_.totalRefs = satAdd(out_.totalRefs, 1);
             if (lastRefAt_ >= 0) {
                 const Time gap = cursor_ - lastRefAt_;
                 if (gap > out_.maxRefGap) {
@@ -599,8 +546,6 @@ class AbsWalker
         // The trailing (REF-less) stretch is an epoch too.
         foldEpochs();
     }
-
-    static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
     const Program &program_;
     const dram::DeviceConfig &cfg_;

@@ -1,9 +1,6 @@
 #include "lint/dataflow.h"
 
 #include <algorithm>
-#include <cstdarg>
-#include <cstdio>
-#include <limits>
 #include <set>
 #include <string>
 #include <utility>
@@ -12,6 +9,7 @@
 #include "dram/protocol.h"
 #include "lint/effects.h"
 #include "pud/semantics.h"
+#include "util/saturate.h"
 
 namespace pud::lint {
 
@@ -37,38 +35,6 @@ using bender::Op;
 using bender::Program;
 using dram::BankId;
 using dram::RowId;
-
-constexpr Time kMaxTime = std::numeric_limits<Time>::max();
-
-Time
-satAddT(Time a, Time b)
-{
-    if (b > 0 && a > kMaxTime - b)
-        return kMaxTime;
-    return a + b;
-}
-
-Time
-satMulT(Time a, std::uint64_t n)
-{
-    if (a <= 0 || n == 0)
-        return 0;
-    if (static_cast<std::uint64_t>(a) >
-        static_cast<std::uint64_t>(kMaxTime) / n)
-        return kMaxTime;
-    return a * static_cast<Time>(n);
-}
-
-std::string
-format(const char *fmt, ...)
-{
-    char buf[512];
-    va_list args;
-    va_start(args, fmt);
-    std::vsnprintf(buf, sizeof(buf), fmt, args);
-    va_end(args);
-    return buf;
-}
 
 bool
 stateEq(const RowState &a, const RowState &b)
@@ -112,7 +78,7 @@ class DfWalker
     void
     run()
     {
-        walkRange(0, program_.insts().size());
+        walkBody(Program::npos);
         finish();
     }
 
@@ -185,44 +151,22 @@ class DfWalker
                               format(fmt, args...)});
     }
 
-    std::size_t
-    matchEnd(std::size_t begin) const
-    {
-        const auto &insts = program_.insts();
-        int depth = 0;
-        for (std::size_t i = begin; i < insts.size(); ++i) {
-            if (insts[i].op == Op::LoopBegin)
-                ++depth;
-            else if (insts[i].op == Op::LoopEnd && --depth == 0)
-                return i;
-        }
-        return npos;
-    }
-
     void
-    walkRange(std::size_t begin, std::size_t end)
+    walkBody(std::size_t id)
     {
-        const auto &insts = program_.insts();
-        std::size_t i = begin;
-        while (i < end) {
-            const Inst &inst = insts[i];
-            if (inst.op == Op::LoopBegin) {
-                std::size_t close = matchEnd(i);
-                if (close == npos || close > end) {
+        program_.forEachInBody(
+            id, [&](std::size_t i) { step(i); },
+            [&](std::size_t li) {
+                const bender::LoopNode &loop = program_.loops()[li];
+                const std::uint64_t count =
+                    program_.insts()[loop.begin].count;
+                if (loop.end == Program::npos) {
                     out_.exact = false;
-                    walkRange(i + 1, end);
-                    return;
+                    walkBody(li);
+                } else if (count > 0) {
+                    walkLoop(li, count);
                 }
-                if (inst.count > 0)
-                    walkLoop(i, close, inst.count);
-                i = close + 1;
-            } else if (inst.op == Op::LoopEnd) {
-                ++i;
-            } else {
-                step(i);
-                ++i;
-            }
-        }
+            });
     }
 
     /**
@@ -232,16 +176,17 @@ class DfWalker
      * changing at the cap degrade to Unknown.
      */
     void
-    walkLoop(std::size_t begin, std::size_t close, std::uint64_t count)
+    walkLoop(std::size_t id, std::uint64_t count)
     {
-        walkRange(begin + 1, close);  // warm-up pass
+        const std::size_t begin = program_.loops()[id].begin;
+        walkBody(id);  // warm-up pass
         std::uint64_t executed = 1;
         Snapshot before;
         Time loop_start = 0;
         while (executed < count && executed < kLoopPassCap) {
             before = capture();
             loop_start = cursor_;
-            walkRange(begin + 1, close);
+            walkBody(id);
             ++executed;
             if (sameState(before)) {
                 skipIterations(loop_start, count - executed);
@@ -279,7 +224,7 @@ class DfWalker
     skipIterations(Time loop_start, std::uint64_t reps)
     {
         const Time body = cursor_ - loop_start;
-        const Time skipped = satMulT(body, reps);
+        const Time skipped = satRepeat(body, reps);
         if (skipped <= 0)
             return;
         for (BankSt &bank : banks_) {
@@ -699,7 +644,6 @@ class DfWalker
         }
     }
 
-    static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
     const Program &program_;
     const dram::DeviceConfig &cfg_;

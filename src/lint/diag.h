@@ -101,6 +101,9 @@ enum class Code : std::uint8_t
     DiagFlood,            //!< repeats of one code capped ("and N more")
 };
 
+/** printf-style formatting into a std::string (messages up to 511 bytes). */
+std::string format(const char *fmt, ...);
+
 /** Machine-readable name of a code (stable CLI/JSON surface). */
 const char *name(Code code);
 

@@ -1,12 +1,11 @@
 #include "lint/effects.h"
 
 #include <algorithm>
-#include <cstdarg>
-#include <cstdio>
 #include <map>
 
 #include "dram/cell.h"
 #include "dram/disturb.h"
+#include "util/saturate.h"
 
 namespace pud::lint {
 
@@ -15,17 +14,6 @@ namespace {
 using dram::BankId;
 using dram::RowId;
 using dram::TechClass;
-
-std::string
-format(const char *fmt, ...)
-{
-    char buf[512];
-    va_list args;
-    va_start(args, fmt);
-    std::vsnprintf(buf, sizeof(buf), fmt, args);
-    va_end(args);
-    return buf;
-}
 
 const char *
 techName(TechClass cls)
@@ -106,6 +94,7 @@ predictEffects(const ProgramEffects &fx, const dram::DeviceConfig &cfg)
                 va != nullptr && (va->acts > 0 || va->totalCloses() > 0))
                 continue;  // activated rows restore; not a victim
 
+            // absint saturates its counts and sums; so does this fold.
             Accum &acc = victims[rowKey(bank, vr)];
             const double w =
                 (d == 1 || d == -1) ? 1.0 : cfg.distance2Weight;
@@ -114,12 +103,13 @@ predictEffects(const ProgramEffects &fx, const dram::DeviceConfig &cfg)
                     w * static_cast<double>(activity.closes[c]);
                 // d < 0: the aggressor sits below the victim.
                 (d < 0 ? acc.left[c] : acc.right[c]) += wc;
-                acc.onSum[c] += activity.onTime[c];
-                acc.closeCnt[c] += activity.closes[c];
+                acc.onSum[c] = satAddT(acc.onSum[c], activity.onTime[c]);
+                acc.closeCnt[c] = satAdd(acc.closeCnt[c],
+                                         activity.closes[c]);
             }
-            acc.delaySum += activity.comraDelaySum;
-            acc.a2pSum += activity.simraActToPreSum;
-            acc.p2aSum += activity.simraPreToActSum;
+            acc.delaySum = satAddT(acc.delaySum, activity.comraDelaySum);
+            acc.a2pSum = satAddT(acc.a2pSum, activity.simraActToPreSum);
+            acc.p2aSum = satAddT(acc.p2aSum, activity.simraPreToActSum);
             acc.simraN = std::max(acc.simraN, activity.simraN);
             if (closes > acc.anchorCloses) {
                 acc.anchorCloses = closes;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdarg>
 #include <cstdio>
-#include <limits>
 #include <map>
 #include <set>
 #include <utility>
@@ -17,8 +16,20 @@
 #include "lint/dataflow.h"
 #include "lint/effects.h"
 #include "util/logging.h"
+#include "util/saturate.h"
 
 namespace pud::lint {
+
+std::string
+format(const char *fmt, ...)
+{
+    char buf[512];
+    va_list args;
+    va_start(args, fmt);
+    std::vsnprintf(buf, sizeof(buf), fmt, args);
+    va_end(args);
+    return buf;
+}
 
 const char *
 name(Code code)
@@ -151,19 +162,9 @@ severityOf(Code code)
 namespace {
 
 using bender::Inst;
+using bender::LoopNode;
 using bender::Op;
 using bender::Program;
-
-std::string
-format(const char *fmt, ...)
-{
-    char buf[512];
-    va_list args;
-    va_start(args, fmt);
-    std::vsnprintf(buf, sizeof(buf), fmt, args);
-    va_end(args);
-    return buf;
-}
 
 /** The analyzer's walk state and diagnostic sink. */
 class Walker
@@ -181,10 +182,9 @@ class Walker
     void
     run()
     {
-        const auto &insts = program_.insts();
-        walkRange(0, insts.size());
+        walkBody(Program::npos);
         finish();
-        out_.duration = exactDuration(0, insts.size());
+        out_.duration = exactDuration(Program::npos);
     }
 
   private:
@@ -204,118 +204,86 @@ class Walker
                               format(fmt, args...)});
     }
 
-    /** Find the LoopEnd matching the LoopBegin at `begin` (or npos). */
-    std::size_t
-    matchEnd(std::size_t begin) const
-    {
-        const auto &insts = program_.insts();
-        int depth = 0;
-        for (std::size_t i = begin; i < insts.size(); ++i) {
-            if (insts[i].op == Op::LoopBegin)
-                ++depth;
-            else if (insts[i].op == Op::LoopEnd && --depth == 0)
-                return i;
-        }
-        return npos;
-    }
-
-    /** Exact duration of [begin, end) with real trip counts. */
+    /**
+     * Exact duration of loop `id`'s body (Program::npos: the program)
+     * with real trip counts, saturating at INT64_MAX.
+     */
     Time
-    exactDuration(std::size_t begin, std::size_t end) const
+    exactDuration(std::size_t id) const
     {
         const auto &insts = program_.insts();
         Time d = 0;
-        std::size_t i = begin;
-        while (i < end) {
-            const Inst &inst = insts[i];
-            if (inst.op == Op::LoopBegin) {
-                std::size_t close = matchEnd(i);
-                if (close == npos || close > end)
-                    close = end;  // unbalanced: treat the tail as body
-                const Time body = exactDuration(i + 1, close);
-                if (body > 0 && inst.count >
-                        static_cast<std::uint64_t>(
-                            std::numeric_limits<Time>::max() / body))
-                    return std::numeric_limits<Time>::max();
-                d += static_cast<Time>(inst.count) * body;
-                i = close + 1;
-            } else {
-                d += std::max<Time>(inst.gap, 0);
-                ++i;
-            }
-        }
+        program_.forEachInBody(
+            id,
+            [&](std::size_t i) {
+                d = satAddT(d, std::max<Time>(insts[i].gap, 0));
+            },
+            [&](std::size_t li) {
+                // An unclosed loop's body is the rest of the program.
+                const LoopNode &loop = program_.loops()[li];
+                d = satAddT(d, satMulT(exactDuration(li),
+                                       insts[loop.begin].count));
+            });
         return d;
     }
 
     void
-    walkRange(std::size_t begin, std::size_t end)
+    walkBody(std::size_t id)
     {
-        const auto &insts = program_.insts();
-        std::size_t i = begin;
-        while (i < end) {
-            const Inst &inst = insts[i];
-            if (inst.op == Op::LoopBegin) {
-                std::size_t close = matchEnd(i);
-                if (close == npos || close > end) {
-                    add(Code::UnbalancedLoop, i,
-                        "LoopBegin (count %llu) has no matching "
-                        "LoopEnd; the executor refuses to run "
-                        "unbalanced programs",
-                        static_cast<unsigned long long>(inst.count));
-                    close = end;  // analyze the tail as the body, once
-                    walkRange(i + 1, close);
-                    return;
-                }
-                checkLoop(i, close, inst.count);
-                // Two passes: the second observes back-edge gaps
-                // (e.g. the PRE->ACT spacing across iterations).
-                const int passes =
-                    inst.count == 0 ? 1
-                                    : static_cast<int>(
-                                          std::min<std::uint64_t>(
-                                              inst.count, 2));
-                for (int p = 0; p < passes; ++p)
-                    walkRange(i + 1, close);
-                i = close + 1;
-            } else if (inst.op == Op::LoopEnd) {
-                // Builder-made programs cannot produce a stray
-                // LoopEnd (Program::loopEnd fatals); be defensive.
-                ++i;
-            } else {
-                step(i);
-                ++i;
-            }
-        }
+        program_.forEachInBody(
+            id, [&](std::size_t i) { step(i); },
+            [&](std::size_t li) { walkLoop(li); });
     }
 
     void
-    checkLoop(std::size_t begin, std::size_t close, std::uint64_t count)
+    walkLoop(std::size_t id)
     {
-        const auto &insts = program_.insts();
-        if (close == begin + 1)
-            add(Code::EmptyLoop, begin,
+        const LoopNode &loop = program_.loops()[id];
+        const std::uint64_t count = program_.insts()[loop.begin].count;
+        if (loop.end == Program::npos) {
+            add(Code::UnbalancedLoop, loop.begin,
+                "LoopBegin (count %llu) has no matching LoopEnd; the "
+                "executor refuses to run unbalanced programs",
+                static_cast<unsigned long long>(count));
+            walkBody(id);  // analyze the tail as the body, once
+            return;
+        }
+        checkLoop(loop, count);
+        // Two passes: the second observes back-edge gaps (e.g. the
+        // PRE->ACT spacing across iterations).
+        const std::uint64_t passes =
+            count == 0 ? 1 : std::min<std::uint64_t>(count, 2);
+        for (std::uint64_t p = 0; p < passes; ++p)
+            walkBody(id);
+    }
+
+    void
+    checkLoop(const LoopNode &loop, std::uint64_t count)
+    {
+        if (loop.end == loop.begin + 1)
+            add(Code::EmptyLoop, loop.begin,
                 "loop body is empty; %llu iterations do nothing",
                 static_cast<unsigned long long>(count));
         if (count == 0)
-            add(Code::ZeroTripLoop, begin,
+            add(Code::ZeroTripLoop, loop.begin,
                 "trip count is 0: the body never executes (forgot "
                 "Program::setLoopCount?)");
 
         if (count < bender::kFastPathThreshold)
             return;
 
-        // Fast-path eligibility, via the executor's own classifier
-        // (bender/plan.h) so lint verdicts cannot drift from runtime.
-        switch (bender::classifyBody(insts, begin + 1, close)) {
+        // Fast-path eligibility is the executor's own (the body class
+        // the Program builder records), so lint cannot drift from it.
+        switch (loop.cls) {
           case bender::BodyClass::Simple:
-            add(Code::FastPathEligible, begin,
+            add(Code::FastPathEligible, loop.begin,
                 "hot loop (%llu iterations) is fast-path eligible: "
                 "the executor replays one recorded iteration "
                 "arithmetically",
                 static_cast<unsigned long long>(count));
             break;
           case bender::BodyClass::Recorded:
-            add(Code::FastPathEligible, begin,
+            add(Code::FastPathEligible, loop.begin,
                 "hot loop (%llu iterations) is fast-path eligible: "
                 "REF/TRR effects and nested loops replay by "
                 "closed-form per-iteration deltas from one recorded "
@@ -323,7 +291,7 @@ class Walker
                 static_cast<unsigned long long>(count));
             break;
           case bender::BodyClass::Naive:
-            add(Code::FastPathIneligible, begin,
+            add(Code::FastPathIneligible, loop.begin,
                 "hot loop (%llu iterations) runs naively: body "
                 "contains RD (results are collected per iteration)",
                 static_cast<unsigned long long>(count));
@@ -612,8 +580,6 @@ class Walker
             dropPending(bank);
         }
     }
-
-    static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
     const Program &program_;
     const dram::DeviceConfig &cfg_;

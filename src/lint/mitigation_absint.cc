@@ -1,8 +1,6 @@
 #include "lint/mitigation_absint.h"
 
 #include <algorithm>
-#include <cstdarg>
-#include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -16,17 +14,6 @@ namespace {
 using dram::BankId;
 using dram::RowId;
 using dram::TechClass;
-
-std::string
-format(const char *fmt, ...)
-{
-    char buf[512];
-    va_list args;
-    va_start(args, fmt);
-    std::vsnprintf(buf, sizeof(buf), fmt, args);
-    va_end(args);
-    return buf;
-}
 
 double
 anchorMin(const dram::FamilyProfile &p, TechClass cls)

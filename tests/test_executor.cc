@@ -6,8 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "bender/host.h"
 #include "hammer/patterns.h"
+#include "util/rng.h"
+#include "util/saturate.h"
 
 namespace {
 
@@ -88,6 +93,230 @@ TEST(Program, SetLoopCountPatchesTheRightLoop)
         }
     }
     EXPECT_DEATH(p.setLoopCount(5, 1), "no loop");
+}
+
+// ---- the loop tree ----------------------------------------------------
+
+constexpr std::size_t npos = Program::npos;
+
+/**
+ * The loop tree as a scan of the finished program sees it: each
+ * LoopBegin's LoopEnd by depth counting, and each body classified by
+ * rescanning it (RD anywhere is Naive; otherwise REF or a nested loop
+ * is Recorded).
+ */
+std::vector<LoopNode>
+referenceLoops(const Program &p)
+{
+    const auto &insts = p.insts();
+    std::vector<LoopNode> out;
+    for (std::size_t b = 0; b < insts.size(); ++b) {
+        if (insts[b].op != Op::LoopBegin)
+            continue;
+        LoopNode loop{b, npos, npos, 0, BodyClass::Simple};
+        int depth = 0;
+        for (std::size_t i = b; i < insts.size(); ++i) {
+            if (insts[i].op == Op::LoopBegin)
+                ++depth;
+            else if (insts[i].op == Op::LoopEnd && --depth == 0) {
+                loop.end = i;
+                break;
+            }
+        }
+        bool recorded = false;
+        for (std::size_t i = b + 1; i < std::min(loop.end, insts.size());
+             ++i) {
+            if (insts[i].op == Op::Rd) {
+                loop.cls = BodyClass::Naive;
+                break;
+            }
+            recorded |= insts[i].op == Op::Ref ||
+                        insts[i].op == Op::LoopBegin ||
+                        insts[i].op == Op::LoopEnd;
+        }
+        if (loop.cls != BodyClass::Naive && recorded)
+            loop.cls = BodyClass::Recorded;
+        out.push_back(loop);
+    }
+    auto contains = [&](const LoopNode &outer, std::size_t i) {
+        return outer.begin < i && i < std::min(outer.end, insts.size());
+    };
+    for (std::size_t id = 0; id < out.size(); ++id) {
+        for (std::size_t a = id; a-- > 0;) {
+            if (contains(out[a], out[id].begin)) {
+                out[id].parent = a;
+                break;
+            }
+        }
+        out[id].next = id + 1;
+        while (out[id].next < out.size() &&
+               contains(out[id], out[out[id].next].begin))
+            ++out[id].next;
+    }
+    return out;
+}
+
+/** Random program: nested loops, RD/REF anywhere, maybe unclosed. */
+Program
+randomLoopProgram(Rng &rng)
+{
+    Program p;
+    int open = 0;
+    const std::uint64_t n = 1 + rng.below(30);
+    for (std::uint64_t k = 0; k < n; ++k) {
+        switch (rng.below(8)) {
+          case 0:
+            p.rd(0, 10);
+            break;
+          case 1:
+            p.ref(10);
+            break;
+          case 2:
+          case 3:
+            p.loopBegin(rng.below(20));
+            ++open;
+            break;
+          case 4:
+          case 5:
+            if (open > 0) {
+                p.loopEnd();
+                --open;
+            }
+            break;
+          default:
+            p.act(0, static_cast<RowId>(rng.below(64)), 10).pre(0, 10);
+            break;
+        }
+    }
+    if (rng.below(2) == 0)
+        for (; open > 0; --open)
+            p.loopEnd();
+    return p;
+}
+
+TEST(Program, LoopTreeMatchesADepthScan)
+{
+    Rng rng(16);
+    for (int trial = 0; trial < 2000; ++trial) {
+        const Program p = randomLoopProgram(rng);
+        const std::vector<LoopNode> want = referenceLoops(p);
+        ASSERT_EQ(p.loops().size(), want.size());
+        ASSERT_EQ(p.loopCount(), want.size());
+        for (std::size_t id = 0; id < want.size(); ++id) {
+            const LoopNode &got = p.loops()[id];
+            EXPECT_EQ(got.begin, want[id].begin) << "trial " << trial;
+            EXPECT_EQ(got.end, want[id].end) << "trial " << trial;
+            EXPECT_EQ(got.parent, want[id].parent) << "trial " << trial;
+            EXPECT_EQ(got.next, want[id].next) << "trial " << trial;
+            EXPECT_EQ(got.cls, want[id].cls) << "trial " << trial;
+        }
+        EXPECT_EQ(p.balanced(),
+                  std::none_of(want.begin(), want.end(),
+                               [](const LoopNode &l) {
+                                   return l.end == npos;
+                               }));
+
+        // forEachInBody visits exactly the commands and loops directly
+        // inside each body, in program order.
+        for (std::size_t id = npos; id == npos || id < want.size(); ++id) {
+            const std::size_t b = id == npos ? 0 : want[id].begin + 1;
+            const std::size_t e = id == npos || want[id].end == npos
+                                      ? p.insts().size()
+                                      : want[id].end;
+            std::vector<std::size_t> want_insts, got_insts;
+            std::vector<std::size_t> want_loops, got_loops;
+            for (std::size_t i = b; i < e; ++i) {
+                const Op op = p.insts()[i].op;
+                std::size_t owner = npos;
+                for (std::size_t l = 0; l < want.size(); ++l)
+                    if (want[l].begin < i &&
+                        i <= std::min(want[l].end, p.insts().size()))
+                        owner = l;  // innermost: the last containing
+                if (op == Op::LoopBegin) {
+                    const std::size_t l = static_cast<std::size_t>(
+                        std::find_if(want.begin(), want.end(),
+                                     [&](const LoopNode &n) {
+                                         return n.begin == i;
+                                     }) -
+                        want.begin());
+                    if (want[l].parent == id)
+                        want_loops.push_back(l);
+                } else if (op != Op::LoopEnd && owner == id) {
+                    want_insts.push_back(i);
+                }
+            }
+            p.forEachInBody(
+                id, [&](std::size_t i) { got_insts.push_back(i); },
+                [&](std::size_t l) { got_loops.push_back(l); });
+            EXPECT_EQ(got_insts, want_insts) << "trial " << trial;
+            EXPECT_EQ(got_loops, want_loops) << "trial " << trial;
+        }
+    }
+}
+
+TEST(Program, WithLoopCountCopiesTheLoopTree)
+{
+    Program p;
+    p.loopBegin(3).loopBegin(4).rd(0, 10).loopEnd().loopEnd();
+    const Program q = p.withLoopCount(1, 9);
+    ASSERT_EQ(q.loops().size(), 2u);
+    EXPECT_EQ(q.insts()[q.loops()[1].begin].count, 9u);
+    EXPECT_EQ(q.loops()[0].cls, BodyClass::Naive);
+    EXPECT_EQ(q.loops()[0].next, 2u);
+}
+
+TEST(ExecPlan, RunCostsSaturate)
+{
+    Program p;
+    p.loopBegin(2)
+        .loopBegin(1ULL << 50)
+        .act(0, 1, units::fromNs(15))
+        .pre(0, units::fromNs(36))
+        .loopEnd()
+        .loopEnd();
+    const RunCosts costs = RunCosts::compute(ExecPlan::compile(p), p);
+    EXPECT_EQ(costs.loops[1].duration, units::fromNs(51));
+    EXPECT_EQ(costs.loops[0].duration, kMaxTime);
+    EXPECT_EQ(costs.total.duration, kMaxTime);
+}
+
+TEST(ExecPlan, RunCostsTotalIsTheExecutedDuration)
+{
+    Program p;
+    p.nop(units::fromNs(5));
+    p.loopBegin(3)
+        .act(0, 1, units::fromNs(15))
+        .pre(0, units::fromNs(36))
+        .loopBegin(9)
+        .act(0, 3, units::fromNs(15))
+        .pre(0, units::fromNs(36))
+        .loopEnd()
+        .nop(units::fromNs(7))
+        .loopEnd();
+    Device dev(smallConfig());
+    Executor ex(dev);
+    const ExecResult r = ex.run(p);
+    const RunCosts costs = RunCosts::compute(ExecPlan::compile(p), p);
+    EXPECT_EQ(costs.total.duration, r.endTime - r.startTime);
+}
+
+TEST(Executor, ProgramPastTheClockRangeIsFatal)
+{
+    Device dev(smallConfig());
+    Executor ex(dev);
+    ex.setPreflight(false);
+    const Program p = hammer::doubleSidedRowHammer(
+        0, 10, 12, 4000000000000000000ULL, hammer::PatternTimings{});
+    EXPECT_DEATH(ex.run(p), "past the end of its range");
+
+    // Each run fits in Time on its own, but the second would carry
+    // the clock past the end.  (The trailing ACT/PRE moves the device
+    // clock past the replayed iterations.)
+    Program half = hammer::doubleSidedRowHammer(
+        0, 10, 12, 50000000000000ULL, hammer::PatternTimings{});
+    half.act(0, 20, units::fromNs(15)).pre(0, units::fromNs(36));
+    ex.run(half);
+    EXPECT_DEATH(ex.run(half), "past the end of its range");
 }
 
 TEST(Executor, UnbalancedProgramIsFatal)

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 
 #include "bender/host.h"
@@ -769,6 +770,49 @@ TEST(AbsInt, UnbalancedLoopIsLowerBound)
     const auto fx = summarizeEffects(p, smallConfig());
     EXPECT_FALSE(fx.exact);
     EXPECT_EQ(fx.totalActs, 1u);  // tail analyzed once
+}
+
+TEST(Lint, HugeTripCountsSaturate)
+{
+    // The six canonical `pudhammer lint` programs, at trip counts whose
+    // products and sums overflow 64 bits, with every analysis on.
+    const dram::DeviceConfig cfg = smallConfig();
+    const hammer::PatternTimings t;
+    LintOptions opts;
+    opts.effects = true;
+    opts.dataflow = true;
+    opts.mitigations.trr = opts.mitigations.prac = true;
+    opts.mitigations.para = opts.mitigations.graphene = true;
+    for (const std::uint64_t n :
+         {1ULL << 40, 80000000000000ULL, 4000000000000000000ULL}) {
+        hammer::CombinedCounts counts;
+        counts.comra = n / 4;
+        counts.simra = n / 4;
+        counts.rowHammer = n;
+        const Program programs[] = {
+            hammer::doubleSidedRowHammer(0, 32, 34, n, t),
+            hammer::comraHammer(0, 32, 34, n, t),
+            hammer::simraHammer(0, 32, 38, n, t),
+            hammer::combinedPattern(0, 32, 34, 32, 34, 32, 38, counts, t),
+            hammer::trrBypassPattern(0, {32, 34}, 4, false, n / 156 + 1,
+                                     t),
+            hammer::trrSimraPattern(0, 32, 38, n / 78 + 1, t),
+        };
+        for (const Program &p : programs) {
+            const LintResult r = lintProgram(p, cfg, opts);
+            EXPECT_GE(r.duration, 0) << "trip count " << n;
+            EXPECT_GE(summarizeEffects(p, cfg).duration, 0);
+        }
+    }
+
+    // Each loop fits in Time; their sum does not.
+    hammer::CombinedCounts counts;
+    counts.comra = counts.simra = 20000000000000ULL;
+    counts.rowHammer = 80000000000000ULL;
+    const Program sum =
+        hammer::combinedPattern(0, 32, 34, 32, 34, 32, 38, counts, t);
+    EXPECT_EQ(lintProgram(sum, cfg).duration,
+              std::numeric_limits<Time>::max());
 }
 
 // ---- static disturbance-effect prediction ------------------------------
