@@ -276,21 +276,24 @@ resolveValue(const RowState &st, const DataflowResult &df,
             df.merges[static_cast<std::size_t>(st.mergeId)];
         if (m.tieable)
             return std::nullopt;
-        const ColId cols = initial.front().bits();
-        std::vector<int> ones(static_cast<std::size_t>(cols), 0);
+        // The device's bitline rule over the inputs repeated by
+        // weight (the weights sum to groupSize); a tie-free merge
+        // never reaches the kernel's tie branch.
+        std::vector<RowData> values;
+        values.reserve(m.inputs.size());
+        std::vector<const RowData *> votes;
         for (const MergeInput &in : m.inputs) {
-            const std::optional<RowData> v = resolveValue(
+            std::optional<RowData> v = resolveValue(
                 in.value, df, program, initial, depth + 1);
             if (!v)
                 return std::nullopt;
-            for (ColId c = 0; c < cols; ++c)
-                ones[static_cast<std::size_t>(c)] +=
-                    in.weight * v->get(c);
+            values.push_back(std::move(*v));
+            votes.insert(votes.end(),
+                         static_cast<std::size_t>(in.weight),
+                         &values.back());
         }
-        RowData out(cols);
-        for (ColId c = 0; c < cols; ++c)
-            out.set(c,
-                    2 * ones[static_cast<std::size_t>(c)] > m.groupSize);
+        RowData out(initial.front().bits());
+        out.assignMajority(votes);
         return out;
       }
       case RowStateKind::Initial:

@@ -12,6 +12,7 @@
 #define PUD_DRAM_DATAPATTERN_H
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "dram/types.h"
@@ -132,6 +133,16 @@ class RowData
 
     const std::vector<std::uint64_t> &words() const { return words_; }
     std::vector<std::uint64_t> &words() { return words_; }
+
+    /**
+     * Overwrite this row with the column-wise majority of `inputs`
+     * (at least one, each as wide as this row; repeats count as
+     * extra votes, and this row may be one of them).  A column whose
+     * ones make up exactly half of an even-sized vote takes the first
+     * input's bit.  This is the bitline resolution of a SiMRA group,
+     * shared by the device and the dataflow checker.
+     */
+    void assignMajority(std::span<const RowData *const> inputs);
 
   private:
     /** Zero bits past bits_ so equality/popcount stay exact. */

@@ -259,26 +259,19 @@ void
 Device::majorityMerge(BankState &bank)
 {
     const std::vector<RowId> &open = bank.proto.openRows;
-    const auto n = open.size();
-    if (n < 2)
+    if (open.size() < 2)
         return;
 
-    RowData out(cfg_.cols);
-    for (ColId col = 0; col < cfg_.cols; ++col) {
-        unsigned ones = 0;
-        for (RowId r : open)
-            ones += bank.rows[r].data.get(col);
-        bool bit;
-        if (2 * ones > n)
-            bit = true;
-        else if (2 * ones < n)
-            bit = false;
-        else
-            bit = bank.rows[open.front()].data.get(col);
-        out.set(col, bit);
-    }
+    // Resolve into the first open row (the kernel allows an output
+    // that is also an input), then copy it over the rest: no
+    // allocation once the scratch pointer list has grown.
+    mergeInputs_.clear();
     for (RowId r : open)
-        bank.rows[r].data = out;
+        mergeInputs_.push_back(&bank.rows[r].data);
+    RowData &merged = bank.rows[open.front()].data;
+    merged.assignMajority(mergeInputs_);
+    for (std::size_t i = 1; i < open.size(); ++i)
+        bank.rows[open[i]].data = merged;
 }
 
 void
@@ -906,15 +899,20 @@ Device::shiftLoopTimestamps(Time from, Time delta)
         return;
     for (BankState &bank : banks_) {
         BankProtocol &proto = bank.proto;
-        if (proto.pending.valid && proto.pending.closedAt >= from) {
+        if (proto.pending.valid && proto.pending.closedAt > from) {
             proto.pending.closedAt += delta;
             proto.pending.openedAt += delta;
         }
-        if (proto.isOpen() && proto.openedAt >= from)
+        if (proto.isOpen() && proto.openedAt > from)
             proto.openedAt += delta;
-        for (Row &row : bank.rows)
-            if (row.lastCloseAt >= from)
+        // Only populated rows can hold a close time: an ACT
+        // materializes its row (restoreRow -> rowAt) before any PRE
+        // stamps lastCloseAt, and reset() clears both together.
+        for (RowId r : bank.populatedIdx) {
+            Row &row = bank.rows[r];
+            if (row.lastCloseAt > from)
                 row.lastCloseAt += delta;
+        }
     }
 }
 

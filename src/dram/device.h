@@ -201,7 +201,9 @@ class Device
      * set during the loop (pending closes, per-row last-close times)
      * by the skipped iterations' duration, so cross-loop-boundary
      * timing detection (CoMRA/SiMRA windows, off-time gains) behaves
-     * exactly as if every iteration had executed.
+     * exactly as if every iteration had executed.  `from` is the
+     * loop's start time: a stamp equal to it was set by the command
+     * before the loop and stays.
      */
     void shiftLoopTimestamps(Time from, Time delta);
 
@@ -223,6 +225,16 @@ class Device
     /** Test-only: the weak cells of a (logical) row (materializes it). */
     const std::vector<WeakCell> &weakCells(BankId bank,
                                            RowId logical_row) const;
+
+    /** Test-only: when a (logical) row last closed, -1 if it never
+     *  did (does not materialize it). */
+    Time
+    lastCloseAt(BankId bank, RowId logical_row) const
+    {
+        const std::vector<Row> &rows = banks_.at(bank).rows;
+        const RowId phys = toPhysical(logical_row);
+        return phys < rows.size() ? rows[phys].lastCloseAt : -1;
+    }
 
     // ---- lazy row materialization ----------------------------------------
 
@@ -376,6 +388,7 @@ class Device
     std::size_t populatedRows_ = 0;
     MitigationHook *mitigation_ = nullptr;
     std::vector<RowId> mitigationRefresh_;  //!< scratch for hook calls
+    std::vector<const RowData *> mergeInputs_;  //!< scratch for merges
 };
 
 } // namespace pud::dram

@@ -354,6 +354,45 @@ DisturbanceModel::applyClose(std::vector<Row> &rows, const CloseEvent &event,
                event.rows.end();
     };
 
+    // The press, timing, off-time and class-temperature gains depend
+    // only on the close event and the effective class, so they are
+    // computed once per close (a CoMRA close needs the conventional
+    // set too, for victims outside the partner's radius).  They are
+    // still multiplied in per victim in the original order, keeping
+    // every deposit bit-identical.
+    struct ClassGains
+    {
+        double press, timing, off, temp;
+    };
+    const WeakCell neutralCell;
+    auto class_gains = [&](TechClass cls) {
+        ClassGains g;
+        g.press = pressGain(cls, event.simraN, event.tOn);
+        g.timing = cls == TechClass::Comra
+                       ? comraDelayGain(event.comraDelay)
+                   : cls == TechClass::Simra
+                       ? simraTimingGain(event.simraActToPre,
+                                         event.simraPreToAct)
+                       : 1.0;
+        g.off = cls == TechClass::Conventional
+                    ? offGain(event.reopenGap)
+                    : 1.0;
+        // The CoMRA/SiMRA temperature gains are pow() of family
+        // constants, identical for every cell; the conventional class
+        // keeps its per-cell slope inline.
+        g.temp = cls == TechClass::Conventional
+                     ? 1.0
+                     : tempGain(cls, event.simraN, temperature,
+                                neutralCell);
+        return g;
+    };
+    const ClassGains event_gains = class_gains(event.cls);
+    const ClassGains conv_gains =
+        event.cls == TechClass::Comra
+            ? class_gains(TechClass::Conventional)
+            : event_gains;
+    const int simra_idx = simraIndex(event.simraN);
+
     std::vector<Contribution> &contribs = contribScratch_;
     contribs.clear();
     contribs.reserve(event.rows.size() * 4);
@@ -444,31 +483,11 @@ DisturbanceModel::applyClose(std::vector<Row> &rows, const CloseEvent &event,
         const bool simra_sandwiched =
             eff_cls == TechClass::Simra && has_left && has_right;
 
-        const double common =
-            side_strength *
-            pressGain(eff_cls, event.simraN, event.tOn) *
-            (eff_cls == TechClass::Comra
-                 ? comraDelayGain(event.comraDelay)
-                 : eff_cls == TechClass::Simra
-                       ? simraTimingGain(event.simraActToPre,
-                                         event.simraPreToAct)
-                       : 1.0) *
-            (eff_cls == TechClass::Conventional
-                 ? offGain(event.reopenGap)
-                 : 1.0) *
-            regionGain(eff_cls, event.simraN, region);
-
-        // The CoMRA/SiMRA temperature gains are pow() of family
-        // constants -- identical for every cell of the victim -- and so
-        // is the SiMRA N index; hoist both out of the per-cell fold.
-        // (The conventional class keeps its per-cell slope inline.)
-        const int simra_idx = simraIndex(event.simraN);
-        const WeakCell neutralCell;
-        const double class_temp =
-            eff_cls == TechClass::Conventional
-                ? 1.0
-                : tempGain(eff_cls, event.simraN, temperature,
-                           neutralCell);
+        const ClassGains &g =
+            eff_cls == event.cls ? event_gains : conv_gains;
+        const double common = side_strength * g.press * g.timing *
+                              g.off *
+                              regionGain(eff_cls, event.simraN, region);
         const double simra_tech =
             simra_sandwiched ? 0.0 : kSimraEdgeGain[simra_idx];
 
@@ -511,7 +530,7 @@ DisturbanceModel::applyClose(std::vector<Row> &rows, const CloseEvent &event,
                     eff_cls == TechClass::Conventional
                         ? tempGain(eff_cls, event.simraN, temperature,
                                    cell)
-                        : class_temp;
+                        : g.temp;
                 const double delta =
                     common * dist_w * tech *
                     minorityScale(eff_cls, cell) * cell_temp *

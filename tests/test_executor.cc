@@ -671,4 +671,61 @@ TEST(Executor, NestedLoopFastPathMatchesNaive)
     expectSameRun(run(true), run(false));
 }
 
+TEST(Executor, ReplayShiftsEveryPopulatedRowsCloseTimeLikeNaive)
+{
+    // Replay advances close times by walking only the populated rows;
+    // on a lazily populated device that must leave every row's
+    // lastCloseAt exactly where naive execution puts it.  Rows 50 and
+    // 60 close before the loop, row 60 by the very command the loop
+    // starts from, which replay must not shift.
+    DeviceConfig cfg = smallConfig(19);
+    cfg.banks = 2;
+    struct Outcome
+    {
+        std::vector<Time> lastClose;
+        std::size_t populated = 0;
+        std::uint64_t replayed = 0;
+    };
+    auto run = [&](bool fast) {
+        TestBench bench(cfg);
+        bench.executor().setFastPath(fast);
+        dram::Device &dev = bench.device();
+
+        hammer::PatternTimings t;
+        Program p;
+        p.act(0, 50, t.base.tRP).pre(0, t.aggOn());
+        p.act(1, 60, t.base.tRP).pre(1, t.aggOn());
+        p.loopBegin(3000)
+            .act(0, 32, t.base.tRP)
+            .pre(0, t.aggOn())
+            .act(0, 34, t.base.tRP)
+            .pre(0, t.aggOn())
+            .act(1, 10, t.base.tRP)
+            .pre(1, t.aggOn())
+            .loopEnd();
+        p.act(0, 36, t.base.tRP).pre(0, t.aggOn());
+        bench.run(p);
+
+        Outcome o;
+        for (BankId b = 0; b < cfg.banks; ++b)
+            for (RowId r = 0; r < dev.rowsPerBank(); ++r)
+                o.lastClose.push_back(dev.lastCloseAt(b, r));
+        o.populated = dev.populatedRowCount();
+        o.replayed = bench.executor().stats().fastPathIterations;
+        return o;
+    };
+
+    const Outcome fast = run(true);
+    const Outcome naive = run(false);
+    EXPECT_GT(fast.replayed, 0u);
+    EXPECT_EQ(naive.replayed, 0u);
+    EXPECT_EQ(fast.populated, naive.populated);
+    EXPECT_LT(fast.populated, 2u * cfg.rowsPerBank());
+    EXPECT_EQ(fast.lastClose, naive.lastClose);
+    std::size_t closed = 0;
+    for (Time at : fast.lastClose)
+        closed += at >= 0;
+    EXPECT_EQ(closed, 6u);
+}
+
 } // namespace
