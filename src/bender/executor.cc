@@ -125,7 +125,7 @@ Executor::execLoop(const Program &program, const ExecPlan &plan,
         recording_ = true;
         body();
         recording_ = false;
-        const dram::Device::LoopRecord rec =
+        const dram::Device::LoopRecord &rec =
             device_->endLoopRecording();
         it += 3;
         if (obs::traceOn()) [[unlikely]]

@@ -95,7 +95,7 @@ class TestBench
     std::size_t
     countBitflips(BankId bank, RowId row, const RowData &expected) const
     {
-        return readRow(bank, row).diffCount(expected);
+        return device_->diffCountDirect(bank, row, expected);
     }
 
   private:

@@ -37,6 +37,7 @@ constexpr double kSimraPerNJitterSigma = 0.30;
 
 Device::Device(DeviceConfig cfg)
     : cfg_(std::move(cfg)),
+      cal_(calibrate(cfg_.profile)),
       mapping_(cfg_.profile.mapping),
       disturb_(cfg_),
       temperature_(cfg_.temperature),
@@ -70,7 +71,7 @@ Device::touchBank(BankState &bank)
 void
 Device::populateRow(BankState &bank, RowId r)
 {
-    const auto cal = calibrate(cfg_.profile);
+    const CalibratedDistributions &cal = cal_;
 
     const double comra_row_sigma = kRowShare * cal.comraFactorSigma;
     const double comra_cell_sigma = kCellShare * cal.comraFactorSigma;
@@ -190,7 +191,8 @@ Device::reset(std::uint64_t seed)
         bank.trrFill = 0;
     }
 
-    disturb_ = DisturbanceModel(cfg_);
+    // The disturbance model holds no per-module state (its config
+    // copy never reads the seed), and cal_ depends on the family only.
     temperature_ = cfg_.temperature;
     trrEnabled_ = false;
     now_ = 0;
@@ -299,7 +301,7 @@ Device::trrRecord(BankState &bank, RowId physical)
     if (bank.trrFill < kTrrWindow)
         ++bank.trrFill;
     if (recorder_.active)
-        recorder_.samplerActs[bankIndex(bank)].push_back(physical);
+        loopRecord_.samplerActs[bankIndex(bank)].push_back(physical);
 }
 
 void
@@ -374,7 +376,7 @@ Device::applyPendingClose(BankState &bank, const BankProtocol::Step *copy)
         // Over-approximate this close's deposit victims: every row in
         // the distance-2 blast radius of each closing aggressor (plus
         // the aggressors themselves, whose lastSide advances).
-        auto &touched = recorder_.touched[bankIndex(bank)];
+        auto &touched = loopRecord_.tracked[bankIndex(bank)];
         const auto rows =
             static_cast<std::int64_t>(bank.rows.size());
         for (RowId a : ev.rows) {
@@ -538,11 +540,11 @@ Device::ref(Time t)
         // can reconstruct each bank's exact ring fill at this point of
         // any later iteration.
         LoopRecord::RefPoint rp;
-        rp.actsBefore.reserve(recorder_.samplerActs.size());
-        for (const auto &acts : recorder_.samplerActs)
+        rp.actsBefore.reserve(loopRecord_.samplerActs.size());
+        for (const auto &acts : loopRecord_.samplerActs)
             rp.actsBefore.push_back(
                 static_cast<std::uint32_t>(acts.size()));
-        recorder_.refs.push_back(std::move(rp));
+        loopRecord_.refs.push_back(std::move(rp));
     }
     const RowId rows_per_bank = cfg_.rowsPerBank();
     const auto window = static_cast<std::uint64_t>(
@@ -625,25 +627,29 @@ Device::beginLoopRecording()
     recorder_.active = true;
     recorder_.inRefresh = false;
     recorder_.countersAtStart = counters_;
-    recorder_.samplerActs.assign(banks_.size(), {});
-    recorder_.refs.clear();
-    recorder_.touched.assign(banks_.size(), {});
     recorder_.refreshTargets.clear();
+    // Clear, not reassign: the per-bank buffers keep their capacity.
+    LoopRecord &rec = loopRecord_;
+    rec.samplerActs.resize(banks_.size());
+    for (auto &acts : rec.samplerActs)
+        acts.clear();
+    rec.tracked.resize(banks_.size());
+    for (auto &rows : rec.tracked)
+        rows.clear();
+    rec.refs.clear();
+    rec.quiescent = true;
     disturb_.beginRecording();
 }
 
-Device::LoopRecord
+const Device::LoopRecord &
 Device::endLoopRecording()
 {
     if (!recorder_.active)
         fatal("Device: endLoopRecording without beginLoopRecording");
     recorder_.active = false;
 
-    LoopRecord rec;
-    rec.damage = disturb_.endRecording();
-    rec.samplerActs = std::move(recorder_.samplerActs);
-    rec.refs = std::move(recorder_.refs);
-    rec.tracked = std::move(recorder_.touched);
+    LoopRecord &rec = loopRecord_;
+    disturb_.endRecording(rec.damage);
     for (auto &rows : rec.tracked) {
         std::sort(rows.begin(), rows.end());
         rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
@@ -651,6 +657,7 @@ Device::endLoopRecording()
 
     // REF/TRR refreshes are replayed live (they rotate and draw), so
     // only the strictly per-iteration counters are scaled.
+    rec.counterDelta = DeviceCounters{};
     rec.counterDelta.acts =
         counters_.acts - recorder_.countersAtStart.acts;
     rec.counterDelta.pres =
@@ -696,16 +703,9 @@ Device::replayLoopIterations(const LoopRecord &rec,
     std::uint64_t completed = 0;
     std::uint64_t obs_trr_refreshes = 0;
 
-    // Pre-replay sampler state per bank; the live ring stays frozen
-    // until the committed iteration count is known, so negative
-    // virtual indices can read it directly.
-    std::vector<std::size_t> fill0(nbanks), pos0(nbanks);
-    std::vector<std::uint64_t> acts_per_iter(nbanks);
-    for (std::size_t b = 0; b < nbanks; ++b) {
-        fill0[b] = banks_[b].trrFill;
-        pos0[b] = banks_[b].trrPos;
-        acts_per_iter[b] = rec.samplerActs[b].size();
-    }
+    // The live sampler rings (trrRing, trrPos, trrFill) stay frozen
+    // until the committed iteration count is known, so they hold the
+    // pre-replay state and negative virtual indices read them directly.
 
     if (rec.refs.empty()) {
         // Nothing iteration-dependent happens between deposits: the
@@ -715,7 +715,8 @@ Device::replayLoopIterations(const LoopRecord &rec,
         // Union of tracked rows across banks: a REF refreshes the same
         // stripe range in every bank, so one sorted set answers "does
         // this stripe touch loop state anywhere".
-        std::vector<RowId> union_tracked;
+        std::vector<RowId> &union_tracked = unionTracked_;
+        union_tracked.clear();
         for (const auto &rows : rec.tracked)
             union_tracked.insert(union_tracked.end(), rows.begin(),
                                  rows.end());
@@ -736,17 +737,18 @@ Device::replayLoopIterations(const LoopRecord &rec,
         // Sampler ring entry `gidx` pushes after the replay started
         // (negative = still-live pre-replay slot).
         auto ring_at = [&](std::size_t b, std::int64_t gidx) -> RowId {
+            const std::vector<RowId> &acts = rec.samplerActs[b];
             if (gidx >= 0)
-                return rec.samplerActs[b][static_cast<std::size_t>(
-                    gidx % static_cast<std::int64_t>(
-                               acts_per_iter[b]))];
+                return acts[static_cast<std::size_t>(
+                    gidx % static_cast<std::int64_t>(acts.size()))];
             return banks_[b].trrRing[static_cast<std::size_t>(
-                (static_cast<std::int64_t>(pos0[b]) +
+                (static_cast<std::int64_t>(banks_[b].trrPos) +
                  static_cast<std::int64_t>(kTrrWindow) + gidx) %
                 static_cast<std::int64_t>(kTrrWindow))];
         };
 
-        std::vector<std::pair<std::size_t, RowId>> trr_targets;
+        std::vector<std::pair<std::size_t, RowId>> &trr_targets =
+            trrTargets_;
         while (completed < max_iterations) {
             // Dry-run this iteration's REFs: perform the TRR draws in
             // live order, but commit nothing until the whole iteration
@@ -773,11 +775,11 @@ Device::replayLoopIterations(const LoopRecord &rec,
                 for (std::size_t b = 0; b < nbanks && !interesting;
                      ++b) {
                     const std::uint64_t acts_before =
-                        completed * acts_per_iter[b] +
+                        completed * rec.samplerActs[b].size() +
                         rp.actsBefore[b];
                     const std::size_t fill =
                         static_cast<std::size_t>(std::min<std::uint64_t>(
-                            kTrrWindow, fill0[b] + acts_before));
+                            kTrrWindow, banks_[b].trrFill + acts_before));
                     if (fill == 0)
                         continue;
                     const std::size_t back = trrRng_.below(fill);
@@ -871,23 +873,42 @@ Device::replayLoopIterations(const LoopRecord &rec,
         rec.counterDelta.ignoredCommands * completed;
 
     // Advance each bank's sampler ring closed-form: of the
-    // completed * acts_per_iter pushes only the last kTrrWindow can
-    // survive, and the pushed stream is periodic in the body.
+    // completed * per pushes only the last n <= kTrrWindow survive.
+    // The pushed stream is periodic in the body, so the survivors are
+    // one period rotated to `first % per`, repeated: build them by
+    // doubling copies, then write them in around the ring's wrap.
     for (std::size_t b = 0; b < nbanks; ++b) {
         BankState &bank = banks_[b];
-        const std::uint64_t per = acts_per_iter[b];
+        const std::vector<RowId> &acts = rec.samplerActs[b];
+        const std::uint64_t per = acts.size();
         const std::uint64_t pushes = per * completed;
         if (pushes == 0)
             continue;
         const std::uint64_t first =
             pushes > kTrrWindow ? pushes - kTrrWindow : 0;
-        for (std::uint64_t i = first; i < pushes; ++i) {
-            bank.trrRing[(pos0[b] + i) % kTrrWindow] =
-                rec.samplerActs[b][i % per];
+        const auto n = static_cast<std::size_t>(pushes - first);
+
+        RowId *seq = ringScratch_.data();
+        std::size_t built = static_cast<std::size_t>(
+            std::min<std::uint64_t>(per, n));
+        for (std::size_t j = 0; j < built; ++j)
+            seq[j] = acts[static_cast<std::size_t>((first + j) % per)];
+        while (built < n) {  // built stays a multiple of per
+            const std::size_t more = std::min(built, n - built);
+            std::copy_n(seq, more, seq + built);
+            built += more;
         }
-        bank.trrPos = (pos0[b] + pushes) % kTrrWindow;
+
+        const std::size_t pos0 = bank.trrPos;
+        const auto start =
+            static_cast<std::size_t>((pos0 + first) % kTrrWindow);
+        const std::size_t upto = std::min(n, kTrrWindow - start);
+        std::copy_n(seq, upto, bank.trrRing.begin() +
+                                   static_cast<std::ptrdiff_t>(start));
+        std::copy_n(seq + upto, n - upto, bank.trrRing.begin());
+        bank.trrPos = static_cast<std::size_t>((pos0 + pushes) % kTrrWindow);
         bank.trrFill = static_cast<std::size_t>(
-            std::min<std::uint64_t>(kTrrWindow, fill0[b] + pushes));
+            std::min<std::uint64_t>(kTrrWindow, bank.trrFill + pushes));
     }
     return completed;
 }
@@ -940,6 +961,38 @@ Device::writeRowDirect(BankId b, RowId logical_row, const RowData &data)
         }
     }
     row.lastSide = 0;
+}
+
+std::vector<RowId>
+Device::trrSamplerRows(BankId b) const
+{
+    const BankState &bank = banks_.at(b);
+    std::vector<RowId> rows;
+    for (std::size_t i = bank.trrFill; i > 0; --i)
+        rows.push_back(
+            bank.trrRing[(bank.trrPos + kTrrWindow - i) % kTrrWindow]);
+    return rows;
+}
+
+std::size_t
+Device::diffCountDirect(BankId b, RowId logical_row,
+                        const RowData &expected) const
+{
+    // viewOf() toggles each flipped cell's (distinct) column, so each
+    // one moves the stored data's distance to `expected` by exactly 1.
+    auto *self = const_cast<Device *>(this);
+    const Row &row =
+        self->rowAt(self->banks_.at(b), mapping_.toPhysical(logical_row));
+    std::size_t n = row.data.diffCount(expected);
+    for (const WeakCell &cell : row.cells) {
+        if (!cell.flipped())
+            continue;
+        if (row.data.get(cell.col) == expected.get(cell.col))
+            ++n;
+        else
+            --n;
+    }
+    return n;
 }
 
 RowData

@@ -135,11 +135,18 @@ class Device
         return banks_[bank].trrFill;
     }
 
+    /** The physical rows a bank's TRR ring holds, oldest to newest. */
+    std::vector<RowId> trrSamplerRows(BankId bank) const;
+
     // ---- testbench (host-DMA) helpers ------------------------------------
     /** Write a row directly, restoring full charge (resets damage). */
     void writeRowDirect(BankId bank, RowId logical_row, const RowData &data);
     /** Read a row directly without disturbing anything. */
     RowData readRowDirect(BankId bank, RowId logical_row) const;
+    /** Bits in which readRowDirect() would differ from `expected`,
+     *  counted in place. */
+    std::size_t diffCountDirect(BankId bank, RowId logical_row,
+                                const RowData &expected) const;
 
     // ---- executor fast-path recording ------------------------------------
 
@@ -153,7 +160,7 @@ class Device
      */
     struct LoopRecord
     {
-        DamageRecord damage;  //!< per-cell deposits/resets, one iteration
+        DamageRecord damage;  //!< per-cell net deposits, one iteration
 
         /** ACT/PRE/op counter deltas of one iteration (REF/TRR are
          *  counted live during replay instead). */
@@ -172,7 +179,8 @@ class Device
 
         /** Per bank, sorted: physical rows whose damage, data, or
          *  close-side state the body mutates (deposit victims are
-         *  over-approximated by the +-2 blast radius). */
+         *  over-approximated by the +-2 blast radius).  Unsorted, with
+         *  repeats, while recording. */
         std::vector<std::vector<RowId>> tracked;
 
         /** False if a refresh hit a tracked row *during* recording:
@@ -181,7 +189,13 @@ class Device
     };
 
     void beginLoopRecording();
-    LoopRecord endLoopRecording();
+
+    /**
+     * Finish the recording.  The record is the Device's own and stays
+     * valid until the next beginLoopRecording(), which reuses its
+     * buffers.
+     */
+    const LoopRecord &endLoopRecording();
 
     /**
      * Replay up to `max_iterations` further iterations of the recorded
@@ -351,7 +365,7 @@ class Device
     noteLoopTouched(const BankState &bank, RowId physical)
     {
         if (recorder_.active && !recorder_.inRefresh)
-            recorder_.touched[bankIndex(bank)].push_back(physical);
+            loopRecord_.tracked[bankIndex(bank)].push_back(physical);
     }
 
     /** Flip-composed view of a row's contents. */
@@ -366,18 +380,32 @@ class Device
         bool active = false;
         bool inRefresh = false;  //!< suppress touched-row hooks
         DeviceCounters countersAtStart;
-        std::vector<std::vector<RowId>> samplerActs;
-        std::vector<LoopRecord::RefPoint> refs;
-        std::vector<std::vector<RowId>> touched;
         /** (bank, row) refreshed during the recorded iteration. */
         std::vector<std::pair<std::size_t, RowId>> refreshTargets;
     };
 
     DeviceConfig cfg_;
+    /** calibrate(cfg_.profile): a function of the family alone. */
+    CalibratedDistributions cal_;
     RowMapping mapping_;
     DisturbanceModel disturb_;
     std::vector<BankState> banks_;
     LoopRecorder recorder_;
+
+    /**
+     * The one loop record, filled while recording and reused, buffers
+     * and all, by every recording after it.  One suffices: a loop
+     * cannot record while an enclosing loop records (the executor's
+     * recording flag blocks it), and an outer loop's record is dead
+     * once its replay and phase-break iteration have run -- inner
+     * loops of that live iteration may then record over it.
+     */
+    LoopRecord loopRecord_;
+
+    // Replay scratch, kept warm across replays.
+    std::vector<RowId> unionTracked_;
+    std::vector<std::pair<std::size_t, RowId>> trrTargets_;
+    std::array<RowId, kTrrWindow> ringScratch_{};
     Celsius temperature_;
     bool trrEnabled_ = false;
     Time now_ = 0;

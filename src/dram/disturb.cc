@@ -1,9 +1,8 @@
 #include "dram/disturb.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <unordered_map>
-#include <utility>
 
 #include "util/logging.h"
 
@@ -89,9 +88,48 @@ minorityScale(TechClass cls, const WeakCell &cell)
 
 } // namespace
 
+void
+DamageFold::clear()
+{
+    net_.clear();
+    if (++gen_ == 0) {
+        // Wrapped: stamps of 255 generations ago would read as live.
+        for (Slot &s : slots_)
+            s.gen = 0;
+        gen_ = 1;
+    }
+}
+
+void
+DamageFold::grow()
+{
+    const std::size_t size = slots_.empty() ? 64 : 2 * slots_.size();
+    slots_.assign(size, Slot{});
+    shift_ = 64 - std::countr_zero(size);
+    const std::size_t mask = size - 1;
+    for (std::size_t k = 0; k < net_.size(); ++k) {
+        std::size_t i = home(net_[k].cell);
+        while (slots_[i].gen == gen_)
+            i = (i + 1) & mask;
+        slots_[i] = {net_[k].cell, static_cast<std::uint32_t>(k), gen_};
+    }
+}
+
 DisturbanceModel::DisturbanceModel(const DeviceConfig &cfg)
     : cfg_(cfg), rowsPerSubarray_(cfg.rowsPerSubarray)
 {
+    for (int i = 0; i < 4; ++i) {
+        double g = (i & 1) ? 1.0 : 0.75;
+        // Local bitline alternation (checkerboard) strengthens coupling.
+        if (!(i & 2)) {
+            g *= 0.80;
+            // Nanya's true-/anti-cell layout makes solid patterns
+            // ineffective within a refresh window (paper footnote 1).
+            if (cfg_.profile.trueAntiCells)
+                g *= 0.05;
+        }
+        dataGain_[i] = g;
+    }
 }
 
 double
@@ -112,60 +150,34 @@ DisturbanceModel::crossTransfer(TechClass from, TechClass to)
     return from == TechClass::Comra ? 0.30 : 0.35;
 }
 
-void
+inline void
 DisturbanceModel::deposit(WeakCell &cell, TechClass cls, float delta)
 {
-    const auto own = static_cast<int>(cls);
-    cell.damage[own] += delta;
-    for (int other = 0; other < 3; ++other) {
-        if (other == own)
-            continue;
-        const auto to = static_cast<TechClass>(other);
-        // Damage only transfers between classes pulling the cell's
-        // bit the same way.
-        if (cell.fromBit(cls) != cell.fromBit(to))
-            continue;
-        cell.damage[other] += static_cast<float>(
-            crossTransfer(cls, to) * delta);
+    cell.damage[static_cast<int>(cls)] += delta;
+    // Damage only transfers between classes pulling the cell's bit the
+    // same way, and only into the conventional accumulator: the other
+    // transfers are zero, and adding float(0.0 * delta) to a
+    // non-negative accumulator is an exact no-op, so they are skipped.
+    if (cls != TechClass::Conventional &&
+        cell.fromBit(cls) == cell.fromBit(TechClass::Conventional)) {
+        cell.damage[0] += static_cast<float>(
+            crossTransfer(cls, TechClass::Conventional) * delta);
     }
-}
-
-void
-DisturbanceModel::addDamage(WeakCell &cell, TechClass cls, float delta)
-{
-    deposit(cell, cls, delta);
-    if (recording_)
-        record_.push_back({&cell, delta, cls, false});
 }
 
 void
 DisturbanceModel::replay(const DamageRecord &record, std::uint64_t times)
 {
-    // Fold the event stream into per-cell per-class deltas and a
-    // reset flag; the per-iteration map is affine per accumulator.
-    struct Net
-    {
-        float delta[3] = {0, 0, 0};
-        bool reset = false;
-    };
-    std::unordered_map<WeakCell *, Net> net;
-    for (const auto &e : record) {
-        auto &state = net[e.cell];
-        if (e.reset) {
-            state.delta[0] = state.delta[1] = state.delta[2] = 0.0f;
-            state.reset = true;
-        } else {
-            state.delta[static_cast<int>(e.cls)] += e.delta;
-        }
-    }
-    for (const auto &[cell, state] : net) {
-        if (state.reset)
+    // One entry per cell: its per-class sums already fold the
+    // iteration, and deposits on different cells commute.
+    const auto k = static_cast<float>(times);
+    for (const DamageDelta &d : record) {
+        if (d.reset)
             continue;  // fixed point already reached
         for (int cls = 0; cls < 3; ++cls) {
-            if (state.delta[cls] != 0.0f) {
-                deposit(*cell, static_cast<TechClass>(cls),
-                        state.delta[cls] * static_cast<float>(times));
-            }
+            if (d.delta[cls] != 0.0f)
+                deposit(*d.cell, static_cast<TechClass>(cls),
+                        d.delta[cls] * k);
         }
     }
 }
@@ -263,22 +275,20 @@ DisturbanceModel::tempGain(TechClass cls, int simra_n, Celsius temp,
     return 1.0;
 }
 
+int
+DisturbanceModel::dataIndex(const RowData &aggressor, ColId col,
+                            bool victim_bit)
+{
+    const bool aggr_bit = aggressor.get(col);
+    return static_cast<int>(aggr_bit != victim_bit) |
+           static_cast<int>(aggr_bit != aggressor.get(col ^ 1)) << 1;
+}
+
 double
 DisturbanceModel::dataGain(const RowData &aggressor, ColId col,
                            bool victim_bit) const
 {
-    const bool aggr_bit = aggressor.get(col);
-    double g = aggr_bit != victim_bit ? 1.0 : 0.75;
-    // Local bitline alternation (checkerboard) strengthens coupling.
-    const bool local_alt = aggressor.get(col) != aggressor.get(col ^ 1);
-    if (!local_alt) {
-        g *= 0.80;
-        // Nanya's true-/anti-cell layout makes solid patterns
-        // ineffective within a refresh window (paper footnote 1).
-        if (cfg_.profile.trueAntiCells)
-            g *= 0.05;
-    }
-    return g;
+    return dataGain_[dataIndex(aggressor, col, victim_bit)];
 }
 
 double
@@ -387,6 +397,9 @@ DisturbanceModel::applyClose(std::vector<Row> &rows, const CloseEvent &event,
         return g;
     };
     const ClassGains event_gains = class_gains(event.cls);
+    // The conventional class keeps its per-cell temperature slope;
+    // dt is tempGain()'s, hoisted out of the cell loop.
+    const double dt = (temperature - 80.0) / 30.0;
     const ClassGains conv_gains =
         event.cls == TechClass::Comra
             ? class_gains(TechClass::Conventional)
@@ -528,15 +541,17 @@ DisturbanceModel::applyClose(std::vector<Row> &rows, const CloseEvent &event,
 
                 const double cell_temp =
                     eff_cls == TechClass::Conventional
-                        ? tempGain(eff_cls, event.simraN, temperature,
-                                   cell)
+                        ? std::max(0.05, 1.0 + cell.tempSlopeConv * dt)
                         : g.temp;
                 const double delta =
                     common * dist_w * tech *
                     minorityScale(eff_cls, cell) * cell_temp *
-                    dataGain(aggr_data, cell.col, stored) /
+                    dataGain_[dataIndex(aggr_data, cell.col, stored)] /
                     (2.0 * cell.baseHc * cell.trialScale);
-                addDamage(cell, eff_cls, static_cast<float>(delta));
+                const auto d = static_cast<float>(delta);
+                deposit(cell, eff_cls, d);
+                if (recording_)
+                    fold_.add(cell, eff_cls, d);
             }
         }
 

@@ -20,6 +20,7 @@
 #ifndef PUD_DRAM_DISTURB_H
 #define PUD_DRAM_DISTURB_H
 
+#include <cstdint>
 #include <vector>
 
 #include "dram/cell.h"
@@ -131,17 +132,123 @@ struct AggregateExposure
 double foldThreshold(const DeviceConfig &cfg, const AggregateExposure &e,
                      double base_hc);
 
-/** One recorded damage event, for the executor's loop fast-path. */
+/**
+ * One weak cell's net damage over one recorded loop iteration, for the
+ * executor's loop fast path.
+ */
 struct DamageDelta
 {
     WeakCell *cell;
-    float delta;
-    TechClass cls;  //!< originating technique class
-    bool reset;     //!< charge restoration (aggressor self-refresh, WR)
+    /** Per-class deposits since the cell's last reset (indexed by
+     *  TechClass), each summed in event order. */
+    float delta[3];
+    bool reset;  //!< charge restored during the iteration (self-refresh, WR)
 };
 
-/** Damage events of one loop iteration, replayable k more times. */
+/** Net damage of one loop iteration, one entry per touched cell in
+ *  first-touch order; replayable k more times. */
 using DamageRecord = std::vector<DamageDelta>;
+
+/**
+ * Folds a stream of damage events into one DamageDelta per cell, in
+ * first-touch order, without allocating once warm.
+ *
+ * A generation-stamped open-addressing index maps a cell to its entry:
+ * a slot is live only while its stamp equals the current generation,
+ * so clear() is O(1) -- it bumps the generation -- and the slot array
+ * keeps its capacity across recordings.  The index grows at load 1/2
+ * and is swept once whenever the (deliberately narrow) generation
+ * counter wraps.
+ */
+class DamageFold
+{
+  public:
+    /** Add `delta` to the cell's `cls` sum. */
+    void
+    add(WeakCell &cell, TechClass cls, float delta)
+    {
+        entry(cell).delta[static_cast<int>(cls)] += delta;
+    }
+
+    /** A charge restoration: zero the cell's sums and latch `reset`. */
+    void
+    reset(WeakCell &cell)
+    {
+        DamageDelta &e = entry(cell);
+        e.delta[0] = e.delta[1] = e.delta[2] = 0.0f;
+        e.reset = true;
+    }
+
+    /** Forget every cell. */
+    void clear();
+
+    /** The folded entries, in first-touch order. */
+    const DamageRecord &net() const { return net_; }
+
+    /** Swap the folded entries into `out` (both buffers keep their
+     *  capacity), then clear. */
+    void
+    take(DamageRecord &out)
+    {
+        out.swap(net_);
+        clear();
+    }
+
+  private:
+    struct Slot
+    {
+        const WeakCell *cell = nullptr;
+        std::uint32_t index = 0;  //!< into net_
+        std::uint8_t gen = 0;     //!< live iff equal to gen_
+    };
+
+    /** Find the cell's entry, appending a zeroed one on first touch. */
+    DamageDelta &
+    entry(WeakCell &cell)
+    {
+        if (slots_.empty()) [[unlikely]]
+            grow();
+        const std::size_t mask = slots_.size() - 1;
+        for (std::size_t i = home(&cell);; i = (i + 1) & mask) {
+            Slot &s = slots_[i];
+            if (s.gen != gen_) {
+                if (2 * (net_.size() + 1) > slots_.size()) [[unlikely]] {
+                    grow();
+                    return entry(cell);
+                }
+                s = {&cell, static_cast<std::uint32_t>(net_.size()), gen_};
+                net_.push_back({&cell, {0.0f, 0.0f, 0.0f}, false});
+                return net_.back();
+            }
+            if (s.cell == &cell)
+                return net_[s.index];
+        }
+    }
+
+    /**
+     * A cell's first probe slot.  Fibonacci hashing: the product's
+     * high bits mix every address bit (cells sit at a fixed stride, so
+     * the low bits do not).
+     */
+    std::size_t
+    home(const WeakCell *cell) const
+    {
+        return static_cast<std::size_t>(
+            (reinterpret_cast<std::uintptr_t>(cell) *
+             0x9E3779B97F4A7C15ULL) >> shift_);
+    }
+
+    /** Double the index (64 slots at first) and re-insert net_. */
+    void grow();
+
+    std::vector<Slot> slots_;  //!< power-of-two size
+    int shift_ = 0;  //!< 64 - log2(slots_.size()), set by grow()
+    /** Current generation, never 0 (the stamp of a never-used slot).
+     *  Eight bits, so the wrap sweep runs every 255 clears: negligible
+     *  next to the recordings it spans, and exercised by tests. */
+    std::uint8_t gen_ = 1;
+    DamageRecord net_;
+};
 
 /**
  * Applies close events to a bank's rows.  Owned by Device; stateless
@@ -162,15 +269,16 @@ class DisturbanceModel
     void applyClose(std::vector<Row> &rows, const CloseEvent &event,
                     Celsius temperature);
 
-    /** Start mirroring damage additions into a record. */
-    void beginRecording() { recording_ = true; record_.clear(); }
+    /** Start folding damage additions into a record. */
+    void beginRecording() { recording_ = true; fold_.clear(); }
 
-    /** Stop mirroring and take the record. */
-    DamageRecord
-    endRecording()
+    /** Stop folding and swap the record into `out` (both buffers keep
+     *  their capacity). */
+    void
+    endRecording(DamageRecord &out)
     {
         recording_ = false;
-        return std::move(record_);
+        fold_.take(out);
     }
 
     /**
@@ -180,7 +288,8 @@ class DisturbanceModel
      * during the iteration (it was activated/written, restoring its
      * charge), its post-iteration damage is a fixed point and further
      * iterations leave it unchanged; otherwise the iteration adds a
-     * constant, which scales linearly with the remaining trip count.
+     * constant per class, which scales linearly with the remaining
+     * trip count.
      */
     static void replay(const DamageRecord &record, std::uint64_t times);
 
@@ -189,8 +298,7 @@ class DisturbanceModel
     noteReset(WeakCell &cell)
     {
         if (recording_)
-            record_.push_back(
-                {&cell, 0.0f, TechClass::Conventional, true});
+            fold_.reset(cell);
     }
 
     // --- individual factors, exposed for unit tests -------------------
@@ -228,19 +336,20 @@ class DisturbanceModel
                        const std::vector<RowId> &left_aggressors,
                        const std::vector<RowId> &right_aggressors);
 
-    /**
-     * Deposit damage from a class: full amount into the class's own
-     * accumulator, and a calibrated cross-transfer fraction into the
-     * other classes whose flip direction matches (see
-     * crossTransfer()).
-     */
-    void addDamage(WeakCell &cell, TechClass cls, float delta);
-
     /** Cross-class damage transfer coefficient. */
     static double crossTransfer(TechClass from, TechClass to);
 
-    /** Apply one deposit (shared by live path and replay). */
+    /**
+     * Apply one deposit (shared by the live path and replay): the full
+     * amount into the class's own accumulator, and a calibrated
+     * cross-transfer fraction into the other classes whose flip
+     * direction matches (see crossTransfer()).
+     */
     static void deposit(WeakCell &cell, TechClass cls, float delta);
+
+    /** dataGain() per dataIndex(). */
+    static int dataIndex(const RowData &aggressor, ColId col,
+                         bool victim_bit);
 
     /** One (victim, aggressor) adjacency of a close event. */
     struct Contribution
@@ -263,8 +372,11 @@ class DisturbanceModel
      */
     std::vector<Contribution> contribScratch_;
 
+    /** dataGain() by dataIndex(): a function of the family alone. */
+    double dataGain_[4] = {};
+
     bool recording_ = false;
-    DamageRecord record_;
+    DamageFold fold_;
 };
 
 } // namespace pud::dram

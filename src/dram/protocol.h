@@ -17,7 +17,6 @@
 #define PUD_DRAM_PROTOCOL_H
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "dram/config.h"
@@ -173,11 +172,9 @@ struct BankProtocol
                     openedAt = pending.openedAt;
                     return s;
                 }
-                std::vector<RowId> group =
-                    SimraDecoder(rps).activatedSet(prev, phys);
-                if (group.size() > 1) {
+                SimraDecoder(rps).activatedSetInto(prev, phys, openRows);
+                if (openRows.size() > 1) {
                     s.transition = Transition::SimraGroup;
-                    openRows = std::move(group);
                     openKind = OpenKind::Simra;
                     openedAt = t;
                     return s;

@@ -42,41 +42,50 @@ class SimraDecoder
     std::vector<RowId>
     activatedSet(RowId r1, RowId r2) const
     {
+        std::vector<RowId> rows;
+        activatedSetInto(r1, r2, rows);
+        return rows;
+    }
+
+    /** activatedSet() into `out` (replacing its contents), without
+     *  allocating once `out` has grown. */
+    void
+    activatedSetInto(RowId r1, RowId r2, std::vector<RowId> &out) const
+    {
+        out.clear();
         const RowId base = (r1 / rowsPerSubarray_) * rowsPerSubarray_;
         const RowId o1 = r1 - base;
         const RowId o2 = r2 - base;
         const RowId mask = o1 ^ o2;
         const int hd = __builtin_popcount(mask);
 
-        if (hd == 0)
-            return {r1};
+        if (hd == 0) {
+            out.push_back(r1);
+            return;
+        }
         if (hd > 5 || (hd == 5 && !(mask & 1))) {
             // Decoder cannot resolve the combination: only the two
             // issued wordlines fire.
-            if (r1 == r2)
-                return {r1};
-            RowId lo = std::min(r1, r2), hi = std::max(r1, r2);
-            return {lo, hi};
+            out.push_back(std::min(r1, r2));
+            out.push_back(std::max(r1, r2));
+            return;
         }
 
-        // Enumerate all bit combinations of the differing bits.
-        std::vector<RowId> bits;
-        for (int b = 0; b < 32; ++b)
-            if (mask & (RowId(1) << b))
-                bits.push_back(b);
+        // Enumerate all bit combinations of the differing bits.  The
+        // bits are ascending, so ascending combos give ascending rows.
+        RowId bits[5];
+        int nbits = 0;
+        for (RowId m = mask; m != 0; m &= m - 1)
+            bits[nbits++] = static_cast<RowId>(__builtin_ctz(m));
 
         const RowId common = o1 & ~mask;
-        std::vector<RowId> rows;
-        rows.reserve(std::size_t(1) << bits.size());
-        for (RowId combo = 0; combo < (RowId(1) << bits.size()); ++combo) {
+        for (RowId combo = 0; combo < (RowId(1) << nbits); ++combo) {
             RowId offset = common;
-            for (std::size_t i = 0; i < bits.size(); ++i)
+            for (int i = 0; i < nbits; ++i)
                 if (combo & (RowId(1) << i))
                     offset |= RowId(1) << bits[i];
-            rows.push_back(base + offset);
+            out.push_back(base + offset);
         }
-        std::sort(rows.begin(), rows.end());
-        return rows;
     }
 
     RowId rowsPerSubarray() const { return rowsPerSubarray_; }

@@ -1,0 +1,186 @@
+/**
+ * @file
+ * Allocation regression test for the loop fast path: once a device is
+ * warm, recording one loop iteration and replaying the rest must not
+ * touch the heap.  The test binary replaces the global allocation
+ * functions with counting ones.
+ */
+
+#include <gtest/gtest.h>
+
+#include <cstdlib>
+#include <new>
+#include <string>
+#include <vector>
+
+#include "bender/program.h"
+#include "dram/device.h"
+#include "hammer/patterns.h"
+
+namespace {
+
+std::size_t gNewCalls = 0;
+
+void *
+countedAlloc(std::size_t n)
+{
+    ++gNewCalls;
+    return std::malloc(n == 0 ? 1 : n);
+}
+
+/**
+ * Out of line, so the compiler cannot inline a delete into a caller
+ * and flag the free() of a pointer it saw come from operator new.
+ */
+[[gnu::noinline]] void
+release(void *p) noexcept
+{
+    std::free(p);
+}
+
+} // namespace
+
+void *
+operator new(std::size_t n)
+{
+    if (void *p = countedAlloc(n))
+        return p;
+    throw std::bad_alloc();
+}
+
+void *
+operator new[](std::size_t n)
+{
+    if (void *p = countedAlloc(n))
+        return p;
+    throw std::bad_alloc();
+}
+
+void *
+operator new(std::size_t n, const std::nothrow_t &) noexcept
+{
+    return countedAlloc(n);
+}
+
+void *
+operator new[](std::size_t n, const std::nothrow_t &) noexcept
+{
+    return countedAlloc(n);
+}
+
+void operator delete(void *p) noexcept { release(p); }
+void operator delete[](void *p) noexcept { release(p); }
+void operator delete(void *p, std::size_t) noexcept { release(p); }
+void operator delete[](void *p, std::size_t) noexcept { release(p); }
+
+void
+operator delete(void *p, const std::nothrow_t &) noexcept
+{
+    release(p);
+}
+
+void
+operator delete[](void *p, const std::nothrow_t &) noexcept
+{
+    release(p);
+}
+
+namespace {
+
+using namespace pud;
+using namespace pud::dram;
+
+/** The ACT/PRE body of a pattern builder's single loop. */
+std::vector<bender::Inst>
+loopBody(const bender::Program &p)
+{
+    std::vector<bender::Inst> body;
+    for (const bender::Inst &inst : p.insts())
+        if (inst.op == bender::Op::Act || inst.op == bender::Op::Pre)
+            body.push_back(inst);
+    return body;
+}
+
+void
+runBody(Device &dev, const std::vector<bender::Inst> &body, Time &t)
+{
+    for (const bender::Inst &inst : body) {
+        t += inst.gap;
+        if (inst.op == bender::Op::Act)
+            dev.act(t, inst.bank, inst.row);
+        else
+            dev.pre(t, inst.bank);
+    }
+}
+
+/**
+ * One fast-pathed loop of `trips` iterations, driven the way the
+ * executor drives it: two warm-up iterations, one recorded, the rest
+ * replayed and their duration skipped.  Returns the replayed count.
+ */
+std::uint64_t
+fastPathPass(Device &dev, const std::vector<bender::Inst> &body,
+             std::uint64_t trips, Time &t)
+{
+    const Time start = t;
+    runBody(dev, body, t);
+    runBody(dev, body, t);
+    const Time rec_start = t;
+    dev.beginLoopRecording();
+    runBody(dev, body, t);
+    const Device::LoopRecord &rec = dev.endLoopRecording();
+    const Time per_iter = t - rec_start;
+    const std::uint64_t replayed = dev.replayLoopIterations(rec, trips - 3);
+    const Time skipped = per_iter * static_cast<Time>(replayed);
+    dev.shiftLoopTimestamps(start, skipped);
+    t += skipped;
+    return replayed;
+}
+
+TEST(ZeroAlloc, WarmRecordedReplayedPassAllocatesNothing)
+{
+    DeviceConfig cfg = makeConfig("HMA81GU7AFR8N-UH", 5);
+    cfg.banks = 1;
+    cfg.subarraysPerBank = 2;
+    cfg.rowsPerSubarray = 64;
+    Device dev(cfg);
+    hammer::PatternTimings pt;
+    pt.base = cfg.timings;
+
+    struct Case
+    {
+        std::string name;
+        bender::Program program;
+    };
+    const std::vector<Case> cases = {
+        {"rh", hammer::doubleSidedRowHammer(0, dev.toLogical(20),
+                                            dev.toLogical(22), 5000,
+                                            pt)},
+        {"comra", hammer::comraHammer(0, dev.toLogical(40),
+                                      dev.toLogical(42), 5000, pt)},
+        // Physical rows 8 and 15 differ in three bits: an 8-row group.
+        {"simra8", hammer::simraHammer(0, dev.toLogical(8),
+                                       dev.toLogical(15), 5000, pt)},
+    };
+
+    Time t = 0;
+    for (const Case &c : cases) {
+        const std::vector<bender::Inst> body = loopBody(c.program);
+        ASSERT_EQ(body.size(), 4u) << c.name;
+        // Warm up rows, buffers and the fold's index.  Two passes: the
+        // fold and the loop record swap damage buffers, so each of the
+        // two grows once.
+        fastPathPass(dev, body, 5000, t);
+        fastPathPass(dev, body, 5000, t);
+
+        const std::size_t before = gNewCalls;
+        const std::uint64_t replayed = fastPathPass(dev, body, 5000, t);
+        const std::size_t allocations = gNewCalls - before;
+        EXPECT_EQ(replayed, 4997u) << c.name;
+        EXPECT_EQ(allocations, 0u) << c.name;
+    }
+    EXPECT_GT(dev.counters().simraOps, 0u);
+    EXPECT_GT(dev.counters().comraCopies, 0u);
+}
+
+} // namespace

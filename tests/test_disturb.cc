@@ -6,8 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <unordered_map>
+#include <vector>
 
 #include "dram/disturb.h"
+#include "util/rng.h"
 
 namespace {
 
@@ -323,12 +327,131 @@ TEST(ApplyClose, RecordingReplaysExactly)
 
     m.beginRecording();
     m.applyClose(rows, ev, 80.0);
-    const auto record = m.endRecording();
+    DamageRecord record;
+    m.endRecording(record);
     const float per_iter = rows[3].cells[0].damage[0] - after_one;
 
     DisturbanceModel::replay(record, 10);
     EXPECT_NEAR(rows[3].cells[0].damage[0], after_one + 11 * per_iter,
                 1e-3 * per_iter);
+}
+
+/**
+ * The hash-map fold DisturbanceModel::replay used before DamageFold:
+ * per-cell per-class sums in event order, zeroed and latched by a
+ * reset.  The reference DamageFold must match bit for bit.
+ */
+struct MapFold
+{
+    struct Net
+    {
+        float delta[3] = {0, 0, 0};
+        bool reset = false;
+    };
+    std::unordered_map<WeakCell *, Net> net;
+
+    void add(WeakCell *cell, int cls, float delta)
+    {
+        net[cell].delta[cls] += delta;
+    }
+
+    void
+    reset(WeakCell *cell)
+    {
+        Net &n = net[cell];
+        n.delta[0] = n.delta[1] = n.delta[2] = 0.0f;
+        n.reset = true;
+    }
+};
+
+TEST(DamageFold, MatchesHashMapFoldBitForBit)
+{
+    // 1200 recordings over 1500 cells: most touch a few dozen cells
+    // (reuse of stale slots across generations, the 8-bit generation
+    // wrapping four times), every 50th touches over a thousand (index
+    // growth).
+    std::vector<WeakCell> cells(1500);
+    DamageFold fold;
+    Rng rng(42);
+    std::size_t events = 0, resets = 0, max_cells = 0;
+    for (int round = 0; round < 1200; ++round) {
+        fold.clear();
+        MapFold ref;
+        std::vector<WeakCell *> order;  // reference first-touch order
+        const bool wide = round % 50 == 0;
+        const std::size_t span = wide ? cells.size() : 48;
+        const std::size_t lo =
+            wide ? 0 : rng.below(cells.size() - span);
+        const int n = wide ? 4000 : static_cast<int>(rng.below(40));
+        for (int e = 0; e < n; ++e) {
+            WeakCell *cell = &cells[lo + rng.below(span)];
+            if (ref.net.find(cell) == ref.net.end())
+                order.push_back(cell);
+            if (rng.chance(0.05)) {
+                fold.reset(*cell);
+                ref.reset(cell);
+                ++resets;
+            } else {
+                const int cls = static_cast<int>(rng.below(3));
+                const auto delta =
+                    static_cast<float>(rng.uniform(1e-7, 1e-3));
+                fold.add(*cell, static_cast<TechClass>(cls), delta);
+                ref.add(cell, cls, delta);
+            }
+            ++events;
+        }
+
+        const DamageRecord &net = fold.net();
+        ASSERT_EQ(net.size(), ref.net.size()) << "round " << round;
+        max_cells = std::max(max_cells, net.size());
+        for (std::size_t i = 0; i < net.size(); ++i) {
+            ASSERT_EQ(net[i].cell, order[i]) << "round " << round;
+            const MapFold::Net &want = ref.net.at(net[i].cell);
+            EXPECT_EQ(std::memcmp(net[i].delta, want.delta,
+                                  sizeof want.delta),
+                      0)
+                << "round " << round << " entry " << i;
+            EXPECT_EQ(net[i].reset, want.reset);
+        }
+    }
+    EXPECT_GE(events, 10000u);
+    EXPECT_GT(resets, 500u);
+    EXPECT_GE(max_cells, 1000u);
+
+    // take() hands the entries over and leaves the fold empty.
+    fold.clear();
+    fold.add(cells[0], TechClass::Simra, 0.5f);
+    DamageRecord out(3);
+    fold.take(out);
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_EQ(out[0].cell, &cells[0]);
+    EXPECT_EQ(out[0].delta[2], 0.5f);
+    EXPECT_TRUE(fold.net().empty());
+}
+
+TEST(DamageFold, GenerationWrapForgetsStaleSlots)
+{
+    // Cells 0..99 are touched once every 255 clears -- exactly when the
+    // 8-bit generation comes back to the same stamp -- and left alone
+    // in between, so only the wrap sweep keeps their old slots from
+    // reading as live.
+    std::vector<WeakCell> cells(200);
+    DamageFold fold;
+    for (int round = 0; round < 520; ++round) {
+        fold.clear();
+        const bool wide = round % 255 == 0;
+        const std::size_t lo = wide ? 0 : 150;
+        const std::size_t n = wide ? 100 : 10;
+        for (std::size_t i = lo; i < lo + n; ++i)
+            fold.add(cells[i], TechClass::Comra, 0.25f);
+        const DamageRecord &net = fold.net();
+        ASSERT_EQ(net.size(), n) << "round " << round;
+        for (std::size_t i = 0; i < n; ++i) {
+            EXPECT_EQ(net[i].cell, &cells[lo + i]);
+            EXPECT_EQ(net[i].delta[1], 0.25f);
+            EXPECT_FALSE(net[i].reset);
+        }
+    }
 }
 
 TEST(FoldThreshold, AnchorBudgetHitsRegionGain)

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "bender/host.h"
@@ -493,23 +495,25 @@ TEST_P(FastPathEquivalence, MatchesNaiveExecution)
         }
         bench.run(p);
 
-        // Compare the damage of every cell in the neighbourhood.
+        // Compare the damage of every cell in the neighbourhood, and
+        // the TRR sampler ring the run left behind.
         std::vector<float> damage;
         for (RowId r = 28; r <= 38; ++r)
             for (const auto &cell :
                  dev.weakCells(0, dev.toLogical(r)))
                 damage.push_back(cell.totalDamage());
-        return damage;
+        return std::make_pair(damage, dev.trrSamplerRows(0));
     };
 
-    const auto fast = run(true);
-    const auto naive = run(false);
+    const auto [fast, fast_ring] = run(true);
+    const auto [naive, naive_ring] = run(false);
     ASSERT_EQ(fast.size(), naive.size());
     for (std::size_t i = 0; i < fast.size(); ++i) {
         EXPECT_NEAR(fast[i], naive[i],
                     1e-4f + 0.002f * std::abs(naive[i]))
             << "cell " << i;
     }
+    EXPECT_EQ(fast_ring, naive_ring);
 }
 
 INSTANTIATE_TEST_SUITE_P(Patterns, FastPathEquivalence,
@@ -520,6 +524,7 @@ struct RunState
 {
     std::uint64_t flips = 0;
     std::size_t samplerFill = 0;
+    std::vector<RowId> samplerRows;  //!< bank 0's ring, oldest first
     DeviceCounters counters;
     Time duration = 0;
     RowData victimData;
@@ -564,6 +569,7 @@ runRefInterleaved(bool fast, bool trr, std::uint64_t hammers,
     RunState s;
     s.flips = bench.countBitflips(0, dev.toLogical(victim), vict);
     s.samplerFill = dev.trrSamplerFill(0);
+    s.samplerRows = dev.trrSamplerRows(0);
     s.counters = dev.counters();
     s.duration = result.endTime - result.startTime;
     s.victimData = dev.readRowDirect(0, dev.toLogical(victim));
@@ -578,6 +584,7 @@ expectSameRun(const RunState &fast, const RunState &naive)
 {
     EXPECT_EQ(fast.flips, naive.flips);
     EXPECT_EQ(fast.samplerFill, naive.samplerFill);
+    EXPECT_EQ(fast.samplerRows, naive.samplerRows);
     EXPECT_EQ(fast.duration, naive.duration);
     EXPECT_TRUE(fast.victimData == naive.victimData);
     EXPECT_EQ(fast.counters.acts, naive.counters.acts);
@@ -615,6 +622,53 @@ INSTANTIATE_TEST_SUITE_P(
     TrrAndScale, RefFastPathEquivalence,
     ::testing::Combine(::testing::Bool(),
                        ::testing::Values(100u, 4000u)));
+
+/** {ACTs per iteration, trip count, ACTs before the loop}. */
+class SamplerRingReplay
+    : public ::testing::TestWithParam<std::tuple<int, int, int>>
+{};
+
+TEST_P(SamplerRingReplay, MatchesNaiveExecution)
+{
+    // Replay advances the TRR ring closed-form; it must hold exactly
+    // the rows, in the order, that naive execution pushes.
+    const auto [period, trips, prelude] = GetParam();
+    auto run = [&](bool fast) {
+        TestBench bench(smallConfig(23));
+        bench.executor().setFastPath(fast);
+        dram::Device &dev = bench.device();
+        hammer::PatternTimings t;
+        Program p;
+        for (int i = 0; i < prelude; ++i)
+            p.act(0, 100 + i, t.base.tRP).pre(0, t.aggOn());
+        p.loopBegin(trips);
+        for (int i = 0; i < period; ++i)
+            p.act(0, 8 + 11 * i, t.base.tRP).pre(0, t.aggOn());
+        p.loopEnd();
+        bench.run(p);
+        EXPECT_EQ(bench.executor().stats().fastPathIterations > 0, fast);
+        return std::make_pair(dev.trrSamplerFill(0),
+                              dev.trrSamplerRows(0));
+    };
+    const auto fast = run(true);
+    const auto naive = run(false);
+    EXPECT_EQ(fast.first, naive.first);
+    EXPECT_EQ(fast.second.size(), fast.first);
+    EXPECT_EQ(fast.second, naive.second);
+}
+
+// Period 3 leaves the ring partial (150 pushes), exactly full (450)
+// and wrapped (453, and 3000 behind a prelude that offsets the write
+// position); periods 4 and 7 do not divide the 450-entry window, so
+// the survivors start mid-body.
+INSTANTIATE_TEST_SUITE_P(
+    PartialFullWrapped, SamplerRingReplay,
+    ::testing::Values(std::make_tuple(3, 50, 0),
+                      std::make_tuple(3, 150, 0),
+                      std::make_tuple(3, 151, 0),
+                      std::make_tuple(3, 1000, 5),
+                      std::make_tuple(4, 1000, 5),
+                      std::make_tuple(7, 300, 2)));
 
 TEST(Executor, RefStripePhaseBreakMatchesNaive)
 {
@@ -658,6 +712,7 @@ TEST(Executor, NestedLoopFastPathMatchesNaive)
         RunState s;
         s.flips = bench.countBitflips(0, dev.toLogical(victim), vict);
         s.samplerFill = dev.trrSamplerFill(0);
+        s.samplerRows = dev.trrSamplerRows(0);
         s.counters = dev.counters();
         s.duration = result.endTime - result.startTime;
         s.victimData = dev.readRowDirect(0, dev.toLogical(victim));

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "dram/simra_decoder.h"
 
@@ -105,5 +106,49 @@ TEST_P(SizeSweep, PowerOfTwoSizes)
 }
 
 INSTANTIATE_TEST_SUITE_P(Hamming, SizeSweep, ::testing::Values(1, 2, 3, 4, 5));
+
+/** The enumeration activatedSet() used before activatedSetInto(). */
+std::vector<RowId>
+sortedEnumeration(RowId rows_per_subarray, RowId r1, RowId r2)
+{
+    const RowId base = (r1 / rows_per_subarray) * rows_per_subarray;
+    const RowId mask = (r1 - base) ^ (r2 - base);
+    const int hd = __builtin_popcount(mask);
+    if (hd == 0)
+        return {r1};
+    if (hd > 5 || (hd == 5 && !(mask & 1)))
+        return {std::min(r1, r2), std::max(r1, r2)};
+    std::vector<RowId> bits;
+    for (int b = 0; b < 32; ++b)
+        if (mask & (RowId(1) << b))
+            bits.push_back(b);
+    const RowId common = (r1 - base) & ~mask;
+    std::vector<RowId> rows;
+    for (RowId combo = 0; combo < (RowId(1) << bits.size()); ++combo) {
+        RowId offset = common;
+        for (std::size_t i = 0; i < bits.size(); ++i)
+            if (combo & (RowId(1) << i))
+                offset |= RowId(1) << bits[i];
+        rows.push_back(base + offset);
+    }
+    std::sort(rows.begin(), rows.end());
+    return rows;
+}
+
+TEST(SimraDecoder, IntoMatchesSortedEnumerationForEveryPair)
+{
+    for (const RowId rps : {RowId(128), RowId(512)}) {
+        const SimraDecoder d(rps);
+        const RowId base = rps;  // the second subarray
+        std::vector<RowId> out{7, 7, 7};  // stale contents are replaced
+        for (RowId r1 = base; r1 < base + rps; ++r1) {
+            for (RowId r2 = base; r2 < base + rps; ++r2) {
+                d.activatedSetInto(r1, r2, out);
+                ASSERT_EQ(out, sortedEnumeration(rps, r1, r2))
+                    << "rps " << rps << " pair " << r1 << "," << r2;
+            }
+        }
+    }
+}
 
 } // namespace
