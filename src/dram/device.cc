@@ -1,6 +1,7 @@
 #include "dram/device.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "obs/metrics.h"
@@ -50,6 +51,7 @@ Device::Device(DeviceConfig cfg)
     }
     if ((cfg_.rowsPerSubarray & (cfg_.rowsPerSubarray - 1)) != 0)
         fatal("Device: rowsPerSubarray must be a power of two");
+    subarrayShift_ = std::countr_zero(cfg_.rowsPerSubarray);
 
     // Banks start as empty shells and rows materialize on first touch
     // (populateRow): an idle module costs O(1) memory and construction
@@ -191,8 +193,10 @@ Device::reset(std::uint64_t seed)
         bank.trrFill = 0;
     }
 
-    // The disturbance model holds no per-module state (its config
-    // copy never reads the seed), and cal_ depends on the family only.
+    // The disturbance model's only per-module state is its close memo,
+    // whose cell pointers the cleared rows just invalidated (its config
+    // copy never reads the seed); cal_ depends on the family only.
+    disturb_.invalidateCloses();
     temperature_ = cfg_.temperature;
     trrEnabled_ = false;
     now_ = 0;
@@ -239,8 +243,10 @@ Device::restoreRow(BankState &bank, RowId physical)
 {
     Row &row = rowAt(bank, physical);
     for (WeakCell &cell : row.cells) {
-        if (cell.flipped())
+        if (cell.flipped()) {
             row.data.toggle(cell.col);
+            disturb_.invalidateCloses();
+        }
         cell.resetDamage();
         disturb_.noteReset(cell);
     }
@@ -263,6 +269,14 @@ Device::majorityMerge(BankState &bank)
     const std::vector<RowId> &open = bank.proto.openRows;
     if (open.size() < 2)
         return;
+    // The majority of identical rows is that row: a steady-state SiMRA
+    // group re-merges nothing, and its closes stay memoized.
+    const RowData &first = bank.rows[open.front()].data;
+    if (std::all_of(open.begin() + 1, open.end(), [&](RowId r) {
+            return bank.rows[r].data == first;
+        }))
+        return;
+    disturb_.invalidateCloses();
 
     // Resolve into the first open row (the kernel allows an output
     // that is also an input), then copy it over the rest: no
@@ -372,44 +386,40 @@ Device::applyPendingClose(BankState &bank, const BankProtocol::Step *copy)
     ev.tOn = bank.proto.pending.tOn;
     ev.reopenGap = bank.offGapOfOpen;
 
-    if (recorder_.active && !recorder_.inRefresh) {
-        // Over-approximate this close's deposit victims: every row in
-        // the distance-2 blast radius of each closing aggressor (plus
-        // the aggressors themselves, whose lastSide advances).
-        auto &touched = loopRecord_.tracked[bankIndex(bank)];
-        const auto rows =
-            static_cast<std::int64_t>(bank.rows.size());
-        for (RowId a : ev.rows) {
-            touched.push_back(a);
-            const SubarrayId sub = subarrayOfPhysical(a);
-            for (int d : {-2, -1, 1, 2}) {
-                const std::int64_t v =
-                    static_cast<std::int64_t>(a) + d;
-                if (v < 0 || v >= rows)
-                    continue;
-                if (subarrayOfPhysical(static_cast<RowId>(v)) != sub)
-                    continue;
-                touched.push_back(static_cast<RowId>(v));
-            }
-        }
-    }
     // applyClose charges damage onto every weak cell in the closing
     // aggressors' +-2 same-subarray blast radius; those victim rows
     // must have their cell populations drawn before the deposit, or a
-    // lazily-built device would silently drop it.
+    // lazily-built device would silently drop it.  While a loop
+    // records, the same walk over-approximates the deposit victims as
+    // body-touched (with the aggressors, whose lastSide advances).
+    const bool track = recorder_.active && !recorder_.inRefresh;
+    std::vector<RowId> *touched =
+        track ? &loopRecord_.tracked[bankIndex(bank)] : nullptr;
+    const auto nrows = static_cast<std::int64_t>(bank.rows.size());
     for (RowId a : ev.rows) {
+        if (track)
+            touched->push_back(a);
         const SubarrayId sub = subarrayOfPhysical(a);
         for (int d : {-2, -1, 1, 2}) {
             const std::int64_t v = static_cast<std::int64_t>(a) + d;
-            if (v < 0 ||
-                v >= static_cast<std::int64_t>(bank.rows.size()))
-                continue;
-            if (subarrayOfPhysical(static_cast<RowId>(v)) != sub)
+            if (v < 0 || v >= nrows ||
+                subarrayOfPhysical(static_cast<RowId>(v)) != sub)
                 continue;
             rowAt(bank, static_cast<RowId>(v));
+            if (track)
+                touched->push_back(static_cast<RowId>(v));
         }
     }
-    disturb_.applyClose(bank.rows, ev, temperature_);
+    const bool memo_hit = disturb_.applyClose(
+        bank.rows, ev, temperature_,
+        static_cast<std::uint32_t>(bankIndex(bank)));
+    if (obs::metricsOn()) [[unlikely]] {
+        static const obs::CounterId c_hits =
+            obs::metrics().counterId("device.close_memo_hits");
+        static const obs::CounterId c_misses =
+            obs::metrics().counterId("device.close_memo_misses");
+        obs::metrics().add(memo_hit ? c_hits : c_misses);
+    }
     if (mitigation_ != nullptr) {
         // The hook sees the final classification, including the
         // CoMRA retro-tag.
@@ -464,7 +474,11 @@ Device::act(Time t, BankId b, RowId logical_row)
         // Destination latches the source's bitline charge: the
         // in-DRAM copy, with full charge restoration on dst.
         restoreRow(bank, step.src);
-        rowAt(bank, phys).data = bank.rows[step.src].data;
+        Row &dst = rowAt(bank, phys);
+        if (dst.data != bank.rows[step.src].data) {
+            dst.data = bank.rows[step.src].data;
+            disturb_.invalidateCloses();
+        }
         for (WeakCell &c : bank.rows[phys].cells) {
             c.resetDamage();
             disturb_.noteReset(c);
@@ -521,7 +535,10 @@ Device::wr(Time t, BankId b, const RowData &data)
     if (data.bits() != cfg_.cols)
         fatal("WR with %u bits to a %u-bit row", data.bits(), cfg_.cols);
     for (RowId r : bank.proto.openRows) {
-        bank.rows[r].data = data;
+        if (bank.rows[r].data != data) {
+            bank.rows[r].data = data;
+            disturb_.invalidateCloses();
+        }
         for (WeakCell &c : bank.rows[r].cells) {
             c.resetDamage();
             disturb_.noteReset(c);
@@ -951,6 +968,7 @@ Device::writeRowDirect(BankId b, RowId logical_row, const RowData &data)
     const RowId phys = mapping_.toPhysical(logical_row);
     Row &row = rowAt(bank, phys);
     row.data = data;
+    disturb_.invalidateCloses();  // new data, and trialScale redraws
     for (WeakCell &c : row.cells) {
         c.resetDamage();
         if (cfg_.trialNoiseSigma > 0.0) {

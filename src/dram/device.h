@@ -92,6 +92,11 @@ class Device
 
     explicit Device(DeviceConfig cfg);
 
+    // The close memo holds raw pointers into this device's rows, which
+    // a copy would carry over into the clone.
+    Device(const Device &) = delete;
+    Device &operator=(const Device &) = delete;
+
     // ---- DDR command interface (t must be non-decreasing) -------------
     void act(Time t, BankId bank, RowId logical_row);
     void pre(Time t, BankId bank);
@@ -231,7 +236,7 @@ class Device
     SubarrayId
     subarrayOfPhysical(RowId physical) const
     {
-        return physical / cfg_.rowsPerSubarray;
+        return physical >> subarrayShift_;
     }
     const DisturbanceModel &disturbModel() const { return disturb_; }
     Time now() const { return now_; }
@@ -249,6 +254,20 @@ class Device
         const RowId phys = toPhysical(logical_row);
         return phys < rows.size() ? rows[phys].lastCloseAt : -1;
     }
+
+    /** Test-only: a (logical) row's close-side state (does not
+     *  materialize it). */
+    std::int8_t
+    lastSide(BankId bank, RowId logical_row) const
+    {
+        const std::vector<Row> &rows = banks_.at(bank).rows;
+        const RowId phys = toPhysical(logical_row);
+        return phys < rows.size() ? rows[phys].lastSide : 0;
+    }
+
+    /** Test-only: forget every memoized close, so the next closes
+     *  recompute their deposits (DisturbanceModel::invalidateCloses). */
+    void invalidateCloses() { disturb_.invalidateCloses(); }
 
     // ---- lazy row materialization ----------------------------------------
 
@@ -385,6 +404,8 @@ class Device
     };
 
     DeviceConfig cfg_;
+    /** log2(rowsPerSubarray), a power of two (the constructor checks). */
+    int subarrayShift_ = 0;
     /** calibrate(cfg_.profile): a function of the family alone. */
     CalibratedDistributions cal_;
     RowMapping mapping_;

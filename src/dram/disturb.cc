@@ -154,15 +154,8 @@ inline void
 DisturbanceModel::deposit(WeakCell &cell, TechClass cls, float delta)
 {
     cell.damage[static_cast<int>(cls)] += delta;
-    // Damage only transfers between classes pulling the cell's bit the
-    // same way, and only into the conventional accumulator: the other
-    // transfers are zero, and adding float(0.0 * delta) to a
-    // non-negative accumulator is an exact no-op, so they are skipped.
-    if (cls != TechClass::Conventional &&
-        cell.fromBit(cls) == cell.fromBit(TechClass::Conventional)) {
-        cell.damage[0] += static_cast<float>(
-            crossTransfer(cls, TechClass::Conventional) * delta);
-    }
+    if (crossesToConventional(cell, cls))
+        cell.damage[0] += crossAmount(cls, delta);
 }
 
 void
@@ -352,9 +345,131 @@ foldThreshold(const DeviceConfig &cfg, const AggregateExposure &e,
     return e.weightedCloses * gain / (2.0 * base_hc);
 }
 
-void
+bool
+DisturbanceModel::replayMemo(const MemoEntry &entry)
+{
+    const MemoVictim *victims = memoVictims_.data() + entry.victimsAt;
+    for (std::uint32_t v = 0; v < entry.victims; ++v)
+        if (victims[v].row->lastSide != victims[v].before)
+            return false;
+    const MemoDeposit *m = memoDeposits_.data() + entry.depositsAt;
+    for (std::uint32_t v = 0; v < entry.victims; ++v) {
+        const TechClass cls = victims[v].cls;
+        const auto c = static_cast<int>(cls);
+        for (const MemoDeposit *end = m + victims[v].deposits; m != end;
+             ++m) {
+            // deposit(), with its cross-transfer precomputed.
+            m->cell->damage[c] += m->d;
+            if (cls != TechClass::Conventional)
+                m->cell->damage[0] += m->x;
+            if (recording_)
+                fold_.add(*m->cell, cls, m->d);
+        }
+        victims[v].row->lastSide = victims[v].after;
+    }
+    return true;
+}
+
+bool
 DisturbanceModel::applyClose(std::vector<Row> &rows, const CloseEvent &event,
-                             Celsius temperature)
+                             Celsius temperature, std::uint32_t bank)
+{
+    if (closesInGen_ < kMemoWarmup) {
+        ++closesInGen_;
+        computeClose<false>(rows, event, temperature);
+        return false;
+    }
+    if (memoSlots_.empty()) [[unlikely]] {
+        memoSlots_.resize(kMemoSlots);
+        memoEntries_.reserve(kMemoEntries + 1);
+        memoRows_.reserve(kMemoRows + kMaxGroupRows);
+        memoVictims_.reserve(kMemoVictims + 4 * kMaxGroupRows);
+        memoDeposits_.reserve(kMemoDeposits + kMemoSlack);
+    }
+
+    // The slot hash covers the fields that tell a body's closes apart;
+    // the rest only take part in the full key compare.  Independent
+    // products keep it off the miss path's critical chain.
+    const std::uint64_t edges =
+        event.rows.empty()
+            ? 0
+            : event.rows.front() ^
+                  static_cast<std::uint64_t>(event.rows.back()) << 24;
+    const auto temp_bits = std::bit_cast<std::uint64_t>(temperature);
+    const std::uint64_t h =
+        (edges ^ static_cast<std::uint64_t>(event.rows.size()) << 48 ^
+         static_cast<std::uint64_t>(event.cls) << 56 ^
+         static_cast<std::uint64_t>(event.comraDstRole) << 60 ^
+         static_cast<std::uint64_t>(bank) << 40) *
+            0x9E3779B97F4A7C15ULL ^
+        static_cast<std::uint64_t>(event.tOn) * 0xC2B2AE3D27D4EB4FULL ^
+        static_cast<std::uint64_t>(event.reopenGap) * 0x165667B19E3779F9ULL ^
+        (static_cast<std::uint64_t>(event.comraPartner) ^ temp_bits) *
+            0xD6E8FEB86659FD93ULL;
+
+    MemoSlot &slot = memoSlots_[h >> (64 - std::countr_zero(kMemoSlots))];
+    if (slot.gen != memoGen_ || slot.hash != h) {
+        // A new key takes the slot over.
+        slot = {h, memoGen_, 0, kNoEntry};
+    }
+
+    MemoKey key;
+    key.rowArray = rows.data();
+    key.tOn = event.tOn;
+    key.reopenGap = event.reopenGap;
+    key.comraDelay = event.comraDelay;
+    key.simraActToPre = event.simraActToPre;
+    key.simraPreToAct = event.simraPreToAct;
+    key.temperature = temp_bits;
+    key.comraPartner = event.comraPartner;
+    key.simraN = event.simraN;
+    key.nrows = static_cast<std::uint32_t>(event.rows.size());
+    key.cls = event.cls;
+    key.comraDstRole = event.comraDstRole;
+
+    if (slot.entry != kNoEntry) {
+        const MemoEntry &e = memoEntries_[slot.entry];
+        if (e.key == key &&
+            std::equal(event.rows.begin(), event.rows.end(),
+                       memoRows_.begin() + e.rowsAt) &&
+            replayMemo(e)) {
+            slot.misses = 0;  // a lone miss after a hit does not refill
+            return true;
+        }
+    }
+
+    // Miss: compute the close.  A key that misses kMemoAdmit times in a
+    // row is (re)filled, recording its outcome as it is computed.  Until
+    // then a miss only counts on the slot, so closes that keep changing
+    // cost a hash and a slot probe.
+    if (++slot.misses < kMemoAdmit) {
+        computeClose<false>(rows, event, temperature);
+        return false;
+    }
+    if (memoEntries_.size() >= kMemoEntries ||
+        memoRows_.size() >= kMemoRows ||
+        memoVictims_.size() >= kMemoVictims ||
+        memoDeposits_.size() >= kMemoDeposits) [[unlikely]] {
+        invalidateCloses();  // full: start over, from this entry
+        slot.gen = memoGen_;
+    }
+    slot.misses = 0;
+    slot.entry = static_cast<std::uint32_t>(memoEntries_.size());
+    MemoEntry &e = memoEntries_.emplace_back();
+    e.key = key;
+    e.rowsAt = static_cast<std::uint32_t>(memoRows_.size());
+    memoRows_.insert(memoRows_.end(), event.rows.begin(), event.rows.end());
+    e.victimsAt = static_cast<std::uint32_t>(memoVictims_.size());
+    e.depositsAt = static_cast<std::uint32_t>(memoDeposits_.size());
+    computeClose<true>(rows, event, temperature);  // leaves `e` valid
+    e.victims = static_cast<std::uint32_t>(memoVictims_.size()) - e.victimsAt;
+    return false;
+}
+
+template <bool kFill>
+void
+DisturbanceModel::computeClose(std::vector<Row> &rows,
+                               const CloseEvent &event, Celsius temperature)
 {
     // Collect distance-1 / distance-2 victims of every closed aggressor.
     // The aggressor set is small (<= 32) so linear membership tests are
@@ -489,6 +604,8 @@ DisturbanceModel::applyClose(std::vector<Row> &rows, const CloseEvent &event,
             event.cls == TechClass::Comra && !comra_local
                 ? TechClass::Conventional
                 : event.cls;
+        [[maybe_unused]] const std::size_t deposits_at =
+            memoDeposits_.size();
 
         // Likewise, the full SiMRA amplification needs a sandwiched
         // victim; group-edge victims behave close to conventional
@@ -552,9 +669,23 @@ DisturbanceModel::applyClose(std::vector<Row> &rows, const CloseEvent &event,
                 deposit(cell, eff_cls, d);
                 if (recording_)
                     fold_.add(cell, eff_cls, d);
+                if constexpr (kFill) {
+                    memoDeposits_.push_back(
+                        {&cell, d,
+                         crossesToConventional(cell, eff_cls)
+                             ? crossAmount(eff_cls, d)
+                             : 0.0f});
+                }
             }
         }
 
+        if constexpr (kFill) {
+            memoVictims_.push_back(
+                {&victim,
+                 static_cast<std::uint32_t>(memoDeposits_.size() -
+                                            deposits_at),
+                 victim.lastSide, new_side, eff_cls});
+        }
         victim.lastSide = new_side;
         i = j;
     }

@@ -251,8 +251,18 @@ class DamageFold
 };
 
 /**
- * Applies close events to a bank's rows.  Owned by Device; stateless
- * apart from calibration constants and an optional recording sink.
+ * Applies close events to a bank's rows.  Owned by Device; apart from
+ * calibration constants it holds an optional recording sink and a
+ * memo of recent close outcomes.
+ *
+ * The memo (DESIGN.md §4.1) makes a repeated close cheap: a close
+ * whose key -- every CloseEvent field, the temperature and the row
+ * array -- matches an entry filled under the current generation, with
+ * every victim's lastSide as it was at fill, re-applies the entry's
+ * recorded deposits (the same float adds into the same accumulators in
+ * the same order) instead of recomputing them.  Everything else a
+ * close reads is row data and weak-cell parameters, so whoever owns
+ * the rows must call invalidateCloses() whenever either changes.
  */
 class DisturbanceModel
 {
@@ -262,12 +272,35 @@ class DisturbanceModel
     /**
      * Apply one close event to the rows of a bank.
      *
-     * @param rows        the bank's physical row array
+     * @param rows        the bank's physical row array; the memo keys
+     *                    on its address, so a new array in the same
+     *                    place needs invalidateCloses() first
      * @param event       the closed aggressor context
      * @param temperature current chip temperature
+     * @param bank        the array's bank index: spreads the banks'
+     *                    closes over the memo's slots (addresses would
+     *                    make its hit counts run-dependent)
+     * @return true iff the memo supplied the deposits
      */
-    void applyClose(std::vector<Row> &rows, const CloseEvent &event,
-                    Celsius temperature);
+    bool applyClose(std::vector<Row> &rows, const CloseEvent &event,
+                    Celsius temperature, std::uint32_t bank = 0);
+
+    /**
+     * Forget every memoized close outcome.  Required before the next
+     * close after any change to a row's data or weak cells (a repeated
+     * close would otherwise replay deposits computed from the old
+     * contents), and after rows are freed (entries point into them).
+     */
+    void
+    invalidateCloses()
+    {
+        ++memoGen_;
+        closesInGen_ = 0;
+        memoEntries_.clear();
+        memoRows_.clear();
+        memoVictims_.clear();
+        memoDeposits_.clear();
+    }
 
     /** Start folding damage additions into a record. */
     void beginRecording() { recording_ = true; fold_.clear(); }
@@ -330,12 +363,6 @@ class DisturbanceModel
     Region regionOf(RowId physical_row) const;
 
   private:
-    void disturbVictim(Row &victim, RowId victim_row,
-                       const CloseEvent &event,
-                       const std::vector<Row> &rows, Celsius temperature,
-                       const std::vector<RowId> &left_aggressors,
-                       const std::vector<RowId> &right_aggressors);
-
     /** Cross-class damage transfer coefficient. */
     static double crossTransfer(TechClass from, TechClass to);
 
@@ -346,6 +373,30 @@ class DisturbanceModel
      * direction matches (see crossTransfer()).
      */
     static void deposit(WeakCell &cell, TechClass cls, float delta);
+
+    /**
+     * Whether a `cls` deposit on the cell also feeds the conventional
+     * accumulator.  Damage only transfers between classes pulling the
+     * cell's bit the same way, and only into the conventional
+     * accumulator: the other transfers are zero, and adding
+     * float(0.0 * delta) to a non-negative accumulator is an exact
+     * no-op, so they are skipped.
+     */
+    static bool
+    crossesToConventional(const WeakCell &cell, TechClass cls)
+    {
+        return cls != TechClass::Conventional &&
+               cell.fromBit(cls) == cell.fromBit(TechClass::Conventional);
+    }
+
+    /** The conventional accumulator's share of a crossing deposit: a
+     *  pure function of the class and `delta`. */
+    static float
+    crossAmount(TechClass cls, float delta)
+    {
+        return static_cast<float>(
+            crossTransfer(cls, TechClass::Conventional) * delta);
+    }
 
     /** dataGain() per dataIndex(). */
     static int dataIndex(const RowData &aggressor, ColId col,
@@ -377,6 +428,141 @@ class DisturbanceModel
 
     bool recording_ = false;
     DamageFold fold_;
+
+    // --- close memo ------------------------------------------------------
+
+    /** Memo slots (direct-mapped by key hash; a power of two). */
+    static constexpr std::size_t kMemoSlots = 256;
+    /**
+     * Closes of each generation that bypass the memo.  A population
+     * probe rewrites its rows (a new generation) and runs only three
+     * live iterations before loop replay takes over -- six closes for
+     * a double-sided RowHammer -- so its closes never repeat often
+     * enough to pay for a lookup, or for the memo's memory; a long
+     * naive loop barely notices the delay.
+     */
+    static constexpr std::uint32_t kMemoWarmup = 8;
+    /** Consecutive misses that admit a key into its slot. */
+    static constexpr std::uint32_t kMemoAdmit = 2;
+    /**
+     * What the memo holds before it starts over.  A fill begins only
+     * below every cap, and each buffer is reserved once, at its cap
+     * plus what one close can add, so the buffers never grow and only
+     * the filled part of them is ever touched.
+     */
+    static constexpr std::size_t kMemoEntries = 64;
+    static constexpr std::size_t kMemoRows = 256;
+    static constexpr std::size_t kMemoVictims = 256;
+    static constexpr std::size_t kMemoDeposits = 1024;
+    /** Rows of the widest SiMRA group, and the deposits one close
+     *  can add: 4 victims per row with up to 8 weak cells each. */
+    static constexpr std::size_t kMaxGroupRows = 32;
+    static constexpr std::size_t kMemoSlack = kMaxGroupRows * 4 * 8;
+
+    /** The scalar part of a close's memo key; its rows are compared
+     *  against the entry's copy in memoRows_. */
+    struct MemoKey
+    {
+        const Row *rowArray = nullptr;  //!< the array closed into
+        Time tOn = 0;
+        Time reopenGap = 0;
+        Time comraDelay = 0;
+        Time simraActToPre = 0;
+        Time simraPreToAct = 0;
+        std::uint64_t temperature = 0;  //!< the Celsius value's bits
+        RowId comraPartner = kNoRow;
+        std::int32_t simraN = 0;
+        std::uint32_t nrows = 0;
+        TechClass cls = TechClass::Conventional;
+        bool comraDstRole = false;
+
+        bool operator==(const MemoKey &) const = default;
+    };
+
+    /** A victim of a memoized close: valid while its lastSide still
+     *  reads `before`; a hit leaves it at `after`.  Its `deposits`
+     *  follow its predecessors' in memoDeposits_, all of class `cls`. */
+    struct MemoVictim
+    {
+        Row *row;
+        std::uint32_t deposits;
+        std::int8_t before;
+        std::int8_t after;
+        TechClass cls;
+    };
+
+    /**
+     * One recorded deposit(): `d` into the victim class's accumulator,
+     * then the conventional cross-transfer `x`, which is +0 where
+     * there is none.  Accumulators start at +0 and only receive finite
+     * non-negative deposits, so adding +0 leaves their bits unchanged.
+     */
+    struct MemoDeposit
+    {
+        WeakCell *cell;
+        float d;
+        float x;
+    };
+
+    /** A memoized close: its key and where its outcome lives in the
+     *  flat buffers. */
+    struct MemoEntry
+    {
+        MemoKey key;
+        std::uint32_t rowsAt;  //!< into memoRows_
+        std::uint32_t victimsAt, victims;
+        std::uint32_t depositsAt;
+    };
+
+    static constexpr std::uint32_t kNoEntry = ~std::uint32_t{0};
+
+    /** The last key hash that reached a slot, in generation `gen`. */
+    struct MemoSlot
+    {
+        std::uint64_t hash = 0;
+        std::uint64_t gen = 0;
+        std::uint32_t misses = 0;  //!< consecutive, since the last hit
+        std::uint32_t entry = kNoEntry;  //!< into memoEntries_
+    };
+
+    /** applyClose() without the memo; with `kFill` it also appends
+     *  the victims and deposits to the memo's buffers. */
+    template <bool kFill>
+    void computeClose(std::vector<Row> &rows, const CloseEvent &event,
+                      Celsius temperature);
+
+    /** Re-apply an entry's outcome, or return false (touching
+     *  nothing) if a victim's lastSide moved since the fill. */
+    bool replayMemo(const MemoEntry &entry);
+
+    /**
+     * Generation of the memo: a slot is live only while this equals
+     * its `gen`.  Starts at 1 so never-used slots (gen 0) are dead.
+     *
+     * invalidateCloses() bumps it.  Device calls it at every site that
+     * changes a row's data or weak cells -- a missed site is a silently
+     * wrong result:
+     *  - reset() (frees every populated row's cells)
+     *  - writeRowDirect() (new data; trialScale redraws)
+     *  - wr(), when an open row's data changes
+     *  - the CoMRA copy in act(), when the destination's data changes
+     *  - majorityMerge(), when the group's rows differ
+     *  - restoreRow(), when a flipped cell toggles its bit
+     * populateRow() needs none: every row an entry reads was populated
+     * before the entry was filled, and rows only stop being populated
+     * through reset().  The temperature is part of the key, and
+     * lastSide is validated per victim.
+     */
+    std::uint64_t memoGen_ = 1;
+    std::uint32_t closesInGen_ = 0;  //!< up to kMemoWarmup
+    /** Sized on the first lookup, when the buffers below are reserved
+     *  at their caps, so a warm device's closes do not allocate. */
+    std::vector<MemoSlot> memoSlots_;
+    // Flat entry storage, emptied with each generation.
+    std::vector<MemoEntry> memoEntries_;
+    std::vector<RowId> memoRows_;
+    std::vector<MemoVictim> memoVictims_;
+    std::vector<MemoDeposit> memoDeposits_;
 };
 
 } // namespace pud::dram

@@ -1,8 +1,9 @@
 /**
  * @file
- * Allocation regression test for the loop fast path: once a device is
- * warm, recording one loop iteration and replaying the rest must not
- * touch the heap.  The test binary replaces the global allocation
+ * Allocation regression test for the loop fast path and the live close
+ * path: once a device is warm, recording one loop iteration and
+ * replaying the rest, or running iterations naively, must not touch
+ * the heap.  The test binary replaces the global allocation
  * functions with counting ones.
  */
 
@@ -16,6 +17,7 @@
 #include "bender/program.h"
 #include "dram/device.h"
 #include "hammer/patterns.h"
+#include "obs/metrics.h"
 
 namespace {
 
@@ -179,6 +181,64 @@ TEST(ZeroAlloc, WarmRecordedReplayedPassAllocatesNothing)
         EXPECT_EQ(replayed, 4997u) << c.name;
         EXPECT_EQ(allocations, 0u) << c.name;
     }
+    EXPECT_GT(dev.counters().simraOps, 0u);
+    EXPECT_GT(dev.counters().comraCopies, 0u);
+}
+
+/**
+ * The live path: the same bodies run naively, as under a mitigation
+ * hook, where every close goes through the close memo.  Once the memo
+ * holds the bodies' closes, a pass allocates nothing.
+ */
+TEST(ZeroAlloc, WarmLivePassAllocatesNothing)
+{
+    DeviceConfig cfg = makeConfig("HMA81GU7AFR8N-UH", 5);
+    cfg.banks = 1;
+    cfg.subarraysPerBank = 2;
+    cfg.rowsPerSubarray = 64;
+    Device dev(cfg);
+    hammer::PatternTimings pt;
+    pt.base = cfg.timings;
+
+    struct Case
+    {
+        std::string name;
+        bender::Program program;
+    };
+    const std::vector<Case> cases = {
+        {"rh", hammer::doubleSidedRowHammer(0, dev.toLogical(20),
+                                            dev.toLogical(22), 100, pt)},
+        {"comra", hammer::comraHammer(0, dev.toLogical(40),
+                                      dev.toLogical(42), 100, pt)},
+        {"simra8", hammer::simraHammer(0, dev.toLogical(8),
+                                       dev.toLogical(15), 100, pt)},
+    };
+
+    // The memo's hit counter shows the measured passes hit it.
+    obs::metrics().setEnabled(true);
+    auto memo_hits = [] {
+        for (const auto &c : obs::metrics().snapshot().counters)
+            if (c.name == "device.close_memo_hits")
+                return c.value;
+        return std::uint64_t{0};
+    };
+
+    Time t = 0;
+    for (const Case &c : cases) {
+        const std::vector<bender::Inst> body = loopBody(c.program);
+        ASSERT_EQ(body.size(), 4u) << c.name;
+        for (int i = 0; i < 50; ++i)
+            runBody(dev, body, t);
+
+        const std::uint64_t hits_before = memo_hits();
+        const std::size_t before = gNewCalls;
+        for (int i = 0; i < 50; ++i)
+            runBody(dev, body, t);
+        const std::size_t allocations = gNewCalls - before;
+        EXPECT_EQ(allocations, 0u) << c.name;
+        EXPECT_GE(memo_hits() - hits_before, 50u) << c.name;
+    }
+    obs::metrics().setEnabled(false);
     EXPECT_GT(dev.counters().simraOps, 0u);
     EXPECT_GT(dev.counters().comraCopies, 0u);
 }

@@ -6,8 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cstring>
 
 #include "dram/device.h"
+#include "mitigation/countermeasures.h"
+#include "obs/metrics.h"
+#include "util/rng.h"
 
 namespace {
 
@@ -335,6 +340,374 @@ TEST(Device, ZeroTrialNoiseStaysDeterministic)
     const RowData d(256, DataPattern::PAA);
     dev.writeRowDirect(0, 5, d);
     EXPECT_FLOAT_EQ(dev.weakCells(0, 5).front().trialScale, 1.0f);
+}
+
+TEST(Device, IdenticalSimraGroupKeepsDataAndCounts)
+{
+    // Re-merging a group whose rows already agree must leave exactly
+    // what a full merge would: the rows' data, and one more simraOps.
+    Device dev(smallConfig());
+    const RowId phys1 = 16, phys2 = 22;  // group {16, 18, 20, 22}
+    const RowData data(256, DataPattern::PAA);
+    for (RowId p : {16u, 18u, 20u, 22u})
+        dev.writeRowDirect(0, dev.toLogical(p), data);
+
+    Cmd c(dev);
+    for (int i = 0; i < 3; ++i) {
+        c.act(0, dev.toLogical(phys1))
+            .pre(0, units::fromNs(3))
+            .act(0, dev.toLogical(phys2), units::fromNs(3))
+            .pre(0, units::fromNs(36));
+    }
+    dev.flush();
+    EXPECT_EQ(dev.counters().simraOps, 3u);
+    for (RowId p : {16u, 18u, 20u, 22u})
+        EXPECT_EQ(dev.readRowDirect(0, dev.toLogical(p)), data)
+            << "row " << p;
+}
+
+TEST(Device, DifferingSimraGroupStillMerges)
+{
+    Device dev(smallConfig());
+    const RowId phys1 = 16, phys2 = 22;  // group {16, 18, 20, 22}
+    const std::array<RowData, 4> in = {
+        RowData(256, DataPattern::P00), RowData(256, DataPattern::PFF),
+        RowData(256, DataPattern::PFF), RowData(256, DataPattern::PAA)};
+    const std::array<RowId, 4> group = {16, 18, 20, 22};
+    for (std::size_t i = 0; i < group.size(); ++i)
+        dev.writeRowDirect(0, dev.toLogical(group[i]), in[i]);
+    RowData expect(256);
+    const std::array<const RowData *, 4> inputs = {&in[0], &in[1],
+                                                   &in[2], &in[3]};
+    expect.assignMajority(inputs);
+    ASSERT_NE(expect, in[0]);  // the merge must change something
+
+    Cmd c(dev);
+    c.act(0, dev.toLogical(phys1))
+        .pre(0, units::fromNs(3))
+        .act(0, dev.toLogical(phys2), units::fromNs(3))
+        .pre(0, units::fromNs(36));
+    dev.flush();
+    EXPECT_EQ(dev.counters().simraOps, 1u);
+    for (RowId p : group)
+        EXPECT_EQ(dev.readRowDirect(0, dev.toLogical(p)), expect)
+            << "row " << p;
+}
+
+// ---------------------------------------------------------------------------
+// Close memo: a memoized device against one that recomputes every close
+// ---------------------------------------------------------------------------
+
+/**
+ * Drives two devices built from one config through the same live
+ * program.  `b` forgets its memoized closes before every command, so
+ * each of its closes recomputes its deposits; `a` keeps its memo.
+ */
+struct MemoTwin
+{
+    explicit MemoTwin(const DeviceConfig &cfg)
+        : a(cfg), b(cfg), paraA(paraConfig(), cfg.rowsPerSubarray),
+          paraB(paraConfig(), cfg.rowsPerSubarray)
+    {}
+
+    static mitigation::ParaConfig
+    paraConfig()
+    {
+        mitigation::ParaConfig p;
+        p.probability = 1.0 / 32;
+        p.seed = 0x5eed;
+        return p;
+    }
+
+    template <typename F>
+    void
+    both(F f)
+    {
+        f(a);
+        b.invalidateCloses();
+        f(b);
+    }
+
+    void
+    act(RowId phys, Time gap)
+    {
+        t += gap;
+        both([&](Device &d) { d.act(t, bank, d.toLogical(phys)); });
+    }
+
+    void
+    pre(Time gap)
+    {
+        t += gap;
+        both([&](Device &d) { d.pre(t, bank); });
+    }
+
+    Device a, b;
+    mitigation::ParaMitigation paraA, paraB;
+    BankId bank = 0;
+    Time t = units::fromNs(100);
+};
+
+/** Whether a (logical) row's data, weak cells and side state agree
+ *  bit for bit (materializes the row in both devices). */
+bool
+sameRow(Device &a, Device &b, BankId bank, RowId logical)
+{
+    if (a.readRowDirect(bank, logical) != b.readRowDirect(bank, logical) ||
+        a.lastSide(bank, logical) != b.lastSide(bank, logical) ||
+        a.lastCloseAt(bank, logical) != b.lastCloseAt(bank, logical))
+        return false;
+    const std::vector<WeakCell> &wa = a.weakCells(bank, logical);
+    const std::vector<WeakCell> &wb = b.weakCells(bank, logical);
+    if (wa.size() != wb.size())
+        return false;
+    for (std::size_t i = 0; i < wa.size(); ++i) {
+        if (std::memcmp(wa[i].damage.data(), wb[i].damage.data(),
+                        sizeof wa[i].damage) != 0 ||
+            std::memcmp(&wa[i].trialScale, &wb[i].trialScale,
+                        sizeof wa[i].trialScale) != 0)
+            return false;
+    }
+    return true;
+}
+
+void
+expectSameCounters(const Device &a, const Device &b)
+{
+    const DeviceCounters &ca = a.counters(), &cb = b.counters();
+    EXPECT_EQ(ca.acts, cb.acts);
+    EXPECT_EQ(ca.pres, cb.pres);
+    EXPECT_EQ(ca.refs, cb.refs);
+    EXPECT_EQ(ca.comraCopies, cb.comraCopies);
+    EXPECT_EQ(ca.simraOps, cb.simraOps);
+    EXPECT_EQ(ca.ignoredCommands, cb.ignoredCommands);
+    EXPECT_EQ(ca.trrRefreshes, cb.trrRefreshes);
+}
+
+/** Full comparison: flush, then every row of both devices. */
+void
+expectSameState(Device &a, Device &b)
+{
+    a.flush();
+    b.flush();
+    ASSERT_EQ(a.populatedRowCount(), b.populatedRowCount());
+    expectSameCounters(a, b);
+    a.materializeAllRows();
+    b.materializeAllRows();
+    const DeviceConfig &cfg = a.config();
+    for (BankId bank = 0; bank < cfg.banks; ++bank) {
+        EXPECT_EQ(a.trrSamplerRows(bank), b.trrSamplerRows(bank));
+        for (RowId r = 0; r < cfg.rowsPerBank(); ++r)
+            if (!sameRow(a, b, bank, r))
+                ADD_FAILURE() << "bank " << bank << " row " << r
+                              << " differs";
+    }
+}
+
+/**
+ * One seeded live program.  Bursts of RH (one- or two-sided), CoMRA
+ * (near or far destination) and SiMRA-2/4/8/16 hammering on a small
+ * pool of victims, so the same closes recur across bursts, some long
+ * enough to flip cells.  Every few iterations an event lands in the
+ * burst: a WR, a CoMRA copy into the victim, a SiMRA group over it, an
+ * ACT that restores its flips, REFs, a close of a third aggressor (a
+ * side change), a host write or a temperature change.  Between bursts
+ * the device may be reset to a new module.  TRR is on for odd seeds
+ * and a PARA hook is attached for every third; thresholds are scaled
+ * down 100x so flips come quickly.  Returns the closes issued.
+ */
+std::uint64_t
+runMemoProgram(std::uint64_t seed)
+{
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    DeviceConfig cfg = makeConfig("HMA81GU7AFR8N-UH", seed);
+    cfg.banks = 2;
+    cfg.subarraysPerBank = 2;
+    cfg.rowsPerSubarray = 64;
+    cfg.cols = 256;
+    cfg.trialNoiseSigma = seed % 4 == 1 ? 0.1 : 0.0;
+    for (double *anchor : {&cfg.profile.rhMin, &cfg.profile.rhAvg,
+                           &cfg.profile.comraMin, &cfg.profile.comraAvg,
+                           &cfg.profile.simraMin, &cfg.profile.simraAvg})
+        *anchor /= 100;
+    MemoTwin tw(cfg);
+    auto arm = [&] {
+        tw.both([&](Device &d) { d.setTrrEnabled(seed % 2 == 1); });
+        if (seed % 3 == 0) {
+            tw.a.setMitigation(&tw.paraA);
+            tw.b.setMitigation(&tw.paraB);
+        }
+    };
+    arm();
+
+    Rng rng = Rng(seed).fork(0x3e30);
+    const RowId rps = cfg.rowsPerSubarray;
+    const DataPattern patterns[] = {DataPattern::P00, DataPattern::PFF,
+                                    DataPattern::PAA, DataPattern::P55};
+    auto pattern = [&] { return RowData(cfg.cols, patterns[rng.below(4)]); };
+    const Time tRas = units::fromNs(36), tRp = units::fromNs(15);
+
+    // Physical victims, each at least 4 rows inside its subarray.
+    std::array<RowId, 3> pool{};
+    for (RowId &v : pool)
+        v = static_cast<RowId>(rng.below(cfg.subarraysPerBank)) * rps + 4 +
+            static_cast<RowId>(rng.below(rps - 8));
+
+    std::uint64_t closes = 0;
+    auto close_pair = [&](RowId r, Time on) {
+        tw.act(r, tRp);
+        tw.pre(on);
+        ++closes;
+    };
+    // One SiMRA group open over rows r1 .. r1 | mask.
+    auto simra = [&](RowId r1, RowId mask, Time on) {
+        tw.act(r1, tRp);
+        tw.pre(on);
+        tw.act(r1 ^ mask, units::fromNs(3));
+        tw.pre(tRas);
+        ++closes;
+    };
+
+    for (int burst = 0; burst < 16; ++burst) {
+        tw.bank = static_cast<BankId>(rng.below(cfg.banks));
+        const RowId v = pool[rng.below(pool.size())];
+        // A long burst hammers past the flip threshold undisturbed, then
+        // restores the victim's flips and hammers on.
+        const bool long_burst = rng.chance(0.3);
+        const auto reps = static_cast<int>(
+            long_burst ? 400 + rng.below(600) : 40 + rng.below(200));
+        const auto period = static_cast<int>(8 + rng.below(40));
+        const int kind = static_cast<int>(rng.below(4));
+        const int sides = static_cast<int>(rng.below(3));
+        const Time on = rng.chance(0.25) ? units::fromNs(400) : tRas;
+        const RowId far = rng.chance(0.5) ? 2 : 9;
+        const int bits = 1 + static_cast<int>(rng.below(4));
+        const RowId mask = (RowId{1} << bits) - 1;
+        const RowId group = v & ~mask;
+
+        for (int i = 0; i < reps; ++i) {
+            switch (kind) {
+              case 0:
+              case 1:  // RowHammer, one- or two-sided, sometimes pressed
+                if (sides != 2)
+                    close_pair(v - 1, on);
+                if (sides != 1)
+                    close_pair(v + 1, on);
+                break;
+              case 2: {  // CoMRA copy cycles, src below the victim
+                const RowId src = v - 1;
+                const RowId dst = v / rps * rps + (src % rps + far) % rps;
+                close_pair(src, tRas);
+                tw.act(dst, units::fromNs(7.5));
+                tw.pre(tRas);
+                ++closes;
+                break;
+              }
+              case 3:  // SiMRA-N over the group holding v's neighbour
+                simra((v + 1) & ~mask, mask, units::fromNs(3));
+                break;
+            }
+            if (long_burst) {
+                if (i == reps * 3 / 4)
+                    close_pair(v, tRas);
+                continue;
+            }
+            if (i % period != period - 1)
+                continue;
+
+            const RowId target = v - 2 + static_cast<RowId>(rng.below(5));
+            switch (rng.below(10)) {
+              case 0: {  // WR through the open row
+                const RowData data = pattern();
+                tw.act(target, tRp);
+                tw.t += units::fromNs(15);
+                tw.both([&](Device &d) { d.wr(tw.t, tw.bank, data); });
+                tw.pre(tRas);
+                break;
+              }
+              case 1:  // a CoMRA copy into the victim
+                close_pair(v - 3, tRas);
+                tw.act(v, units::fromNs(7.5));
+                tw.pre(tRas);
+                break;
+              case 2:  // a SiMRA group over the victim (merges its data)
+                simra(group, mask, rng.chance(0.3) ? units::fromNs(1.5)
+                                                   : units::fromNs(3));
+                break;
+              case 3:
+              case 9:  // restore the victim's flips
+                close_pair(v, tRas);
+                break;
+              case 4:
+                for (int k = 0; k < 1 + static_cast<int>(rng.below(4));
+                     ++k) {
+                    tw.t += units::fromNs(7800);
+                    tw.both([&](Device &d) { d.ref(tw.t); });
+                }
+                tw.t += units::fromNs(350);
+                break;
+              case 5:  // a third aggressor: the victim's side changes
+                close_pair(v + 2, tRas);
+                break;
+              case 6: {
+                const RowData data = pattern();
+                tw.both([&](Device &d) {
+                    d.writeRowDirect(tw.bank, d.toLogical(target), data);
+                });
+                break;
+              }
+              case 7: {
+                const Celsius temp = 50.0 + 10.0 * rng.below(5);
+                tw.both([&](Device &d) { d.setTemperature(temp); });
+                break;
+              }
+              case 8:
+                break;
+            }
+        }
+
+        for (RowId r = v - 3; r <= v + 3; ++r) {
+            const RowId logical = tw.a.toLogical(r);
+            if (!sameRow(tw.a, tw.b, tw.bank, logical)) {
+                ADD_FAILURE() << "burst " << burst << ": bank " << tw.bank
+                              << " row " << r << " differs";
+                return closes;
+            }
+        }
+        expectSameCounters(tw.a, tw.b);
+
+        if (rng.chance(0.15)) {  // arena reuse: a new module
+            const std::uint64_t module = seed + rng.below(2);
+            tw.both([&](Device &d) { d.reset(module); });
+            tw.t = units::fromNs(100);
+            arm();
+        }
+    }
+    expectSameState(tw.a, tw.b);
+    return closes;
+}
+
+TEST(CloseMemo, MatchesRecomputeOnSeededLivePrograms)
+{
+    obs::metrics().setEnabled(true);
+    auto hits = [] {
+        for (const auto &c : obs::metrics().snapshot().counters)
+            if (c.name == "device.close_memo_hits")
+                return c.value;
+        return std::uint64_t{0};
+    };
+    const std::uint64_t before = hits();
+    std::uint64_t closes = 0;
+    for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+        closes += runMemoProgram(seed);
+        if (::testing::Test::HasFailure())
+            break;
+    }
+    const std::uint64_t memo_hits = hits() - before;
+    obs::metrics().setEnabled(false);
+    // The twin that recomputes never hits, so these are the memoized
+    // device's: most of its repeated closes must come from the memo.
+    EXPECT_GT(memo_hits, closes / 2);
 }
 
 // ---------------------------------------------------------------------------
