@@ -153,6 +153,14 @@ struct Row
      */
     bool populated = false;
 
+    /**
+     * True once the cells' CoMRA/SiMRA factors are drawn too.  A row
+     * only hammered conventionally never needs them, so they are
+     * drawn on first use (Device::rowWithFactors); until then they
+     * hold WeakCell's defaults.
+     */
+    bool factorsDrawn = false;
+
     /** When this row last closed; -1 before its first activation. */
     Time lastCloseAt = -1;
 

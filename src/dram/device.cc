@@ -71,9 +71,11 @@ Device::touchBank(BankState &bank)
 }
 
 void
-Device::populateRow(BankState &bank, RowId r)
+Device::populateRow(BankState &bank, RowId r, RowDraw what)
 {
     const CalibratedDistributions &cal = cal_;
+    const bool fresh = what != RowDraw::Factors;
+    const bool factors = what != RowDraw::Thresholds;
 
     const double comra_row_sigma = kRowShare * cal.comraFactorSigma;
     const double comra_cell_sigma = kCellShare * cal.comraFactorSigma;
@@ -83,40 +85,53 @@ Device::populateRow(BankState &bank, RowId r)
     // eager, or any interleaving -- cannot change the population.
     Rng rng = Rng::keyed(cfg_.seed, bankIndex(bank) + 1, r + 1);
 
-    Row &row = bank.rows[r];
-    row.populated = true;
-    bank.populatedIdx.push_back(r);
-    ++populatedRows_;
-    row.data = RowData(cfg_.cols);
+    // Every draw below is taken in every mode, so the stream stays in
+    // step; a lognormal whose value is not wanted skips its math but
+    // still takes Box-Muller's two uniforms.
+    auto log_normal = [&rng](bool want, double median, double sigma) {
+        if (want)
+            return rng.logNormalMedian(median, sigma);
+        rng.next();
+        rng.next();
+        return 0.0;
+    };
 
-    const double base_row = std::max(
-        100.0, rng.logNormalMedian(cal.rhMedian, cal.rhSigma));
+    Row &row = bank.rows[r];
+    if (fresh) {
+        row.populated = true;
+        bank.populatedIdx.push_back(r);
+        ++populatedRows_;
+        row.data = RowData(cfg_.cols);
+        row.cells.resize(cfg_.weakCellsPerRow);
+    }
+    row.factorsDrawn = factors;
+
+    const double base_row =
+        std::max(100.0, log_normal(fresh, cal.rhMedian, cal.rhSigma));
     // CoMRA amplifies read disturbance for essentially every row
     // (Obs. 2: 99% of rows see a lower HC_first), so the row-level
     // gain is floored just above 1.
     const double comra_row = std::max(
-        1.05,
-        rng.logNormalMedian(cal.comraFactorMedian, comra_row_sigma));
+        1.05, log_normal(factors, cal.comraFactorMedian, comra_row_sigma));
 
     double simra_row = 1.0;
     if (cfg_.profile.supportsSimra) {
         if (rng.chance(cal.simraExtremeFraction)) {
             simra_row =
-                rng.logNormalMedian(cal.simraExtremeMedian,
-                                    kRowShare * cal.simraExtremeSigma);
+                log_normal(factors, cal.simraExtremeMedian,
+                           kRowShare * cal.simraExtremeSigma);
         } else {
             simra_row =
-                rng.logNormalMedian(cal.simraRegularMedian,
-                                    kRowShare * cal.simraRegularSigma);
+                log_normal(factors, cal.simraRegularMedian,
+                           kRowShare * cal.simraRegularSigma);
         }
         simra_row = std::max(0.8, simra_row);
     }
 
-    row.cells.resize(cfg_.weakCellsPerRow);
     for (int c = 0; c < cfg_.weakCellsPerRow; ++c) {
         WeakCell &cell = row.cells[c];
 
-        // Distinct column per cell.
+        // Distinct column per cell (a redraw re-derives the same ones).
         for (;;) {
             cell.col = static_cast<ColId>(rng.below(cfg_.cols));
             bool dup = false;
@@ -127,39 +142,42 @@ Device::populateRow(BankState &bank, RowId r)
                 break;
         }
 
-        const double mult =
-            c == 0 ? 1.0 : std::exp(rng.uniform(0.08, 1.3));
-        cell.baseHc = static_cast<float>(base_row * mult);
-
-        cell.comraFactor = static_cast<float>(std::max(
-            1.02,
-            comra_row * std::exp(comra_cell_sigma * rng.gaussian())));
+        const double mult_log = c == 0 ? 0.0 : rng.uniform(0.08, 1.3);
+        const double comra = log_normal(factors, comra_row, comra_cell_sigma);
+        if (factors)
+            cell.comraFactor = static_cast<float>(std::max(1.02, comra));
 
         if (cfg_.profile.supportsSimra) {
             const double cell_simra = std::max(
-                0.3, simra_row * std::exp(kCellShare *
-                                          cal.simraRegularSigma *
-                                          rng.gaussian()));
-            double jitter[5];
-            rng.gaussianBlock(jitter, 5);
+                0.3, log_normal(factors, simra_row,
+                                kCellShare * cal.simraRegularSigma));
             for (int n = 0; n < 5; ++n) {
-                cell.simraFactor[n] = static_cast<float>(std::max(
-                    0.2, cell_simra * std::exp(kSimraPerNJitterSigma *
-                                               jitter[n])));
+                const double f =
+                    log_normal(factors, cell_simra, kSimraPerNJitterSigma);
+                if (factors)
+                    cell.simraFactor[n] =
+                        static_cast<float>(std::max(0.2, f));
             }
         }
 
-        cell.tempSlopeConv =
-            static_cast<float>(rng.uniform(-0.35, 0.5));
-        cell.upperShare = static_cast<float>(rng.uniform(0.38, 0.62));
-        cell.dstRoleGain =
-            static_cast<float>(std::exp(0.04 * rng.gaussian()));
-        cell.dirConv = rng.chance(kConvZeroToOneFraction)
-                           ? FlipDirection::ZeroToOne
-                           : FlipDirection::OneToZero;
-        cell.dirSimra = rng.chance(kSimraOneToZeroFraction)
-                            ? FlipDirection::OneToZero
-                            : FlipDirection::ZeroToOne;
+        const double temp_slope = rng.uniform(-0.35, 0.5);
+        const double upper_share = rng.uniform(0.38, 0.62);
+        const double dst_role = log_normal(factors, 1.0, 0.04);
+        if (factors)
+            cell.dstRoleGain = static_cast<float>(dst_role);
+        const bool conv_zero_to_one = rng.chance(kConvZeroToOneFraction);
+        const bool simra_one_to_zero = rng.chance(kSimraOneToZeroFraction);
+        if (!fresh)
+            continue;
+
+        cell.baseHc = static_cast<float>(
+            base_row * (c == 0 ? 1.0 : std::exp(mult_log)));
+        cell.tempSlopeConv = static_cast<float>(temp_slope);
+        cell.upperShare = static_cast<float>(upper_share);
+        cell.dirConv = conv_zero_to_one ? FlipDirection::ZeroToOne
+                                        : FlipDirection::OneToZero;
+        cell.dirSimra = simra_one_to_zero ? FlipDirection::OneToZero
+                                          : FlipDirection::ZeroToOne;
         cell.resetDamage();
     }
 }
@@ -215,8 +233,7 @@ Device::materializeAllRows()
     for (BankState &bank : banks_) {
         touchBank(bank);
         for (RowId r = 0; r < cfg_.rowsPerBank(); ++r)
-            if (!bank.rows[r].populated)
-                populateRow(bank, r);
+            rowWithFactors(bank, r);
     }
 }
 
@@ -225,7 +242,8 @@ Device::weakCells(BankId bank, RowId logical_row) const
 {
     // Lazy materialization is an internal cache: logically const.
     auto *self = const_cast<Device *>(this);
-    return self->rowAt(self->banks_[bank], toPhysical(logical_row))
+    return self
+        ->rowWithFactors(self->banks_[bank], toPhysical(logical_row))
         .cells;
 }
 
@@ -389,9 +407,12 @@ Device::applyPendingClose(BankState &bank, const BankProtocol::Step *copy)
     // applyClose charges damage onto every weak cell in the closing
     // aggressors' +-2 same-subarray blast radius; those victim rows
     // must have their cell populations drawn before the deposit, or a
-    // lazily-built device would silently drop it.  While a loop
-    // records, the same walk over-approximates the deposit victims as
-    // body-touched (with the aggressors, whose lastSide advances).
+    // lazily-built device would silently drop it -- with the CoMRA /
+    // SiMRA factors, which only a non-conventional close reads.  While
+    // a loop records, the same walk over-approximates the deposit
+    // victims as body-touched (with the aggressors, whose lastSide
+    // advances).
+    const bool factors = ev.cls != TechClass::Conventional;
     const bool track = recorder_.active && !recorder_.inRefresh;
     std::vector<RowId> *touched =
         track ? &loopRecord_.tracked[bankIndex(bank)] : nullptr;
@@ -405,7 +426,10 @@ Device::applyPendingClose(BankState &bank, const BankProtocol::Step *copy)
             if (v < 0 || v >= nrows ||
                 subarrayOfPhysical(static_cast<RowId>(v)) != sub)
                 continue;
-            rowAt(bank, static_cast<RowId>(v));
+            if (factors)
+                rowWithFactors(bank, static_cast<RowId>(v));
+            else
+                rowAt(bank, static_cast<RowId>(v));
             if (track)
                 touched->push_back(static_cast<RowId>(v));
         }
@@ -967,11 +991,16 @@ Device::writeRowDirect(BankId b, RowId logical_row, const RowData &data)
     BankState &bank = banks_.at(b);
     const RowId phys = mapping_.toPhysical(logical_row);
     Row &row = rowAt(bank, phys);
-    row.data = data;
-    disturb_.invalidateCloses();  // new data, and trialScale redraws
+    // A close reads neither the damage this clears nor (it checks it
+    // per victim) lastSide, so an identical rewrite keeps the memo.
+    const bool redraw = cfg_.trialNoiseSigma > 0.0;
+    if (row.data != data || redraw) {
+        row.data = data;
+        disturb_.invalidateCloses();
+    }
     for (WeakCell &c : row.cells) {
         c.resetDamage();
-        if (cfg_.trialNoiseSigma > 0.0) {
+        if (redraw) {
             // A host write starts a fresh trial: redraw the cell's
             // run-to-run threshold jitter.
             c.trialScale = static_cast<float>(

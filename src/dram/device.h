@@ -335,8 +335,26 @@ class Device
     /** First-touch bank shell: size the row array and TRR ring. */
     void touchBank(BankState &bank);
 
-    /** Draw one row's data and weak cells from its keyed stream. */
-    void populateRow(BankState &bank, RowId physical);
+    /** What populateRow() draws from a row's keyed stream. */
+    enum class RowDraw : std::uint8_t
+    {
+        /** A new row: its data and every cell field but the CoMRA /
+         *  SiMRA factors (comraFactor, simraFactor, dstRoleGain),
+         *  which only non-conventional closes read. */
+        Thresholds,
+        /** Only those factors, into a row drawn as Thresholds. */
+        Factors,
+        /** A new row, factors included. */
+        All,
+    };
+
+    /**
+     * Draw a row from its keyed stream.  Every mode walks the whole
+     * stream, so the factors come out the same whether a row is drawn
+     * All at once or Thresholds first and Factors later.
+     */
+    void populateRow(BankState &bank, RowId physical,
+                     RowDraw what = RowDraw::Thresholds);
 
     /** Materializing accessor: every row mutation goes through here. */
     Row &
@@ -346,6 +364,18 @@ class Device
         Row &row = bank.rows[physical];
         if (!row.populated) [[unlikely]]
             populateRow(bank, physical);
+        return row;
+    }
+
+    /** rowAt(), with the row's CoMRA/SiMRA factors drawn. */
+    Row &
+    rowWithFactors(BankState &bank, RowId physical)
+    {
+        touchBank(bank);
+        Row &row = bank.rows[physical];
+        if (!row.factorsDrawn) [[unlikely]]
+            populateRow(bank, physical,
+                        row.populated ? RowDraw::Factors : RowDraw::All);
         return row;
     }
 

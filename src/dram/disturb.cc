@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 
 #include "util/logging.h"
 
@@ -215,7 +216,7 @@ DisturbanceModel::pressGain(TechClass cls, int simra_n, Time t_on) const
 }
 
 double
-DisturbanceModel::offGain(Time reopen_gap) const
+DisturbanceModel::offGain(Time reopen_gap)
 {
     if (reopen_gap <= 0)
         return 1.0;
@@ -225,6 +226,22 @@ DisturbanceModel::offGain(Time reopen_gap) const
     // matching Obs. 5 (ss-CoMRA and far-ds-RH beat ss-RH ~1.4x).
     const double ratio = units::toNs(reopen_gap) / 63.5;
     return std::min(1.05, std::pow(ratio, 0.25));
+}
+
+Time
+DisturbanceModel::offGapKey(Time reopen_gap)
+{
+    // Bisect offGain() (non-decreasing) for the first gap at its cap.
+    static const Time saturation = [] {
+        const double cap = offGain(std::numeric_limits<Time>::max());
+        Time lo = 0, hi = std::numeric_limits<Time>::max();
+        while (hi - lo > 1) {  // offGain(lo) < cap == offGain(hi)
+            const Time mid = lo + (hi - lo) / 2;
+            (offGain(mid) < cap ? lo : hi) = mid;
+        }
+        return hi;
+    }();
+    return std::clamp<Time>(reopen_gap, 0, saturation);
 }
 
 double
@@ -374,11 +391,6 @@ bool
 DisturbanceModel::applyClose(std::vector<Row> &rows, const CloseEvent &event,
                              Celsius temperature, std::uint32_t bank)
 {
-    if (closesInGen_ < kMemoWarmup) {
-        ++closesInGen_;
-        computeClose<false>(rows, event, temperature);
-        return false;
-    }
     if (memoSlots_.empty()) [[unlikely]] {
         memoSlots_.resize(kMemoSlots);
         memoEntries_.reserve(kMemoEntries + 1);
@@ -390,6 +402,7 @@ DisturbanceModel::applyClose(std::vector<Row> &rows, const CloseEvent &event,
     // The slot hash covers the fields that tell a body's closes apart;
     // the rest only take part in the full key compare.  Independent
     // products keep it off the miss path's critical chain.
+    const Time gap_key = offGapKey(event.reopenGap);
     const std::uint64_t edges =
         event.rows.empty()
             ? 0
@@ -403,20 +416,20 @@ DisturbanceModel::applyClose(std::vector<Row> &rows, const CloseEvent &event,
          static_cast<std::uint64_t>(bank) << 40) *
             0x9E3779B97F4A7C15ULL ^
         static_cast<std::uint64_t>(event.tOn) * 0xC2B2AE3D27D4EB4FULL ^
-        static_cast<std::uint64_t>(event.reopenGap) * 0x165667B19E3779F9ULL ^
+        static_cast<std::uint64_t>(gap_key) * 0x165667B19E3779F9ULL ^
         (static_cast<std::uint64_t>(event.comraPartner) ^ temp_bits) *
             0xD6E8FEB86659FD93ULL;
 
     MemoSlot &slot = memoSlots_[h >> (64 - std::countr_zero(kMemoSlots))];
     if (slot.gen != memoGen_ || slot.hash != h) {
         // A new key takes the slot over.
-        slot = {h, memoGen_, 0, kNoEntry};
+        slot = {h, memoGen_, 0, {kNoEntry, kNoEntry}, 0};
     }
 
     MemoKey key;
     key.rowArray = rows.data();
     key.tOn = event.tOn;
-    key.reopenGap = event.reopenGap;
+    key.reopenGap = gap_key;
     key.comraDelay = event.comraDelay;
     key.simraActToPre = event.simraActToPre;
     key.simraPreToAct = event.simraPreToAct;
@@ -427,21 +440,23 @@ DisturbanceModel::applyClose(std::vector<Row> &rows, const CloseEvent &event,
     key.cls = event.cls;
     key.comraDstRole = event.comraDstRole;
 
-    if (slot.entry != kNoEntry) {
-        const MemoEntry &e = memoEntries_[slot.entry];
+    for (std::uint32_t w = 0; w < 2; ++w) {
+        if (slot.way[w] == kNoEntry)
+            continue;
+        const MemoEntry &e = memoEntries_[slot.way[w]];
         if (e.key == key &&
             std::equal(event.rows.begin(), event.rows.end(),
                        memoRows_.begin() + e.rowsAt) &&
             replayMemo(e)) {
-            slot.misses = 0;  // a lone miss after a hit does not refill
+            slot.victim = 1 - w;
             return true;
         }
     }
 
-    // Miss: compute the close.  A key that misses kMemoAdmit times in a
-    // row is (re)filled, recording its outcome as it is computed.  Until
-    // then a miss only counts on the slot, so closes that keep changing
-    // cost a hash and a slot probe.
+    // Miss: compute the close.  A key that misses kMemoAdmit times since
+    // its last fill is filled into a way, recording its outcome as it
+    // is computed.  Until then a miss only counts on the slot, so closes
+    // that keep changing cost a hash and a slot probe.
     if (++slot.misses < kMemoAdmit) {
         computeClose<false>(rows, event, temperature);
         return false;
@@ -451,10 +466,11 @@ DisturbanceModel::applyClose(std::vector<Row> &rows, const CloseEvent &event,
         memoVictims_.size() >= kMemoVictims ||
         memoDeposits_.size() >= kMemoDeposits) [[unlikely]] {
         invalidateCloses();  // full: start over, from this entry
-        slot.gen = memoGen_;
+        slot = {h, memoGen_, 0, {kNoEntry, kNoEntry}, 0};
     }
     slot.misses = 0;
-    slot.entry = static_cast<std::uint32_t>(memoEntries_.size());
+    slot.way[slot.victim] = static_cast<std::uint32_t>(memoEntries_.size());
+    slot.victim = 1 - slot.victim;
     MemoEntry &e = memoEntries_.emplace_back();
     e.key = key;
     e.rowsAt = static_cast<std::uint32_t>(memoRows_.size());

@@ -262,7 +262,10 @@ class DamageFold
  * recorded deposits (the same float adds into the same accumulators in
  * the same order) instead of recomputing them.  Everything else a
  * close reads is row data and weak-cell parameters, so whoever owns
- * the rows must call invalidateCloses() whenever either changes.
+ * the rows must call invalidateCloses() whenever either changes.  (A
+ * row's CoMRA/SiMRA factors may be drawn after an entry over it was
+ * filled, but only by a close that is about to read them -- so no
+ * entry ever read their undrawn values.)
  */
 class DisturbanceModel
 {
@@ -295,7 +298,6 @@ class DisturbanceModel
     invalidateCloses()
     {
         ++memoGen_;
-        closesInGen_ = 0;
         memoEntries_.clear();
         memoRows_.clear();
         memoVictims_.clear();
@@ -357,7 +359,14 @@ class DisturbanceModel
     double regionGain(TechClass cls, int simra_n, Region region) const;
 
     /** Aggressor off-time gain (conventional class only). */
-    double offGain(Time reopen_gap) const;
+    static double offGain(Time reopen_gap);
+
+    /**
+     * The reopen gap a close is memoized under: `reopen_gap` clamped
+     * to [0, the smallest gap offGain() maps to its cap], the range
+     * over which offGain() -- the gap's only reader -- still varies.
+     */
+    static Time offGapKey(Time reopen_gap);
 
     /** Region of a physical row within its subarray. */
     Region regionOf(RowId physical_row) const;
@@ -433,16 +442,7 @@ class DisturbanceModel
 
     /** Memo slots (direct-mapped by key hash; a power of two). */
     static constexpr std::size_t kMemoSlots = 256;
-    /**
-     * Closes of each generation that bypass the memo.  A population
-     * probe rewrites its rows (a new generation) and runs only three
-     * live iterations before loop replay takes over -- six closes for
-     * a double-sided RowHammer -- so its closes never repeat often
-     * enough to pay for a lookup, or for the memo's memory; a long
-     * naive loop barely notices the delay.
-     */
-    static constexpr std::uint32_t kMemoWarmup = 8;
-    /** Consecutive misses that admit a key into its slot. */
+    /** Misses of a slot's key, since its last fill, that admit it. */
     static constexpr std::uint32_t kMemoAdmit = 2;
     /**
      * What the memo holds before it starts over.  A fill begins only
@@ -516,13 +516,21 @@ class DisturbanceModel
 
     static constexpr std::uint32_t kNoEntry = ~std::uint32_t{0};
 
-    /** The last key hash that reached a slot, in generation `gen`. */
+    /**
+     * The last key hash that reached a slot, in generation `gen`, and
+     * up to two entries of that key.  A key recurs with its victims in
+     * more than one lastSide state -- a probe's first close finds them
+     * fresh from a host write, its later ones in the steady state --
+     * so each state gets a way, and a fill replaces the less recently
+     * used one (hit or filled).
+     */
     struct MemoSlot
     {
         std::uint64_t hash = 0;
         std::uint64_t gen = 0;
-        std::uint32_t misses = 0;  //!< consecutive, since the last hit
-        std::uint32_t entry = kNoEntry;  //!< into memoEntries_
+        std::uint32_t misses = 0;  //!< since the slot's last fill
+        std::uint32_t way[2] = {kNoEntry, kNoEntry};  //!< into memoEntries_
+        std::uint32_t victim = 0;  //!< the way the next fill replaces
     };
 
     /** applyClose() without the memo; with `kFill` it also appends
@@ -543,18 +551,20 @@ class DisturbanceModel
      * changes a row's data or weak cells -- a missed site is a silently
      * wrong result:
      *  - reset() (frees every populated row's cells)
-     *  - writeRowDirect() (new data; trialScale redraws)
+     *  - writeRowDirect(), when the row's data changes or its cells'
+     *    trialScale redraws
      *  - wr(), when an open row's data changes
      *  - the CoMRA copy in act(), when the destination's data changes
      *  - majorityMerge(), when the group's rows differ
      *  - restoreRow(), when a flipped cell toggles its bit
      * populateRow() needs none: every row an entry reads was populated
      * before the entry was filled, and rows only stop being populated
-     * through reset().  The temperature is part of the key, and
-     * lastSide is validated per victim.
+     * through reset(); drawing a row's CoMRA/SiMRA factors fills in
+     * values no entry has read.  Damage resets need none either: a
+     * close adds to the damage but never reads it.  The temperature is
+     * part of the key, and lastSide is validated per victim.
      */
     std::uint64_t memoGen_ = 1;
-    std::uint32_t closesInGen_ = 0;  //!< up to kMemoWarmup
     /** Sized on the first lookup, when the buffers below are reserved
      *  at their caps, so a warm device's closes do not allocate. */
     std::vector<MemoSlot> memoSlots_;

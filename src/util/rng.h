@@ -150,20 +150,6 @@ class Rng
             out[i] = next();
     }
 
-    /**
-     * Fill `out[0..n)` with standard-normal draws, bit-identical to n
-     * successive gaussian() calls (same Box-Muller, two uniforms per
-     * draw, no cached spare).  Batching keeps the sqrt/log/cos chain in
-     * one loop the compiler can software-pipeline; callers rely on the
-     * sequence equivalence for seed-stable populations.
-     */
-    void
-    gaussianBlock(double *out, std::size_t n)
-    {
-        for (std::size_t i = 0; i < n; ++i)
-            out[i] = gaussian();
-    }
-
     /** Fork an independent stream keyed by an arbitrary tag. */
     Rng
     fork(std::uint64_t tag)

@@ -243,4 +243,55 @@ TEST(ZeroAlloc, WarmLivePassAllocatesNothing)
     EXPECT_GT(dev.counters().comraCopies, 0u);
 }
 
+/**
+ * A fleet-style HC_first probe: host writes of the victim's and its
+ * aggressors' data -- identical to the previous probe's -- then a
+ * fast-pathed RowHammer loop.  The rewrites keep the close memo, so a
+ * warm probe's live closes hit it, and the probe allocates nothing.
+ */
+TEST(ZeroAlloc, WarmIdenticalRewriteProbeAllocatesNothing)
+{
+    DeviceConfig cfg = makeConfig("HMA81GU7AFR8N-UH", 5);
+    cfg.banks = 1;
+    cfg.subarraysPerBank = 2;
+    cfg.rowsPerSubarray = 64;
+    Device dev(cfg);
+    hammer::PatternTimings pt;
+    pt.base = cfg.timings;
+    const RowId a1 = dev.toLogical(20), v = dev.toLogical(21),
+                a2 = dev.toLogical(22);
+    const std::vector<bender::Inst> body = loopBody(
+        hammer::doubleSidedRowHammer(0, a1, a2, 1000, pt));
+    ASSERT_EQ(body.size(), 4u);
+    const RowData victim_data(cfg.cols, DataPattern::P55);
+    const RowData aggr_data(cfg.cols, DataPattern::PAA);
+
+    obs::metrics().setEnabled(true);
+    auto memo_hits = [] {
+        for (const auto &c : obs::metrics().snapshot().counters)
+            if (c.name == "device.close_memo_hits")
+                return c.value;
+        return std::uint64_t{0};
+    };
+    Time t = 0;
+    auto probe = [&] {
+        dev.writeRowDirect(0, a1, aggr_data);
+        dev.writeRowDirect(0, v, victim_data);
+        dev.writeRowDirect(0, a2, aggr_data);
+        return fastPathPass(dev, body, 1000, t);
+    };
+    for (int i = 0; i < 3; ++i)
+        probe();
+
+    const std::uint64_t hits_before = memo_hits();
+    const std::size_t before = gNewCalls;
+    const std::uint64_t replayed = probe();
+    const std::size_t allocations = gNewCalls - before;
+    // All six live closes (three iterations of two) come from the memo.
+    EXPECT_EQ(memo_hits() - hits_before, 6u);
+    obs::metrics().setEnabled(false);
+    EXPECT_EQ(replayed, 997u);
+    EXPECT_EQ(allocations, 0u);
+}
+
 } // namespace

@@ -448,6 +448,32 @@ struct MemoTwin
     Time t = units::fromNs(100);
 };
 
+/** Whether two values agree bit for bit (floats included). */
+template <typename T>
+bool
+sameBits(const T &x, const T &y)
+{
+    return std::memcmp(&x, &y, sizeof x) == 0;
+}
+
+// A new WeakCell field must join sameCell() below.
+static_assert(sizeof(WeakCell) == 64);
+
+/** Whether two weak cells agree in every field, bit for bit. */
+bool
+sameCell(const WeakCell &x, const WeakCell &y)
+{
+    return x.col == y.col && sameBits(x.baseHc, y.baseHc) &&
+           sameBits(x.comraFactor, y.comraFactor) &&
+           sameBits(x.simraFactor, y.simraFactor) &&
+           sameBits(x.tempSlopeConv, y.tempSlopeConv) &&
+           x.dirConv == y.dirConv && x.dirSimra == y.dirSimra &&
+           sameBits(x.upperShare, y.upperShare) &&
+           sameBits(x.dstRoleGain, y.dstRoleGain) &&
+           sameBits(x.trialScale, y.trialScale) &&
+           sameBits(x.damage, y.damage);
+}
+
 /** Whether a (logical) row's data, weak cells and side state agree
  *  bit for bit (materializes the row in both devices). */
 bool
@@ -459,16 +485,7 @@ sameRow(Device &a, Device &b, BankId bank, RowId logical)
         return false;
     const std::vector<WeakCell> &wa = a.weakCells(bank, logical);
     const std::vector<WeakCell> &wb = b.weakCells(bank, logical);
-    if (wa.size() != wb.size())
-        return false;
-    for (std::size_t i = 0; i < wa.size(); ++i) {
-        if (std::memcmp(wa[i].damage.data(), wb[i].damage.data(),
-                        sizeof wa[i].damage) != 0 ||
-            std::memcmp(&wa[i].trialScale, &wb[i].trialScale,
-                        sizeof wa[i].trialScale) != 0)
-            return false;
-    }
-    return true;
+    return std::equal(wa.begin(), wa.end(), wb.begin(), wb.end(), sameCell);
 }
 
 void
@@ -511,10 +528,13 @@ expectSameState(Device &a, Device &b)
  * enough to flip cells.  Every few iterations an event lands in the
  * burst: a WR, a CoMRA copy into the victim, a SiMRA group over it, an
  * ACT that restores its flips, REFs, a close of a third aggressor (a
- * side change), a host write or a temperature change.  Between bursts
- * the device may be reset to a new module.  TRR is on for odd seeds
- * and a PARA hook is attached for every third; thresholds are scaled
- * down 100x so flips come quickly.  Returns the closes issued.
+ * side change), a host write or a temperature change.  Half the
+ * bursts start like an HC_first probe: host writes of the victim's and
+ * its aggressors' fixed data, which rewrite identical data once the
+ * victim was probed before.  Between bursts the device may be reset to
+ * a new module.  TRR is on for odd seeds and a PARA hook is attached
+ * for every third; thresholds are scaled down 100x so flips come
+ * quickly.  Returns the closes issued.
  */
 std::uint64_t
 runMemoProgram(std::uint64_t seed)
@@ -552,6 +572,12 @@ runMemoProgram(std::uint64_t seed)
     for (RowId &v : pool)
         v = static_cast<RowId>(rng.below(cfg.subarraysPerBank)) * rps + 4 +
             static_cast<RowId>(rng.below(rps - 8));
+    // Each victim's probe data: its own, and its aggressors'.
+    std::array<RowData, pool.size()> victim_data, aggr_data;
+    for (std::size_t k = 0; k < pool.size(); ++k) {
+        victim_data[k] = pattern();
+        aggr_data[k] = pattern();
+    }
 
     std::uint64_t closes = 0;
     auto close_pair = [&](RowId r, Time on) {
@@ -570,7 +596,15 @@ runMemoProgram(std::uint64_t seed)
 
     for (int burst = 0; burst < 16; ++burst) {
         tw.bank = static_cast<BankId>(rng.below(cfg.banks));
-        const RowId v = pool[rng.below(pool.size())];
+        const std::size_t vk = rng.below(pool.size());
+        const RowId v = pool[vk];
+        if (rng.chance(0.5)) {
+            tw.both([&](Device &d) {
+                d.writeRowDirect(tw.bank, d.toLogical(v - 1), aggr_data[vk]);
+                d.writeRowDirect(tw.bank, d.toLogical(v), victim_data[vk]);
+                d.writeRowDirect(tw.bank, d.toLogical(v + 1), aggr_data[vk]);
+            });
+        }
         // A long burst hammers past the flip threshold undisturbed, then
         // restores the victim's flips and hammers on.
         const bool long_burst = rng.chance(0.3);
@@ -737,22 +771,70 @@ TEST(DeviceLazy, WeakCellsIdenticalToEagerInAnyAccessOrder)
     // materialization order maximally different from the eager sweep.
     for (RowId r = cfg.rowsPerBank(); r-- > 0;) {
         for (BankId b = 0; b < cfg.banks; ++b) {
+            // Odd rows materialize through a host read first, which
+            // leaves their CoMRA/SiMRA factors for weakCells() to draw.
+            if (r % 2 == 1) {
+                EXPECT_EQ(eager.readRowDirect(b, r),
+                          lazy.readRowDirect(b, r));
+            }
             const auto &e = eager.weakCells(b, r);
             const auto &l = lazy.weakCells(b, r);
             ASSERT_EQ(e.size(), l.size()) << "bank " << b << " row " << r;
-            for (std::size_t i = 0; i < e.size(); ++i) {
-                EXPECT_EQ(e[i].col, l[i].col);
-                EXPECT_EQ(e[i].baseHc, l[i].baseHc);
-                EXPECT_EQ(e[i].comraFactor, l[i].comraFactor);
-                EXPECT_EQ(e[i].simraFactor, l[i].simraFactor);
-                EXPECT_EQ(e[i].tempSlopeConv, l[i].tempSlopeConv);
-                EXPECT_EQ(e[i].dirConv, l[i].dirConv);
-                EXPECT_EQ(e[i].dirSimra, l[i].dirSimra);
-            }
+            for (std::size_t i = 0; i < e.size(); ++i)
+                EXPECT_TRUE(sameCell(e[i], l[i]))
+                    << "bank " << b << " row " << r << " cell " << i;
             EXPECT_EQ(eager.readRowDirect(b, r), lazy.readRowDirect(b, r));
         }
     }
     EXPECT_EQ(lazy.populatedRowCount(), eager.populatedRowCount());
+}
+
+/**
+ * Rows that RowHammer closes materialize get no CoMRA/SiMRA factors;
+ * the first CoMRA or SiMRA close over them draws those.  After RH
+ * traffic, then CoMRA copy cycles over one victim and SiMRA-4/-8
+ * groups that sandwich others, a lazy device must hold exactly what a
+ * fully drawn one holds: data, every cell field (damage included),
+ * side state and counters.  Thresholds are scaled down 100x, so cells
+ * flip and restores toggle data along the way.
+ */
+TEST(DeviceLazy, FactorsDrawnAfterRowHammerMatchEager)
+{
+    DeviceConfig cfg = smallConfig();  // SK Hynix: SiMRA-capable
+    for (double *anchor : {&cfg.profile.rhMin, &cfg.profile.rhAvg,
+                           &cfg.profile.comraMin, &cfg.profile.comraAvg,
+                           &cfg.profile.simraMin, &cfg.profile.simraAvg})
+        *anchor /= 100;
+    Device eager(cfg), lazy(cfg);
+    eager.materializeAllRows();
+
+    for (Device *dev : {&eager, &lazy}) {
+        Cmd c(*dev);
+        auto at = [dev](RowId phys) { return dev->toLogical(phys); };
+        auto simra = [&](RowId r1, RowId r2) {
+            c.act(0, at(r1))
+                .pre(0, units::fromNs(3))
+                .act(0, at(r2), units::fromNs(3))
+                .pre(0);
+        };
+        for (int i = 0; i < 400; ++i) {  // double-sided RH on 22 and 34
+            c.act(0, at(21)).pre(0).act(0, at(23)).pre(0);
+            c.act(0, at(33)).pre(0).act(0, at(35)).pre(0);
+        }
+        for (int i = 0; i < 400; ++i)  // CoMRA copy cycles 21 -> 23
+            c.act(0, at(21)).pre(0).act(0, at(23), units::fromNs(7.5)).pre(0);
+        for (int i = 0; i < 400; ++i)
+            simra(32, 38);  // SiMRA-4 over {32, 34, 36, 38}
+        for (int i = 0; i < 400; ++i)
+            simra(32, 46);  // SiMRA-8 over {32, 34, ..., 46}
+        dev->flush();
+    }
+    EXPECT_LE(lazy.populatedRowCount(), 32u);
+    EXPECT_EQ(lazy.counters().comraCopies, 400u);
+    EXPECT_EQ(lazy.counters().simraOps, 800u);
+    expectSameCounters(eager, lazy);
+    for (RowId r = 0; r < cfg.rowsPerBank(); ++r)
+        EXPECT_TRUE(sameRow(eager, lazy, 0, r)) << "row " << r;
 }
 
 /**

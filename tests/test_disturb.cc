@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <cstring>
 #include <unordered_map>
 #include <vector>
@@ -94,6 +96,39 @@ TEST(ComraDelayGain, PaperEndpoints)
     const DisturbanceModel micron(micronConfig());
     EXPECT_NEAR(1.0 / micron.comraDelayGain(units::fromNs(12.0)), 1.18,
                 1e-2);
+}
+
+TEST(OffGain, MemoKeyClampPreservesTheGain)
+{
+    // The close memo keys a close's reopen gap by offGapKey(): the key
+    // may only merge gaps offGain() cannot tell apart.
+    using DM = DisturbanceModel;
+    constexpr Time kMax = std::numeric_limits<Time>::max();
+    const Time sat = DM::offGapKey(kMax);
+    // offGain() caps at 1.05, about 63.5 ns * 1.05^4.
+    EXPECT_NEAR(units::toNs(sat), 63.5 * std::pow(1.05, 4), 1e-3);
+    EXPECT_EQ(DM::offGain(sat), 1.05);
+    EXPECT_LT(DM::offGain(sat - 1), DM::offGain(sat));  // a tight clamp
+
+    const Time gaps[] = {std::numeric_limits<Time>::min(),
+                         -units::fromNs(101000),
+                         -1,
+                         0,
+                         1,
+                         units::fromNs(15),
+                         units::fromNs(63.5),
+                         sat - 1,
+                         sat,
+                         sat + 1,
+                         2 * sat,
+                         units::fromNs(70200),
+                         kMax / 2,
+                         kMax};
+    for (const Time g : gaps) {
+        const Time key = DM::offGapKey(g);
+        EXPECT_EQ(DM::offGain(g), DM::offGain(key)) << "gap " << g;
+        EXPECT_EQ(key, std::clamp<Time>(g, 0, sat)) << "gap " << g;
+    }
 }
 
 TEST(SimraTimingGain, PartialActivationPenalty)
