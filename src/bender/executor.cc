@@ -19,6 +19,23 @@ constexpr std::uint64_t kReadReserveCap = 1ULL << 20;
 /** Plan-cache entries kept before the cache is dropped wholesale. */
 constexpr std::size_t kPlanCacheCap = 64;
 
+/**
+ * Longest loop body (in instructions, LoopEnd included) that keeps a
+ * prefix log.  Probe patterns are four commands long; a log grows with
+ * the body -- a SiMRA group's close alone logs hundreds of deposits --
+ * and one-off programs with long bodies never reuse theirs.
+ */
+constexpr std::size_t kPrefixLogBody = 16;
+
+/** Bump a prefix-log counter in the stats and the metrics. */
+void
+countPrefix(std::uint64_t &stat, const char *metric)
+{
+    ++stat;
+    if (obs::metricsOn()) [[unlikely]]
+        obs::metrics().add(obs::metrics().counterId(metric));
+}
+
 } // namespace
 
 void
@@ -108,6 +125,16 @@ Executor::execLoop(const Program &program, const ExecPlan &plan,
     std::uint64_t it = 0;
     int strikes = 0;
 
+    // The first chunk of a short, flat, REF-free top-level loop comes
+    // from the loop's prefix log when the device passes its guards,
+    // and fills it otherwise (DESIGN.md §4.2).
+    const LoopNode &node = program.loops()[loop_index];
+    dram::Device::PrefixLog *log =
+        node.parent == Program::npos && cls == BodyClass::Simple &&
+                node.end - node.begin <= kPrefixLogBody
+            ? &prefixLog(loop_index)
+            : nullptr;
+
     // Each chunk: two warm-up iterations reach steady state (CoMRA
     // copies settle, side-alternation state stabilizes), one recorded
     // iteration captures the periodic deltas, then the remainder
@@ -119,14 +146,28 @@ Executor::execLoop(const Program &program, const ExecPlan &plan,
     // chunks we stop re-recording and finish naively.
     while (n - it >= kFastPathThreshold && strikes < 2) {
         const Time chunk_start = cursor;
-        body();
-        body();
-        device_->beginLoopRecording();
-        recording_ = true;
-        body();
-        recording_ = false;
-        const dram::Device::LoopRecord &rec =
-            device_->endLoopRecording();
+        const dram::Device::LoopRecord *recorded;
+        if (log != nullptr && device_->applyPrefixLog(*log, chunk_start)) {
+            cursor += log->duration();
+            recorded = &log->record();
+            countPrefix(stats_.prefixReuses, "executor.prefix_reuses");
+        } else {
+            const bool logging =
+                log != nullptr && device_->beginPrefixLog(*log, chunk_start);
+            body();
+            body();
+            device_->beginLoopRecording();
+            recording_ = true;
+            body();
+            recording_ = false;
+            recorded = &device_->endLoopRecording();
+            if (logging && device_->endPrefixLog(cursor)) {
+                recorded = &log->record();
+                countPrefix(stats_.prefixFills, "executor.prefix_fills");
+            }
+        }
+        log = nullptr;
+        const dram::Device::LoopRecord &rec = *recorded;
         it += 3;
         if (obs::traceOn()) [[unlikely]]
             obs::trace().event("fastpath_record",
@@ -142,9 +183,12 @@ Executor::execLoop(const Program &program, const ExecPlan &plan,
         const std::uint64_t replayed =
             device_->replayLoopIterations(rec, n - it);
         if (replayed > 0) {
-            const Time skipped =
-                satMulT(costs.loops[loop_index].duration, replayed);
-            device_->shiftLoopTimestamps(chunk_start, skipped);
+            const Time period = costs.loops[loop_index].duration;
+            const Time skipped = satMulT(period, replayed);
+            // Only what the recorded iteration stamped recurs in every
+            // skipped one: a row the warm-ups alone closed keeps its
+            // stamp.
+            device_->shiftLoopTimestamps(cursor - period, skipped);
             cursor += skipped;
             it += replayed;
             result.fastPathIterations += replayed;
@@ -240,28 +284,63 @@ Executor::preflightCheck(const Program &program)
     }
 }
 
-const ExecPlan &
+dram::Device::PrefixLog &
+Executor::prefixLog(std::size_t loop_index)
+{
+    PrefixSlot *free = nullptr;
+    for (PrefixSlot &slot : prefixLogs_) {
+        if (slot.loop == loop_index)
+            return slot.log;
+        if (slot.loop == Program::npos && free == nullptr)
+            free = &slot;
+    }
+    if (free == nullptr)
+        free = &prefixLogs_.emplace_back();
+    free->loop = loop_index;
+    return free->log;
+}
+
+void
+Executor::freePrefixLogs()
+{
+    for (PrefixSlot &slot : prefixLogs_) {
+        slot.loop = Program::npos;
+        slot.log.clear();
+    }
+}
+
+const std::shared_ptr<const ExecPlan> &
 Executor::planFor(const Program &program)
 {
+    auto hit = [&](std::uint64_t hash) {
+        ++stats_.planCacheHits;
+        if (obs::metricsOn()) [[unlikely]] {
+            static const obs::CounterId c =
+                obs::metrics().counterId("executor.plan_cache_hits");
+            obs::metrics().add(c);
+        }
+        if (obs::traceOn()) [[unlikely]]
+            obs::trace().event("plan_cache_hit", {{"hash", hash}});
+    };
+
+    // Consecutive runs of one shape -- an HC_first search's probes --
+    // find the plan that ran last without hashing the program.
+    if (lastPlan_ != nullptr && (lastLinted_ || !preflight_) &&
+        lastPlan_->matchesShape(program)) {
+        hit(lastPlan_->shapeHash());
+        return lastPlan_;
+    }
+
     const std::uint64_t hash = shapeHashOf(program);
     auto &bucket = planCache_[hash];
     for (CachedPlan &entry : bucket) {
         if (entry.plan->matchesShape(program)) {
-            ++stats_.planCacheHits;
-            if (obs::metricsOn()) [[unlikely]] {
-                static const obs::CounterId c =
-                    obs::metrics().counterId(
-                        "executor.plan_cache_hits");
-                obs::metrics().add(c);
-            }
-            if (obs::traceOn()) [[unlikely]]
-                obs::trace().event("plan_cache_hit",
-                                   {{"hash", hash}});
+            hit(hash);
             if (preflight_ && !entry.linted) {
                 preflightCheck(program);
                 entry.linted = true;
             }
-            return *entry.plan;
+            return entry.plan;
         }
     }
 
@@ -286,7 +365,7 @@ Executor::planFor(const Program &program)
         preflightCheck(program);
     auto &fresh = planCache_[hash];
     fresh.push_back(CachedPlan{plan, preflight_});
-    return *fresh.back().plan;
+    return fresh.back().plan;
 }
 
 ExecResult
@@ -303,8 +382,15 @@ Executor::run(const Program &program)
                            {{"insts", program.insts().size()}});
     }
 
-    const ExecPlan &plan = planFor(program);
-    const RunCosts costs = RunCosts::compute(plan, program);
+    const std::shared_ptr<const ExecPlan> &cached = planFor(program);
+    lastLinted_ = preflight_;
+    if (cached != lastPlan_) {
+        lastPlan_ = cached;
+        freePrefixLogs();  // another plan's logs cannot apply
+    }
+    const ExecPlan &plan = *cached;
+    costs_.recompute(plan, program);
+    const RunCosts &costs = costs_;
 
     // Leave a bus-turnaround gap after whatever ran before.
     Time cursor = device_->now() + units::fromNs(100);

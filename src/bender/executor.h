@@ -55,6 +55,8 @@ struct ExecStats
     std::uint64_t planCacheHits = 0;
     std::uint64_t planCacheMisses = 0;
     std::uint64_t phaseBreaks = 0;  //!< replays interrupted by a refresh
+    std::uint64_t prefixFills = 0;  //!< prefix logs filled
+    std::uint64_t prefixReuses = 0;  //!< loop prefixes applied from a log
 };
 
 /** Executes programs against a Device. */
@@ -132,13 +134,17 @@ class Executor
     const ExecStats &stats() const { return stats_; }
 
     /**
-     * Forget every compiled plan and zero the stats, as if freshly
-     * constructed (the settings above are kept).
+     * Forget every compiled plan and prefix log and zero the stats, as
+     * if freshly constructed (the settings above are kept; so are the
+     * logs' buffers).
      */
     void
     reset()
     {
         planCache_.clear();
+        lastPlan_.reset();
+        lastLinted_ = false;
+        freePrefixLogs();
         stats_ = ExecStats{};
     }
 
@@ -148,7 +154,13 @@ class Executor
 
   private:
     /** Look up (or compile + pre-flight) the program's cached plan. */
-    const ExecPlan &planFor(const Program &program);
+    const std::shared_ptr<const ExecPlan> &planFor(const Program &program);
+
+    /** Loop `loop_index`'s prefix log, taking a free one if it has none. */
+    dram::Device::PrefixLog &prefixLog(std::size_t loop_index);
+
+    /** Forget every prefix log, keeping its buffers. */
+    void freePrefixLogs();
 
     void preflightCheck(const Program &program);
 
@@ -186,8 +198,25 @@ class Executor
     bool preflightDataflow_ = false;
     lint::MitigationSpec preflightMitigations_;
     ExecStats stats_;
+    RunCosts costs_;  //!< the running program's, buffer kept warm
     std::unordered_map<std::uint64_t, std::vector<CachedPlan>>
         planCache_;
+
+    /**
+     * The plan that ran last -- held, so the cache cannot drop it and
+     * hand its address to another -- and whether it was pre-flighted.
+     * Its flat top-level loops keep a prefix log each (DESIGN.md §4.2);
+     * `loop` is npos for a log another plan left behind, kept for its
+     * buffers.
+     */
+    std::shared_ptr<const ExecPlan> lastPlan_;
+    bool lastLinted_ = false;
+    struct PrefixSlot
+    {
+        std::size_t loop;
+        dram::Device::PrefixLog log;
+    };
+    std::vector<PrefixSlot> prefixLogs_;
 };
 
 } // namespace pud::bender

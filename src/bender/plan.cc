@@ -106,17 +106,26 @@ ExecPlan::matchesShape(const Program &program) const
 RunCosts
 RunCosts::compute(const ExecPlan &plan, const Program &program)
 {
+    RunCosts out;
+    out.recompute(plan, program);
+    return out;
+}
+
+void
+RunCosts::recompute(const ExecPlan &plan, const Program &program)
+{
     const auto &tree = program.loops();
-    RunCosts out{plan.loops(), plan.top()};
+    loops = plan.loops();
+    total = plan.top();
 
     // Children have larger ids than their parent (loops are numbered
     // in LoopBegin order), so folding each loop into its parent in
     // descending id order completes every loop before it is folded.
-    for (std::size_t li = out.loops.size(); li-- > 0;) {
-        const BodyCost &body = out.loops[li];
+    for (std::size_t li = loops.size(); li-- > 0;) {
+        const BodyCost &body = loops[li];
         BodyCost &into = tree[li].parent == Program::npos
-                             ? out.total
-                             : out.loops[tree[li].parent];
+                             ? total
+                             : loops[tree[li].parent];
         const std::uint64_t count = program.insts()[tree[li].begin].count;
         into.duration =
             satAddT(into.duration, satMulT(body.duration, count));
@@ -132,7 +141,6 @@ RunCosts::compute(const ExecPlan &plan, const Program &program)
             into.fastCost, child_fast ? satAdd(satMul(3, body.fastCost), 16)
                                       : satMul(count, body.fastCost));
     }
-    return out;
 }
 
 } // namespace pud::bender

@@ -89,6 +89,9 @@ struct RunCosts
     BodyCost total;               //!< the whole program
 
     static RunCosts compute(const ExecPlan &plan, const Program &program);
+
+    /** compute() into this object, reusing its buffer. */
+    void recompute(const ExecPlan &plan, const Program &program);
 };
 
 } // namespace pud::bender

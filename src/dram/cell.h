@@ -164,6 +164,10 @@ struct Row
     /** When this row last closed; -1 before its first activation. */
     Time lastCloseAt = -1;
 
+    /** On the device's list of rows whose close stamp a loop replay
+     *  may have to shift (Device::stampedRows_). */
+    bool stampListed = false;
+
     /**
      * Which side (-1 left, +1 right, 0 none) last disturbed this row,
      * for the double-sided synergy model: alternating or simultaneous

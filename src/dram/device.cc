@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstring>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -32,7 +33,14 @@ constexpr double kSimraOneToZeroFraction = 0.90;
 // non-monotonic in N per victim row (paper §5.3).
 constexpr double kSimraPerNJitterSigma = 0.30;
 
-
+/** Move every time a bank's protocol state holds by `by`. */
+void
+shiftProtocol(BankProtocol &proto, Time by)
+{
+    proto.openedAt += by;
+    proto.pending.closedAt += by;
+    proto.pending.openedAt += by;
+}
 
 } // namespace
 
@@ -201,11 +209,7 @@ Device::reset(std::uint64_t seed)
         bank.populatedIdx.clear();
 
         bank.proto = BankProtocol{};
-        bank.comraDelayOfOpen = 0;
-        bank.comraPartnerOfOpen = kNoRow;
-        bank.offGapOfOpen = 0;
-        bank.simraActToPre = 0;
-        bank.simraPreToAct = 0;
+        bank.open = OpenConditions{};
         std::fill(bank.trrRing.begin(), bank.trrRing.end(), kNoRow);
         bank.trrPos = 0;
         bank.trrFill = 0;
@@ -223,6 +227,7 @@ Device::reset(std::uint64_t seed)
     noiseRng_ = Rng(cfg_.seed).fork(0x4E01);
     counters_ = DeviceCounters{};
     populatedRows_ = 0;
+    stampedRows_.clear();
     mitigation_ = nullptr;
     mitigationRefresh_.clear();
 }
@@ -260,6 +265,7 @@ void
 Device::restoreRow(BankState &bank, RowId physical)
 {
     Row &row = rowAt(bank, physical);
+    noteLoopTouched(bank, physical, true);
     for (WeakCell &cell : row.cells) {
         if (cell.flipped()) {
             row.data.toggle(cell.col);
@@ -268,7 +274,6 @@ Device::restoreRow(BankState &bank, RowId physical)
         cell.resetDamage();
         disturb_.noteReset(cell);
     }
-    noteLoopTouched(bank, physical);
 }
 
 RowData
@@ -334,6 +339,8 @@ Device::trrRecord(BankState &bank, RowId physical)
         ++bank.trrFill;
     if (recorder_.active)
         loopRecord_.samplerActs[bankIndex(bank)].push_back(physical);
+    if (prefixLog_ != nullptr) [[unlikely]]
+        prefixLog_->pushes_.emplace_back(bankIndex(bank), physical);
 }
 
 void
@@ -379,15 +386,15 @@ Device::applyPendingClose(BankState &bank, const BankProtocol::Step *copy)
     switch (bank.proto.pending.kind) {
       case OpenKind::ComraDst:
         ev.cls = TechClass::Comra;
-        ev.comraDelay = bank.comraDelayOfOpen;
-        ev.comraPartner = bank.comraPartnerOfOpen;
+        ev.comraDelay = bank.open.comraDelay;
+        ev.comraPartner = bank.open.comraPartner;
         ev.comraDstRole = true;
         break;
       case OpenKind::Simra:
         ev.cls = TechClass::Simra;
         ev.simraN = static_cast<int>(ev.rows.size());
-        ev.simraActToPre = bank.simraActToPre;
-        ev.simraPreToAct = bank.simraPreToAct;
+        ev.simraActToPre = bank.open.simraActToPre;
+        ev.simraPreToAct = bank.open.simraPreToAct;
         break;
       case OpenKind::Normal:
         break;
@@ -402,24 +409,23 @@ Device::applyPendingClose(BankState &bank, const BankProtocol::Step *copy)
         ev.comraDstRole = false;
     }
     ev.tOn = bank.proto.pending.tOn;
-    ev.reopenGap = bank.offGapOfOpen;
+    ev.reopenGap = bank.open.offGap;
 
     // applyClose charges damage onto every weak cell in the closing
     // aggressors' +-2 same-subarray blast radius; those victim rows
     // must have their cell populations drawn before the deposit, or a
     // lazily-built device would silently drop it -- with the CoMRA /
     // SiMRA factors, which only a non-conventional close reads.  While
-    // a loop records, the same walk over-approximates the deposit
-    // victims as body-touched (with the aggressors, whose lastSide
-    // advances).
+    // a loop records or a prefix is logged, the same walk
+    // over-approximates the deposit victims as body-touched (with the
+    // aggressors, whose lastSide advances).
     const bool factors = ev.cls != TechClass::Conventional;
-    const bool track = recorder_.active && !recorder_.inRefresh;
-    std::vector<RowId> *touched =
-        track ? &loopRecord_.tracked[bankIndex(bank)] : nullptr;
+    const bool track = (recorder_.active && !recorder_.inRefresh) ||
+                       prefixLog_ != nullptr;
     const auto nrows = static_cast<std::int64_t>(bank.rows.size());
     for (RowId a : ev.rows) {
         if (track)
-            touched->push_back(a);
+            noteLoopTouched(bank, a);
         const SubarrayId sub = subarrayOfPhysical(a);
         for (int d : {-2, -1, 1, 2}) {
             const std::int64_t v = static_cast<std::int64_t>(a) + d;
@@ -431,12 +437,14 @@ Device::applyPendingClose(BankState &bank, const BankProtocol::Step *copy)
             else
                 rowAt(bank, static_cast<RowId>(v));
             if (track)
-                touched->push_back(static_cast<RowId>(v));
+                noteLoopTouched(bank, static_cast<RowId>(v));
         }
     }
     const bool memo_hit = disturb_.applyClose(
         bank.rows, ev, temperature_,
         static_cast<std::uint32_t>(bankIndex(bank)));
+    if (prefixLog_ != nullptr) [[unlikely]]
+        logFirstHits(bank, ev);
     if (obs::metricsOn()) [[unlikely]] {
         static const obs::CounterId c_hits =
             obs::metrics().counterId("device.close_memo_hits");
@@ -490,8 +498,8 @@ Device::act(Time t, BankId b, RowId logical_row)
     if (step.transition == Transition::SimraGroup) {
         for (RowId r : bank.proto.openRows)
             restoreRow(bank, r);
-        bank.simraActToPre = step.tOn;
-        bank.simraPreToAct = step.gap;
+        bank.open.simraActToPre = step.tOn;
+        bank.open.simraPreToAct = step.gap;
         majorityMerge(bank);
         ++counters_.simraOps;
     } else if (step.transition == Transition::ComraCopy) {
@@ -499,6 +507,7 @@ Device::act(Time t, BankId b, RowId logical_row)
         // in-DRAM copy, with full charge restoration on dst.
         restoreRow(bank, step.src);
         Row &dst = rowAt(bank, phys);
+        noteLoopTouched(bank, phys);
         if (dst.data != bank.rows[step.src].data) {
             dst.data = bank.rows[step.src].data;
             disturb_.invalidateCloses();
@@ -507,16 +516,23 @@ Device::act(Time t, BankId b, RowId logical_row)
             c.resetDamage();
             disturb_.noteReset(c);
         }
-        noteLoopTouched(bank, phys);
-        bank.comraDelayOfOpen = step.gap;
-        bank.comraPartnerOfOpen = step.src;
+        bank.open.comraDelay = step.gap;
+        bank.open.comraPartner = step.src;
         ++counters_.comraCopies;
     } else {
         restoreRow(bank, phys);
     }
 
     const Time last = bank.rows[phys].lastCloseAt;
-    bank.offGapOfOpen = last >= 0 ? t - last : 0;
+    bank.open.offGap = last >= 0 ? t - last : 0;
+    if (prefixLog_ != nullptr) [[unlikely]] {
+        // The first reopen gap the prefix takes from before its chunk.
+        PrefixLog::RowImage &img = logRow(bank, phys);
+        if (!img.stamped && img.gapAt < 0) {
+            img.gapAt = t - prefixLog_->start_;
+            img.gapKey = DisturbanceModel::offGapKey(bank.open.offGap);
+        }
+    }
     trrRecord(bank, phys);
 }
 
@@ -527,7 +543,7 @@ Device::pre(Time t, BankId b)
     BankState &bank = banks_.at(b);
     ++counters_.pres;
     for (RowId r : bank.proto.openRows)
-        bank.rows[r].lastCloseAt = t;
+        stampClose(b, r, t);
     // PRE on a precharged bank is a no-op.
     bank.proto.pre(t);
 }
@@ -558,7 +574,10 @@ Device::wr(Time t, BankId b, const RowData &data)
         fatal("WR on bank %u with no open row", b);
     if (data.bits() != cfg_.cols)
         fatal("WR with %u bits to a %u-bit row", data.bits(), cfg_.cols);
+    if (prefixLog_ != nullptr) [[unlikely]]
+        prefixLog_->wrote_ = true;
     for (RowId r : bank.proto.openRows) {
+        noteLoopTouched(bank, r);
         if (bank.rows[r].data != data) {
             bank.rows[r].data = data;
             disturb_.invalidateCloses();
@@ -567,7 +586,6 @@ Device::wr(Time t, BankId b, const RowData &data)
             c.resetDamage();
             disturb_.noteReset(c);
         }
-        noteLoopTouched(bank, r);
     }
 }
 
@@ -752,6 +770,70 @@ Device::replayLoopIterations(const LoopRecord &rec,
         // Nothing iteration-dependent happens between deposits: the
         // whole remaining trip count commits in one step.
         completed = max_iterations;
+    } else if (!trrEnabled_) {
+        // Without TRR a REF only refreshes the next stripe of a fixed
+        // rotation -- slot s covers rows [s * rows / window,
+        // (s + 1) * rows / window) of every bank -- so the REFs from
+        // refCounter_ on sweep the rows from `lo` on, cyclically.  The
+        // first tracked row in that order fixes the first REF that
+        // would land on loop state; every iteration whose REFs all
+        // come before it commits at once.
+        const std::uint64_t per = rec.refs.size();
+        const std::uint64_t first = refCounter_ % window;
+        auto slot_start = [&](std::uint64_t slot) {
+            return static_cast<RowId>(slot * rows_per_bank / window);
+        };
+        const RowId lo = slot_start(first);
+        RowId next = kNoRow, lowest = kNoRow;
+        for (const auto &rows : rec.tracked) {
+            if (rows.empty())
+                continue;
+            lowest = std::min(lowest, rows.front());
+            const auto it = std::lower_bound(rows.begin(), rows.end(), lo);
+            if (it != rows.end())
+                next = std::min(next, *it);
+        }
+        const RowId hit = next != kNoRow ? next : lowest;
+        std::uint64_t clear = ~std::uint64_t{0};  // REFs before it
+        if (hit != kNoRow) {
+            const std::uint64_t slot =
+                ((static_cast<std::uint64_t>(hit) + 1) * window - 1) /
+                rows_per_bank;
+            clear = (slot + window - first) % window;
+        }
+        completed = std::min(max_iterations, clear / per);
+
+        // The committed REFs refresh rows [lo, hi) and, past the
+        // bank's end, [0, wrap): untracked rows only, whose state the
+        // loop leaves alone, so refreshing each once is what every
+        // covering REF would do.  Walk whichever is shorter, those
+        // rows or the bank's populated ones.
+        const std::uint64_t refs = completed * per;
+        RowId hi = rows_per_bank, wrap = 0;
+        if (refs >= window)
+            wrap = lo;
+        else if (first + refs <= window)
+            hi = slot_start(first + refs);
+        else
+            wrap = slot_start(first + refs - window);
+        auto covered = [&](RowId r) { return r >= lo ? r < hi : r < wrap; };
+        const std::size_t span = (hi - lo) + wrap;
+        for (BankState &bank : banks_) {
+            if (bank.rows.empty())
+                continue;
+            if (span >= bank.populatedIdx.size()) {
+                for (RowId r : bank.populatedIdx)
+                    if (covered(r))
+                        refreshRow(bank, r);
+                continue;
+            }
+            for (RowId r = lo; r < hi; ++r)
+                refreshRow(bank, r);
+            for (RowId r = 0; r < wrap; ++r)
+                refreshRow(bank, r);
+        }
+        counters_.refs += refs;
+        refCounter_ += refs;
     } else {
         // Union of tracked rows across banks: a REF refreshes the same
         // stripe range in every bank, so one sorted set answers "does
@@ -811,8 +893,6 @@ Device::replayLoopIterations(const LoopRecord &rec,
                     interesting = true;
                     break;
                 }
-                if (!trrEnabled_)
-                    continue;
                 for (std::size_t b = 0; b < nbanks && !interesting;
                      ++b) {
                     const std::uint64_t acts_before =
@@ -916,8 +996,9 @@ Device::replayLoopIterations(const LoopRecord &rec,
     // Advance each bank's sampler ring closed-form: of the
     // completed * per pushes only the last n <= kTrrWindow survive.
     // The pushed stream is periodic in the body, so the survivors are
-    // one period rotated to `first % per`, repeated: build them by
-    // doubling copies, then write them in around the ring's wrap.
+    // one period rotated to `first % per`, repeated: write them in
+    // place, in the (at most two) runs around the ring's wrap, each as
+    // a few whole periods followed by doubling copies.
     for (std::size_t b = 0; b < nbanks; ++b) {
         BankState &bank = banks_[b];
         const std::vector<RowId> &acts = rec.samplerActs[b];
@@ -929,24 +1010,29 @@ Device::replayLoopIterations(const LoopRecord &rec,
             pushes > kTrrWindow ? pushes - kTrrWindow : 0;
         const auto n = static_cast<std::size_t>(pushes - first);
 
-        RowId *seq = ringScratch_.data();
-        std::size_t built = static_cast<std::size_t>(
-            std::min<std::uint64_t>(per, n));
-        for (std::size_t j = 0; j < built; ++j)
-            seq[j] = acts[static_cast<std::size_t>((first + j) % per)];
-        while (built < n) {  // built stays a multiple of per
-            const std::size_t more = std::min(built, n - built);
-            std::copy_n(seq, more, seq + built);
-            built += more;
-        }
-
+        auto fill = [&](RowId *run, std::size_t len, std::uint64_t from) {
+            constexpr std::uint64_t kSeed = 32;
+            std::size_t built = static_cast<std::size_t>(std::min<std::uint64_t>(
+                len, per * ((kSeed + per - 1) / per)));
+            auto k = static_cast<std::size_t>(from % per);
+            for (std::size_t j = 0; j < built; ++j) {
+                run[j] = acts[k];
+                if (++k == per)
+                    k = 0;
+            }
+            while (built < len) {  // built stays a multiple of per
+                const std::size_t more = std::min(built, len - built);
+                std::memcpy(run + built, run, more * sizeof(RowId));
+                built += more;
+            }
+        };
+        RowId *ring = bank.trrRing.data();
         const std::size_t pos0 = bank.trrPos;
         const auto start =
             static_cast<std::size_t>((pos0 + first) % kTrrWindow);
         const std::size_t upto = std::min(n, kTrrWindow - start);
-        std::copy_n(seq, upto, bank.trrRing.begin() +
-                                   static_cast<std::ptrdiff_t>(start));
-        std::copy_n(seq + upto, n - upto, bank.trrRing.begin());
+        fill(ring + start, upto, first);
+        fill(ring, n - upto, first + upto);
         bank.trrPos = static_cast<std::size_t>((pos0 + pushes) % kTrrWindow);
         bank.trrFill = static_cast<std::size_t>(
             std::min<std::uint64_t>(kTrrWindow, bank.trrFill + pushes));
@@ -967,15 +1053,213 @@ Device::shiftLoopTimestamps(Time from, Time delta)
         }
         if (proto.isOpen() && proto.openedAt > from)
             proto.openedAt += delta;
-        // Only populated rows can hold a close time: an ACT
-        // materializes its row (restoreRow -> rowAt) before any PRE
-        // stamps lastCloseAt, and reset() clears both together.
-        for (RowId r : bank.populatedIdx) {
-            Row &row = bank.rows[r];
-            if (row.lastCloseAt > from)
-                row.lastCloseAt += delta;
+    }
+    // A stamp after `from` was set by a PRE since the last shift, or
+    // moved by that shift (a replayed loop leaves its rows' stamps
+    // ahead of the device clock): either way its row is listed.  The
+    // rows this shift leaves behind hold stamps at or before `from`,
+    // hence before any later loop's start, and leave the list.
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < stampedRows_.size(); ++i) {
+        const auto [b, r] = stampedRows_[i];
+        Row &row = banks_[b].rows[r];
+        if (row.lastCloseAt > from) {
+            row.lastCloseAt += delta;
+            stampedRows_[kept++] = stampedRows_[i];
+        } else {
+            row.stampListed = false;
         }
     }
+    stampedRows_.resize(kept);
+}
+
+Device::PrefixLog::RowImage &
+Device::logRow(const BankState &bank, RowId physical)
+{
+    PrefixLog &log = *prefixLog_;
+    const std::size_t b = bankIndex(bank);
+    // Newest first: a row is mostly looked up again right after it
+    // was first touched.
+    for (auto img = log.rows_.rbegin(); img != log.rows_.rend(); ++img)
+        if (img->physical == physical && img->bank == b)
+            return *img;
+    Row &row = banks_[b].rows[physical];
+    log.rows_.push_back({&row, b, physical,
+                         static_cast<std::uint32_t>(log.damage_.size()),
+                         row.lastSide});
+    for (const WeakCell &cell : row.cells)
+        log.damage_.push_back(cell.damage);
+    return log.rows_.back();
+}
+
+void
+Device::logFirstHits(const BankState &bank, const CloseEvent &ev)
+{
+    // The victims are computeClose()'s: the same-subarray rows within
+    // two of an aggressor that are not aggressors themselves.  Each
+    // now holds the side it was hit from, 0 for both sides.
+    const auto nrows = static_cast<std::int64_t>(bank.rows.size());
+    for (RowId a : ev.rows) {
+        for (int d : {-2, -1, 1, 2}) {
+            const std::int64_t v = static_cast<std::int64_t>(a) + d;
+            if (v < 0 || v >= nrows ||
+                subarrayOfPhysical(static_cast<RowId>(v)) !=
+                    subarrayOfPhysical(a) ||
+                std::find(ev.rows.begin(), ev.rows.end(), v) !=
+                    ev.rows.end())
+                continue;
+            PrefixLog::RowImage &img =
+                logRow(bank, static_cast<RowId>(v));
+            if (!img.hit) {
+                img.hit = true;
+                img.firstSide = img.row->lastSide;
+            }
+        }
+    }
+}
+
+bool
+Device::beginPrefixLog(PrefixLog &log, Time chunk_start)
+{
+    if (mitigation_ != nullptr)
+        return false;
+    for (const BankState &bank : banks_)
+        if (bank.proto.isOpen() || bank.proto.pending.valid)
+            return false;
+    log.filled_ = false;
+    log.wrote_ = false;
+    log.start_ = chunk_start;
+    log.generation_ = disturb_.generation();
+    log.temperature_ = temperature_;
+    log.trrEnabled_ = trrEnabled_;
+    log.counters_ = counters_;
+    log.damageLog_.clear();
+    log.rows_.clear();
+    log.damage_.clear();
+    log.banks_.clear();
+    log.pushes_.clear();
+    prefixLog_ = &log;
+    disturb_.logOps(&log.damageLog_);
+    return true;
+}
+
+bool
+Device::endPrefixLog(Time chunk_end)
+{
+    PrefixLog &log = *prefixLog_;
+    prefixLog_ = nullptr;
+    disturb_.logOps(nullptr);
+    const LoopRecord &rec = loopRecord_;
+    if (!rec.quiescent || !rec.refs.empty() || log.wrote_ ||
+        disturb_.generation() != log.generation_)
+        return false;
+
+    for (PrefixLog::RowImage &img : log.rows_) {
+        img.sideAfter = img.row->lastSide;
+        if (img.stamped)
+            img.closeAt = img.row->lastCloseAt - log.start_;
+        // Every bank the prefix changed holds a row it touched.
+        if (std::none_of(log.banks_.begin(), log.banks_.end(),
+                         [&](const PrefixLog::BankImage &bi) {
+                             return bi.bank == img.bank;
+                         }))
+            log.banks_.push_back({img.bank, {}, {}});
+    }
+    for (PrefixLog::BankImage &bi : log.banks_) {
+        bi.proto = banks_[bi.bank].proto;
+        shiftProtocol(bi.proto, -log.start_);
+        bi.open = banks_[bi.bank].open;
+    }
+    const DeviceCounters &at = log.counters_;
+    log.counters_ = {counters_.acts - at.acts,
+                     counters_.pres - at.pres,
+                     counters_.refs - at.refs,
+                     counters_.comraCopies - at.comraCopies,
+                     counters_.simraOps - at.simraOps,
+                     counters_.ignoredCommands - at.ignoredCommands,
+                     counters_.trrRefreshes - at.trrRefreshes};
+    log.damageLog_.fold();
+    log.nowAt_ = now_ - log.start_;
+    log.duration_ = chunk_end - log.start_;
+    // The record moves into the log; its old buffers serve the next
+    // recording.
+    std::swap(log.record_, loopRecord_);
+    log.filled_ = true;
+    return true;
+}
+
+bool
+Device::applyPrefixLog(const PrefixLog &log, Time chunk_start)
+{
+    // Guards (DESIGN.md §4.2): the same environment and generation --
+    // so the same data and cells everywhere -- idle banks, and per
+    // touched row the same side state, the same damage where the
+    // prefix reads it, and the same off-time key for a reopen gap
+    // that reaches back before the chunk.
+    if (!log.filled_ || mitigation_ != nullptr ||
+        trrEnabled_ != log.trrEnabled_ ||
+        temperature_ != log.temperature_ ||
+        disturb_.generation() != log.generation_)
+        return false;
+    for (const PrefixLog::BankImage &bi : log.banks_) {
+        const BankProtocol &proto = banks_[bi.bank].proto;
+        if (proto.isOpen() || proto.pending.valid)
+            return false;
+    }
+    // A row's side state is read once, by its first close, and only to
+    // ask whether that close switches sides.
+    auto switches = [](std::int8_t side, std::int8_t from) {
+        return side != 0 && side != from;
+    };
+    for (const PrefixLog::RowImage &img : log.rows_) {
+        const Row &row = *img.row;
+        if (img.firstSide != 0 &&
+            switches(row.lastSide, img.firstSide) !=
+                switches(img.sideBefore, img.firstSide))
+            return false;
+        if (img.readsDamage &&
+            !std::equal(row.cells.begin(), row.cells.end(),
+                        log.damage_.begin() + img.damageAt,
+                        [](const WeakCell &cell,
+                           const std::array<float, 3> &was) {
+                            return std::memcmp(cell.damage.data(),
+                                               was.data(),
+                                               sizeof was) == 0;
+                        }))
+            return false;
+        if (img.gapAt >= 0) {
+            const Time last = row.lastCloseAt;
+            const Time gap = last >= 0 ? chunk_start + img.gapAt - last : 0;
+            if (DisturbanceModel::offGapKey(gap) != img.gapKey)
+                return false;
+        }
+    }
+
+    log.damageLog_.apply();
+    for (const PrefixLog::RowImage &img : log.rows_) {
+        if (img.hit)
+            img.row->lastSide = img.sideAfter;
+        if (img.stamped)
+            stampClose(img.bank, img.physical, chunk_start + img.closeAt);
+    }
+    for (const PrefixLog::BankImage &bi : log.banks_) {
+        BankState &bank = banks_[bi.bank];
+        bank.proto = bi.proto;
+        shiftProtocol(bank.proto, chunk_start);
+        bank.open = bi.open;
+    }
+    for (const auto &[b, r] : log.pushes_)
+        trrRecord(banks_[b], r);
+    const DeviceCounters &d = log.counters_;
+    counters_.acts += d.acts;
+    counters_.pres += d.pres;
+    counters_.refs += d.refs;
+    counters_.comraCopies += d.comraCopies;
+    counters_.simraOps += d.simraOps;
+    counters_.ignoredCommands += d.ignoredCommands;
+    counters_.trrRefreshes += d.trrRefreshes;
+    now_ = chunk_start + log.nowAt_;
+    return true;
 }
 
 void

@@ -53,7 +53,6 @@ struct DeviceCounters
     std::uint64_t trrRefreshes = 0;     //!< TRR victim refreshes
 };
 
-/** A simulated DRAM module (rank granularity). */
 /**
  * Observer-side mitigation mechanism attached to a Device.
  *
@@ -84,6 +83,21 @@ class MitigationHook
                          std::vector<RowId> &refresh) = 0;
 };
 
+/**
+ * Condition factors of a bank's open row (group).  An ACT replaces them
+ * only after applying or consuming the pending close, so until then
+ * they also describe that close.
+ */
+struct OpenConditions
+{
+    Time comraDelay = 0;
+    RowId comraPartner = kNoRow;
+    Time offGap = 0;
+    Time simraActToPre = 0;
+    Time simraPreToAct = 0;
+};
+
+/** A simulated DRAM module (rank granularity). */
 class Device
 {
   public:
@@ -193,6 +207,76 @@ class Device
         bool quiescent = true;
     };
 
+    /**
+     * What a top-level loop's first chunk -- two warm-up iterations
+     * and the recorded one -- did to the device, kept so that a later
+     * run of the same plan can apply it instead of executing them
+     * (DESIGN.md §4.2).  Times are relative to the chunk start.  The
+     * executor owns the logs; a refill reuses their buffers.
+     */
+    class PrefixLog
+    {
+      public:
+        /** Forget the fill; the buffers stay. */
+        void clear() { filled_ = false; }
+        /** How far the three iterations advance the cursor. */
+        Time duration() const { return duration_; }
+        /** The recorded iteration, to replay from. */
+        const LoopRecord &record() const { return record_; }
+
+      private:
+        friend class Device;
+
+        /** A row the prefix touched, as the chunk found it. */
+        struct RowImage
+        {
+            Row *row;
+            std::size_t bank;
+            RowId physical;
+            std::uint32_t damageAt;  //!< its cells' damage, in damage_
+            std::int8_t sideBefore;
+            /** Hit by a close, first from `firstSide` (0: both sides),
+             *  and left at `sideAfter`. */
+            bool hit = false;
+            std::int8_t firstSide = 0;
+            std::int8_t sideAfter = 0;
+            /** Restored by an ACT: its flips decide its data. */
+            bool readsDamage = false;
+            /** Closed by the prefix, last at `closeAt`. */
+            bool stamped = false;
+            Time closeAt = 0;
+            /** Its first ACT, if that read a close stamp from before
+             *  the chunk, and the off-time key it gave (-1: none). */
+            Time gapAt = -1;
+            Time gapKey = 0;
+        };
+
+        /** A bank the prefix issued commands to, as it left it. */
+        struct BankImage
+        {
+            std::size_t bank;
+            BankProtocol proto;  //!< times relative to the chunk start
+            OpenConditions open;
+        };
+
+        bool filled_ = false;
+        bool wrote_ = false;  //!< a WR ran: its data may change per run
+        Time start_ = 0;      //!< the fill's chunk start
+        Time duration_ = 0;
+        Time nowAt_ = 0;
+        std::uint64_t generation_ = 0;
+        Celsius temperature_ = 0;
+        bool trrEnabled_ = false;
+        DeviceCounters counters_;  //!< at the start, then the delta
+        DamageLog damageLog_;
+        std::vector<RowImage> rows_;
+        std::vector<std::array<float, 3>> damage_;
+        std::vector<BankImage> banks_;
+        /** TRR sampler pushes, (bank, row), in live order. */
+        std::vector<std::pair<std::size_t, RowId>> pushes_;
+        LoopRecord record_;
+    };
+
     void beginLoopRecording();
 
     /**
@@ -217,14 +301,43 @@ class Device
 
     /**
      * After a loop fast-path replay, advance every timestamp that was
-     * set during the loop (pending closes, per-row last-close times)
-     * by the skipped iterations' duration, so cross-loop-boundary
-     * timing detection (CoMRA/SiMRA windows, off-time gains) behaves
-     * exactly as if every iteration had executed.  `from` is the
-     * loop's start time: a stamp equal to it was set by the command
-     * before the loop and stays.
+     * set by the recorded iteration (pending closes, per-row
+     * last-close times) by the skipped iterations' duration, so
+     * cross-loop-boundary timing detection (CoMRA/SiMRA windows,
+     * off-time gains) behaves exactly as if every iteration had
+     * executed.  `from` is the recorded iteration's start time: a
+     * stamp at or before it was set by a warm-up iteration or before
+     * the loop, and stays.
      */
     void shiftLoopTimestamps(Time from, Time delta);
+
+    // ---- executor prefix log (DESIGN.md §4.2) ------------------------------
+
+    /**
+     * Start logging into `log` what the next iterations -- a loop
+     * chunk's two warm-up iterations and its recorded one, which the
+     * caller runs next -- do to the device.  Returns false, logging
+     * nothing, when the result could not be reused: a mitigation hook
+     * is attached, or a bank is not idle.
+     */
+    bool beginPrefixLog(PrefixLog &log, Time chunk_start);
+
+    /**
+     * Stop logging, right after endLoopRecording(); `chunk_end` is the
+     * caller's cursor.  Returns whether the log is reusable: the
+     * recording was quiescent and REF-free, and no row's data or
+     * cells changed (the close memo's generation held).  If so, the
+     * record endLoopRecording() returned has moved into the log:
+     * replay from log.record().
+     */
+    bool endPrefixLog(Time chunk_end);
+
+    /**
+     * Apply a filled log at `chunk_start` in place of executing the
+     * three iterations, if the device's state passes the log's guards;
+     * otherwise return false, touching nothing.
+     */
+    bool applyPrefixLog(const PrefixLog &log, Time chunk_start);
 
     // ---- introspection ----------------------------------------------------
     const DeviceConfig &config() const { return cfg_; }
@@ -255,6 +368,16 @@ class Device
         return phys < rows.size() ? rows[phys].lastCloseAt : -1;
     }
 
+    /** Test-only: whether a (logical) row has been drawn (does not
+     *  materialize it). */
+    bool
+    populated(BankId bank, RowId logical_row) const
+    {
+        const std::vector<Row> &rows = banks_.at(bank).rows;
+        const RowId phys = toPhysical(logical_row);
+        return phys < rows.size() && rows[phys].populated;
+    }
+
     /** Test-only: a (logical) row's close-side state (does not
      *  materialize it). */
     std::int8_t
@@ -268,6 +391,10 @@ class Device
     /** Test-only: forget every memoized close, so the next closes
      *  recompute their deposits (DisturbanceModel::invalidateCloses). */
     void invalidateCloses() { disturb_.invalidateCloses(); }
+
+    /** Test-only: the TRR sampler's and the trial noise's RNGs. */
+    const Rng &trrRng() const { return trrRng_; }
+    const Rng &noiseRng() const { return noiseRng_; }
 
     // ---- lazy row materialization ----------------------------------------
 
@@ -316,15 +443,7 @@ class Device
         std::vector<RowId> populatedIdx;
 
         BankProtocol proto;
-
-        // Condition factors of the open row (group).  An ACT replaces
-        // them only after applying or consuming the pending close, so
-        // until then they also describe that close.
-        Time comraDelayOfOpen = 0;
-        RowId comraPartnerOfOpen = kNoRow;
-        Time offGapOfOpen = 0;
-        Time simraActToPre = 0;
-        Time simraPreToAct = 0;
+        OpenConditions open;
 
         // TRR sampler: ring of the last kTrrWindow ACT row addresses.
         std::vector<RowId> trrRing;
@@ -409,12 +528,39 @@ class Device
         return static_cast<std::size_t>(&bank - banks_.data());
     }
 
-    /** Loop-recording hook: the body mutates this row's state. */
+    /**
+     * Loop-recording and prefix-logging hook: the body is about to
+     * mutate this row's state (`reads_damage`: and read its damage).
+     */
     void
-    noteLoopTouched(const BankState &bank, RowId physical)
+    noteLoopTouched(const BankState &bank, RowId physical,
+                    bool reads_damage = false)
     {
         if (recorder_.active && !recorder_.inRefresh)
             loopRecord_.tracked[bankIndex(bank)].push_back(physical);
+        if (prefixLog_ != nullptr) [[unlikely]]
+            logRow(bank, physical).readsDamage |= reads_damage;
+    }
+
+    /** The logged image of a row, added on first touch. */
+    PrefixLog::RowImage &logRow(const BankState &bank, RowId physical);
+
+    /** Log the side each victim of a just-applied close took, if that
+     *  was its first close in the prefix. */
+    void logFirstHits(const BankState &bank, const CloseEvent &ev);
+
+    /** Set a row's close stamp, keeping it on stampedRows_. */
+    void
+    stampClose(std::size_t bank, RowId physical, Time t)
+    {
+        Row &row = banks_[bank].rows[physical];
+        row.lastCloseAt = t;
+        if (!row.stampListed) {
+            row.stampListed = true;
+            stampedRows_.emplace_back(bank, physical);
+        }
+        if (prefixLog_ != nullptr) [[unlikely]]
+            logRow(banks_[bank], physical).stamped = true;
     }
 
     /** Flip-composed view of a row's contents. */
@@ -453,10 +599,21 @@ class Device
      */
     LoopRecord loopRecord_;
 
+    /** The log being filled, between beginPrefixLog() and
+     *  endPrefixLog(). */
+    PrefixLog *prefixLog_ = nullptr;
+
+    /**
+     * Every row whose lastCloseAt may lie after a later loop's start:
+     * the rows stamped since the last shiftLoopTimestamps() and the
+     * rows that shift moved (Row::stampListed marks them).  That shift
+     * walks only these.
+     */
+    std::vector<std::pair<std::size_t, RowId>> stampedRows_;
+
     // Replay scratch, kept warm across replays.
     std::vector<RowId> unionTracked_;
     std::vector<std::pair<std::size_t, RowId>> trrTargets_;
-    std::array<RowId, kTrrWindow> ringScratch_{};
     Celsius temperature_;
     bool trrEnabled_ = false;
     Time now_ = 0;

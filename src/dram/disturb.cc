@@ -160,6 +160,61 @@ DisturbanceModel::deposit(WeakCell &cell, TechClass cls, float delta)
 }
 
 void
+DisturbanceModel::tap(WeakCell &cell, TechClass cls, float d, float x)
+{
+    if (recording_)
+        fold_.add(cell, cls, d);
+    if (opLog_ != nullptr)
+        opLog_->deposit(cell, cls, d, x);
+}
+
+void
+DisturbanceModel::tapReset(WeakCell &cell)
+{
+    if (recording_)
+        fold_.reset(cell);
+    if (opLog_ != nullptr)
+        opLog_->reset(cell);
+}
+
+void
+DamageLog::fold()
+{
+    std::sort(resets_.begin(), resets_.end());
+    resets_.erase(std::unique(resets_.begin(), resets_.end()),
+                  resets_.end());
+    sets_.clear();
+    adds_.clear();
+    for (const auto &[first, last] : resets_)
+        for (WeakCell *cell = first; cell != last; ++cell)
+            sets_.push_back({cell, cell->damage});
+    for (const Op &op : ops_) {
+        // A reset run holds the cell?  Few rows reset, so a branch-free
+        // scan beats a search.
+        bool reset = false;
+        for (const auto &[first, last] : resets_)
+            reset |= (op.cell >= first) & (op.cell < last);
+        if (reset)
+            continue;
+        // replayMemo()'s form of deposit().
+        const auto c = static_cast<int>(op.cls);
+        if (op.d != 0.0f)
+            adds_.push_back({&op.cell->damage[c], op.d});
+        if (c != 0 && op.x != 0.0f)
+            adds_.push_back({&op.cell->damage[0], op.x});
+    }
+}
+
+void
+DamageLog::apply() const
+{
+    for (const Set &s : sets_)
+        s.cell->damage = s.damage;
+    for (const Add &a : adds_)
+        *a.acc += a.value;
+}
+
+void
 DisturbanceModel::replay(const DamageRecord &record, std::uint64_t times)
 {
     // One entry per cell: its per-class sums already fold the
@@ -379,8 +434,8 @@ DisturbanceModel::replayMemo(const MemoEntry &entry)
             m->cell->damage[c] += m->d;
             if (cls != TechClass::Conventional)
                 m->cell->damage[0] += m->x;
-            if (recording_)
-                fold_.add(*m->cell, cls, m->d);
+            if (tapped_) [[unlikely]]
+                tap(*m->cell, cls, m->d, m->x);
         }
         victims[v].row->lastSide = victims[v].after;
     }
@@ -683,15 +738,15 @@ DisturbanceModel::computeClose(std::vector<Row> &rows,
                     (2.0 * cell.baseHc * cell.trialScale);
                 const auto d = static_cast<float>(delta);
                 deposit(cell, eff_cls, d);
-                if (recording_)
-                    fold_.add(cell, eff_cls, d);
-                if constexpr (kFill) {
-                    memoDeposits_.push_back(
-                        {&cell, d,
-                         crossesToConventional(cell, eff_cls)
-                             ? crossAmount(eff_cls, d)
-                             : 0.0f});
-                }
+                auto cross = [&] {
+                    return crossesToConventional(cell, eff_cls)
+                               ? crossAmount(eff_cls, d)
+                               : 0.0f;
+                };
+                if constexpr (kFill)
+                    memoDeposits_.push_back({&cell, d, cross()});
+                if (tapped_) [[unlikely]]
+                    tap(cell, eff_cls, d, cross());
             }
         }
 

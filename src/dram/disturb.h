@@ -20,7 +20,9 @@
 #ifndef PUD_DRAM_DISTURB_H
 #define PUD_DRAM_DISTURB_H
 
+#include <array>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "dram/cell.h"
@@ -148,6 +150,80 @@ struct DamageDelta
 /** Net damage of one loop iteration, one entry per touched cell in
  *  first-touch order; replayable k more times. */
 using DamageRecord = std::vector<DamageDelta>;
+
+/**
+ * The deposits and charge resets of a run of live commands, logged and
+ * then folded so the run re-applies without a branch per event
+ * (DESIGN.md §4.2).  A cell the run resets ends at the value the run
+ * left it at, whatever it started from, so it is simply set; every
+ * other cell's accumulators take the run's adds, each in live order:
+ * `d` into the deposit's class, then the conventional cross-transfer
+ * `x`, exactly as the close memo re-applies a deposit (adds of +0
+ * dropped: they leave a non-negative accumulator's bits unchanged).
+ * Re-applied to the same cells after the same data and conditions, the
+ * run's deposits are the same, so the result is the one live execution
+ * would give.
+ */
+class DamageLog
+{
+  public:
+    /** Start a new run; the buffers stay. */
+    void
+    clear()
+    {
+        ops_.clear();
+        resets_.clear();
+    }
+
+    /** Log a deposit of `d` (cross-transfer `x`, +0 if none). */
+    void
+    deposit(WeakCell &cell, TechClass cls, float d, float x)
+    {
+        ops_.push_back({&cell, d, x, cls});
+    }
+
+    /** Log a charge reset.  A row resets its cells in order, so
+     *  consecutive resets of adjacent cells form one run. */
+    void
+    reset(WeakCell &cell)
+    {
+        if (!resets_.empty() && resets_.back().second == &cell)
+            ++resets_.back().second;
+        else
+            resets_.push_back({&cell, &cell + 1});
+    }
+
+    /** Fold the run, right after it was applied live. */
+    void fold();
+
+    /** Re-apply the folded run. */
+    void apply() const;
+
+  private:
+    struct Op
+    {
+        WeakCell *cell;
+        float d;
+        float x;
+        TechClass cls;
+    };
+    struct Set
+    {
+        WeakCell *cell;
+        std::array<float, 3> damage;
+    };
+    struct Add
+    {
+        float *acc;
+        float value;
+    };
+    std::vector<Op> ops_;
+    /** Reset runs of cells, [first, last); a run repeats whenever its
+     *  row resets again. */
+    std::vector<std::pair<WeakCell *, WeakCell *>> resets_;
+    std::vector<Set> sets_;
+    std::vector<Add> adds_;
+};
 
 /**
  * Folds a stream of damage events into one DamageDelta per cell, in
@@ -305,7 +381,12 @@ class DisturbanceModel
     }
 
     /** Start folding damage additions into a record. */
-    void beginRecording() { recording_ = true; fold_.clear(); }
+    void
+    beginRecording()
+    {
+        recording_ = tapped_ = true;
+        fold_.clear();
+    }
 
     /** Stop folding and swap the record into `out` (both buffers keep
      *  their capacity). */
@@ -313,6 +394,7 @@ class DisturbanceModel
     endRecording(DamageRecord &out)
     {
         recording_ = false;
+        tapped_ = opLog_ != nullptr;
         fold_.take(out);
     }
 
@@ -328,13 +410,30 @@ class DisturbanceModel
      */
     static void replay(const DamageRecord &record, std::uint64_t times);
 
-    /** Record a charge restoration while recording (no-op otherwise). */
+    /** Record a charge restoration while recording or logging (no-op
+     *  otherwise). */
     void
     noteReset(WeakCell &cell)
     {
-        if (recording_)
-            fold_.reset(cell);
+        if (tapped_) [[unlikely]]
+            tapReset(cell);
     }
+
+    /** Append every deposit and charge reset to `ops`, in live order,
+     *  until called with nullptr. */
+    void
+    logOps(DamageLog *log)
+    {
+        opLog_ = log;
+        tapped_ = recording_ || opLog_ != nullptr;
+    }
+
+    /**
+     * The memo's generation: it moves whenever row data or weak cells
+     * may have changed (see memoGen_), so an unchanged value proves
+     * neither did.
+     */
+    std::uint64_t generation() const { return memoGen_; }
 
     // --- individual factors, exposed for unit tests -------------------
 
@@ -437,6 +536,14 @@ class DisturbanceModel
 
     bool recording_ = false;
     DamageFold fold_;
+    DamageLog *opLog_ = nullptr;
+    /** Recording or logging: the one flag the close paths test. */
+    bool tapped_ = false;
+
+    /** A deposit or a reset while recording or logging: out of line,
+     *  so the live paths' loops stay small. */
+    void tap(WeakCell &cell, TechClass cls, float d, float x);
+    void tapReset(WeakCell &cell);
 
     // --- close memo ------------------------------------------------------
 

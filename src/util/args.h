@@ -10,6 +10,7 @@
 #ifndef PUD_UTIL_ARGS_H
 #define PUD_UTIL_ARGS_H
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <map>
@@ -44,6 +45,23 @@ class Args
     }
 
     bool has(const std::string &key) const { return options_.count(key); }
+
+    /**
+     * Fatal, naming the option, if any option is not in `known`: a
+     * misspelled flag would otherwise run with its default.
+     */
+    void
+    requireKnown(const std::vector<std::string> &known,
+                 const std::string &context) const
+    {
+        for (const auto &entry : options_) {
+            if (std::find(known.begin(), known.end(), entry.first) ==
+                known.end())
+                fatal("%s: unknown option --%s (--help lists the "
+                      "options)",
+                      context.c_str(), entry.first.c_str());
+        }
+    }
 
     std::string
     get(const std::string &key, const std::string &fallback = "") const

@@ -46,6 +46,9 @@ class Rng
         }
     }
 
+    /** Same state: the two generators draw the same stream. */
+    bool operator==(const Rng &) const = default;
+
     static constexpr result_type min() { return 0; }
     static constexpr result_type max() { return ~0ULL; }
 

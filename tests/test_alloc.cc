@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "bender/host.h"
 #include "bender/program.h"
 #include "dram/device.h"
 #include "hammer/patterns.h"
@@ -124,7 +125,6 @@ std::uint64_t
 fastPathPass(Device &dev, const std::vector<bender::Inst> &body,
              std::uint64_t trips, Time &t)
 {
-    const Time start = t;
     runBody(dev, body, t);
     runBody(dev, body, t);
     const Time rec_start = t;
@@ -134,7 +134,7 @@ fastPathPass(Device &dev, const std::vector<bender::Inst> &body,
     const Time per_iter = t - rec_start;
     const std::uint64_t replayed = dev.replayLoopIterations(rec, trips - 3);
     const Time skipped = per_iter * static_cast<Time>(replayed);
-    dev.shiftLoopTimestamps(start, skipped);
+    dev.shiftLoopTimestamps(rec_start, skipped);
     t += skipped;
     return replayed;
 }
@@ -291,6 +291,49 @@ TEST(ZeroAlloc, WarmIdenticalRewriteProbeAllocatesNothing)
     EXPECT_EQ(memo_hits() - hits_before, 6u);
     obs::metrics().setEnabled(false);
     EXPECT_EQ(replayed, 997u);
+    EXPECT_EQ(allocations, 0u);
+}
+
+/**
+ * HC_first probes through the executor: identical host rewrites, then
+ * the same-shape program at a new trip count.  From the second probe
+ * on, the loop's prefix comes from the executor's prefix log, and a
+ * warm probe that applies it allocates nothing.
+ */
+TEST(ZeroAlloc, WarmProbeReusingThePrefixLogAllocatesNothing)
+{
+    DeviceConfig cfg = makeConfig("HMA81GU7AFR8N-UH", 5);
+    cfg.banks = 1;
+    cfg.subarraysPerBank = 2;
+    cfg.rowsPerSubarray = 64;
+    bender::TestBench bench(cfg);
+    Device &dev = bench.device();
+    hammer::PatternTimings pt;
+    pt.base = cfg.timings;
+    const RowId a1 = dev.toLogical(20), v = dev.toLogical(21),
+                a2 = dev.toLogical(22);
+    const bender::Program base =
+        hammer::doubleSidedRowHammer(0, a1, a2, 1, pt);
+    std::vector<bender::Program> probes;
+    for (std::uint64_t n : {512, 1024, 768, 896, 832, 864})
+        probes.push_back(base.withLoopCount(0, n));
+    const RowData victim_data(cfg.cols, DataPattern::P55);
+    const RowData aggr_data(cfg.cols, DataPattern::PAA);
+
+    auto probe = [&](const bender::Program &p) {
+        dev.writeRowDirect(0, a1, aggr_data);
+        dev.writeRowDirect(0, v, victim_data);
+        dev.writeRowDirect(0, a2, aggr_data);
+        bench.run(p);
+    };
+    for (std::size_t i = 0; i + 1 < probes.size(); ++i)
+        probe(probes[i]);
+
+    const std::uint64_t reuses = bench.executor().stats().prefixReuses;
+    const std::size_t before = gNewCalls;
+    probe(probes.back());
+    const std::size_t allocations = gNewCalls - before;
+    EXPECT_EQ(bench.executor().stats().prefixReuses - reuses, 1u);
     EXPECT_EQ(allocations, 0u);
 }
 

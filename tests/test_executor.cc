@@ -7,12 +7,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <functional>
+#include <optional>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
 
 #include "bender/host.h"
+#include "hammer/hcfirst.h"
 #include "hammer/patterns.h"
+#include "hammer/tester.h"
+#include "mitigation/countermeasures.h"
 #include "util/rng.h"
 #include "util/saturate.h"
 
@@ -540,12 +547,17 @@ struct RunState
  */
 RunState
 runRefInterleaved(bool fast, bool trr, std::uint64_t hammers,
-                  const DeviceConfig &cfg)
+                  const DeviceConfig &cfg, int refs_before = 0)
 {
     TestBench bench(cfg);
     bench.executor().setFastPath(fast);
     dram::Device &dev = bench.device();
     dev.setTrrEnabled(trr);
+    // Start the stripe rotation `refs_before` slots in.
+    Program lead;
+    for (int i = 0; i < refs_before; ++i)
+        lead.ref(units::fromNs(500));
+    bench.run(lead);
 
     const RowId victim = 33;
     const RowData aggr(cfg.cols, DataPattern::P55);
@@ -681,6 +693,20 @@ TEST(Executor, RefStripePhaseBreakMatchesNaive)
                   runRefInterleaved(false, false, 2000, cfg));
 }
 
+TEST(Executor, RefStripeCollisionAcrossWindowWrapMatchesNaive)
+{
+    // With TRR off, replay finds the next stripe that covers a tracked
+    // row arithmetically.  Starting the rotation at every slot of a
+    // short window puts that stripe before, at and past the wrap.
+    DeviceConfig cfg = smallConfig(13);
+    cfg.timings.refsPerWindow = 16;
+    for (int offset = 0; offset < 20; ++offset) {
+        SCOPED_TRACE("offset " + std::to_string(offset));
+        expectSameRun(runRefInterleaved(true, false, 2000, cfg, offset),
+                      runRefInterleaved(false, false, 2000, cfg, offset));
+    }
+}
+
 TEST(Executor, NestedLoopFastPathMatchesNaive)
 {
     auto run = [&](bool fast) {
@@ -728,11 +754,13 @@ TEST(Executor, NestedLoopFastPathMatchesNaive)
 
 TEST(Executor, ReplayShiftsEveryPopulatedRowsCloseTimeLikeNaive)
 {
-    // Replay advances close times by walking only the populated rows;
-    // on a lazily populated device that must leave every row's
-    // lastCloseAt exactly where naive execution puts it.  Rows 50 and
-    // 60 close before the loop, row 60 by the very command the loop
-    // starts from, which replay must not shift.
+    // Replay advances close times by walking only the rows stamped
+    // since the last replay; on a lazily populated device that must
+    // leave every row's lastCloseAt exactly where naive execution puts
+    // it.  Rows 50 and 60 close before the loop, row 60 by the very
+    // command the loop starts from, which replay must not shift.  In
+    // the second program row 60 is still open when the loop starts,
+    // whose first iteration closes it.
     DeviceConfig cfg = smallConfig(19);
     cfg.banks = 2;
     struct Outcome
@@ -741,24 +769,37 @@ TEST(Executor, ReplayShiftsEveryPopulatedRowsCloseTimeLikeNaive)
         std::size_t populated = 0;
         std::uint64_t replayed = 0;
     };
-    auto run = [&](bool fast) {
+    hammer::PatternTimings t;
+    Program closed_first;
+    closed_first.act(0, 50, t.base.tRP).pre(0, t.aggOn());
+    closed_first.act(1, 60, t.base.tRP).pre(1, t.aggOn());
+    closed_first.loopBegin(3000)
+        .act(0, 32, t.base.tRP)
+        .pre(0, t.aggOn())
+        .act(0, 34, t.base.tRP)
+        .pre(0, t.aggOn())
+        .act(1, 10, t.base.tRP)
+        .pre(1, t.aggOn())
+        .loopEnd();
+    closed_first.act(0, 36, t.base.tRP).pre(0, t.aggOn());
+    Program open_into_loop;
+    open_into_loop.act(0, 50, t.base.tRP).pre(0, t.aggOn());
+    open_into_loop.act(1, 60, t.base.tRP);
+    open_into_loop.loopBegin(3000)
+        .pre(1, t.aggOn())
+        .act(0, 32, t.base.tRP)
+        .pre(0, t.aggOn())
+        .act(0, 34, t.base.tRP)
+        .pre(0, t.aggOn())
+        .act(1, 10, t.base.tRP)
+        .loopEnd();
+    open_into_loop.pre(1, t.aggOn());
+    open_into_loop.act(0, 36, t.base.tRP).pre(0, t.aggOn());
+
+    auto run = [&](const Program &p, bool fast) {
         TestBench bench(cfg);
         bench.executor().setFastPath(fast);
         dram::Device &dev = bench.device();
-
-        hammer::PatternTimings t;
-        Program p;
-        p.act(0, 50, t.base.tRP).pre(0, t.aggOn());
-        p.act(1, 60, t.base.tRP).pre(1, t.aggOn());
-        p.loopBegin(3000)
-            .act(0, 32, t.base.tRP)
-            .pre(0, t.aggOn())
-            .act(0, 34, t.base.tRP)
-            .pre(0, t.aggOn())
-            .act(1, 10, t.base.tRP)
-            .pre(1, t.aggOn())
-            .loopEnd();
-        p.act(0, 36, t.base.tRP).pre(0, t.aggOn());
         bench.run(p);
 
         Outcome o;
@@ -770,17 +811,293 @@ TEST(Executor, ReplayShiftsEveryPopulatedRowsCloseTimeLikeNaive)
         return o;
     };
 
-    const Outcome fast = run(true);
-    const Outcome naive = run(false);
-    EXPECT_GT(fast.replayed, 0u);
-    EXPECT_EQ(naive.replayed, 0u);
-    EXPECT_EQ(fast.populated, naive.populated);
-    EXPECT_LT(fast.populated, 2u * cfg.rowsPerBank());
-    EXPECT_EQ(fast.lastClose, naive.lastClose);
-    std::size_t closed = 0;
-    for (Time at : fast.lastClose)
-        closed += at >= 0;
-    EXPECT_EQ(closed, 6u);
+    for (const Program *p : {&closed_first, &open_into_loop}) {
+        const Outcome fast = run(*p, true);
+        const Outcome naive = run(*p, false);
+        EXPECT_GT(fast.replayed, 0u);
+        EXPECT_EQ(naive.replayed, 0u);
+        EXPECT_EQ(fast.populated, naive.populated);
+        EXPECT_LT(fast.populated, 2u * cfg.rowsPerBank());
+        EXPECT_EQ(fast.lastClose, naive.lastClose);
+        std::size_t closed = 0;
+        for (Time at : fast.lastClose)
+            closed += at >= 0;
+        EXPECT_EQ(closed, 6u);
+    }
+}
+
+TEST(Executor, ReplayShiftsCloseStampsAheadOfTheLoopStart)
+{
+    // A replayed loop leaves its rows' close stamps ahead of the
+    // device clock, so the next program's loop starts before them.
+    // That loop's replay moves them on like any stamp after its start,
+    // although it never touches their rows.
+    TestBench bench(smallConfig(21));
+    dram::Device &dev = bench.device();
+    hammer::PatternTimings t;
+    const Program first = hammer::doubleSidedRowHammer(
+        0, dev.toLogical(32), dev.toLogical(34), 3000, t);
+    const Program second = hammer::doubleSidedRowHammer(
+        0, dev.toLogical(10), dev.toLogical(12), 3000, t);
+    bench.run(first);
+    const Time stamp = dev.lastCloseAt(0, dev.toLogical(32));
+
+    const std::uint64_t replayed_before =
+        bench.executor().stats().fastPathIterations;
+    const ExecResult second_run = bench.run(second);
+    const std::uint64_t replayed =
+        bench.executor().stats().fastPathIterations - replayed_before;
+    ASSERT_GT(replayed, 0u);
+    ASSERT_GT(stamp, second_run.startTime);
+    const Time body = 2 * (t.base.tRP + t.aggOn());
+    EXPECT_EQ(dev.lastCloseAt(0, dev.toLogical(32)),
+              stamp + body * static_cast<Time>(replayed));
+}
+
+// ---------------------------------------------------------------------------
+// Prefix log
+// ---------------------------------------------------------------------------
+
+/** Whether two values agree bit for bit (floats included). */
+template <class T>
+bool
+sameBits(const T &x, const T &y)
+{
+    return std::memcmp(&x, &y, sizeof(T)) == 0;
+}
+
+/**
+ * Compare two devices bit for bit, without materializing any row:
+ * the rows each has drawn, with their data, damage, side state and
+ * close stamps; the counters; the TRR rings; both RNG streams; and
+ * the clock.
+ */
+void
+expectSameDevice(const Device &a, const Device &b)
+{
+    ASSERT_EQ(a.populatedRowCount(), b.populatedRowCount());
+    const DeviceCounters &ca = a.counters(), &cb = b.counters();
+    EXPECT_TRUE(ca.acts == cb.acts && ca.pres == cb.pres &&
+                ca.refs == cb.refs && ca.comraCopies == cb.comraCopies &&
+                ca.simraOps == cb.simraOps &&
+                ca.ignoredCommands == cb.ignoredCommands &&
+                ca.trrRefreshes == cb.trrRefreshes);
+    EXPECT_EQ(a.now(), b.now());
+    EXPECT_TRUE(a.trrRng() == b.trrRng());
+    EXPECT_TRUE(a.noiseRng() == b.noiseRng());
+    const DeviceConfig &cfg = a.config();
+    for (BankId bank = 0; bank < cfg.banks; ++bank) {
+        EXPECT_EQ(a.trrSamplerFill(bank), b.trrSamplerFill(bank));
+        EXPECT_EQ(a.trrSamplerRows(bank), b.trrSamplerRows(bank));
+        for (RowId r = 0; r < cfg.rowsPerBank(); ++r) {
+            ASSERT_EQ(a.populated(bank, r), b.populated(bank, r));
+            EXPECT_EQ(a.lastCloseAt(bank, r), b.lastCloseAt(bank, r))
+                << "row " << r;
+            EXPECT_EQ(a.lastSide(bank, r), b.lastSide(bank, r))
+                << "row " << r;
+            if (!a.populated(bank, r))
+                continue;
+            EXPECT_TRUE(a.readRowDirect(bank, r) == b.readRowDirect(bank, r))
+                << "row " << r;
+            const auto &wa = a.weakCells(bank, r), &wb = b.weakCells(bank, r);
+            for (std::size_t i = 0; i < wa.size(); ++i)
+                EXPECT_TRUE(sameBits(wa[i].damage, wb[i].damage))
+                    << "row " << r << " cell " << i;
+        }
+    }
+}
+
+/** Searches on twin testers and the probes and prefix reuses made. */
+struct OracleTally
+{
+    int searches = 0;
+    std::uint64_t probes = 0;
+    std::uint64_t reuses = 0;
+};
+
+/**
+ * Seeded HC_first searches on twin testers: `live` runs every probe
+ * as usual, `ref` drops its executor's prefix logs before every
+ * probe, so it never applies one.  Each search is RowHammer, CoMRA,
+ * SiMRA-2/8/16, a combined pattern, or RowHammer after a probed
+ * single-sided loop that damages one of its aggressors (so the row
+ * the prefix restores carries damage that grows with the probe, until
+ * it flips), some with REFs interleaved, on
+ * a module with TRR on for some seeds and a PARA hook for others;
+ * temperature changes and module resets land between searches, and
+ * earlier searches' damage stays in rows later ones do not rewrite.
+ * After every probe both devices must agree bit for bit.
+ */
+void
+runPrefixOracle(std::uint64_t seed, OracleTally &tally)
+{
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    DeviceConfig cfg = makeConfig("HMA81GU7AFR8N-UH", seed);
+    cfg.subarraysPerBank = 2;
+    cfg.rowsPerSubarray = 64;
+    cfg.cols = 256;
+    for (double *anchor : {&cfg.profile.rhMin, &cfg.profile.rhAvg,
+                           &cfg.profile.comraMin, &cfg.profile.comraAvg,
+                           &cfg.profile.simraMin, &cfg.profile.simraAvg})
+        *anchor /= 50;
+    hammer::ModuleTester live(cfg), ref(cfg);
+    Rng rng(seed);
+
+    mitigation::ParaConfig para_cfg;
+    para_cfg.probability = 1.0 / 64;
+    para_cfg.seed = seed;
+    std::optional<mitigation::ParaMitigation> para_live, para_ref;
+    if (seed % 6 == 5) {
+        para_live.emplace(para_cfg, cfg.rowsPerSubarray);
+        para_ref.emplace(para_cfg, cfg.rowsPerSubarray);
+        live.device().setMitigation(&*para_live);
+        ref.device().setMitigation(&*para_ref);
+    }
+    const bool trr = seed % 4 == 3;
+    live.device().setTrrEnabled(trr);
+    ref.device().setTrrEnabled(trr);
+
+    hammer::PatternTimings t;
+    t.base = cfg.timings;
+    hammer::HcSearchConfig search;
+    search.maxHammers = 20000;
+    search.rampStart = 64;
+
+    RowId victim = 1;
+    BankId bank = 0;
+    for (int k = 0; k < 4; ++k) {
+        // Half the searches move four rows on in the same bank, so
+        // their rows start out hit from the other side.
+        if (k == 0 || rng.below(2) == 0 ||
+            victim + 6 >= cfg.rowsPerBank()) {
+            bank = static_cast<BankId>(rng.below(cfg.banks));
+            victim = static_cast<RowId>(
+                1 + 2 * rng.below(cfg.rowsPerBank() / 2 - 1));  // odd
+        } else {
+            victim += 4;
+        }
+        const int kind = static_cast<int>(rng.below(7));
+        SCOPED_TRACE("search " + std::to_string(k) + " kind " +
+                     std::to_string(kind) + " victim " +
+                     std::to_string(victim));
+        const Device &dev = live.device();
+        auto at = [&](RowId phys) { return dev.toLogical(phys); };
+
+        std::vector<RowId> aggressors{victim - 1, victim + 1};
+        Program base;
+        std::size_t probed = 0;
+        auto simra = [&](int n) {
+            return live.planSimraDouble(victim, n);
+        };
+        if (kind == 0) {
+            base = hammer::doubleSidedRowHammer(bank, at(victim - 1),
+                                                at(victim + 1), 1, t);
+        } else if (kind == 1) {
+            base = hammer::comraHammer(bank, at(victim - 1),
+                                       at(victim + 1), 1, t);
+        } else if (kind <= 4) {
+            const int n = kind == 2 ? 2 : kind == 3 ? 8 : 16;
+            const auto plan = simra(n);
+            if (!plan)
+                continue;
+            aggressors = plan->group;
+            base = hammer::simraHammer(bank, at(plan->r1), at(plan->r2),
+                                       1, t);
+        } else if (kind == 6) {
+            if (victim + 2 >= cfg.rowsPerBank())
+                continue;
+            aggressors.push_back(victim + 2);
+            base.loopBegin(1)
+                .act(bank, at(victim + 2), t.base.tRP)
+                .pre(bank, t.aggOn())
+                .loopEnd();
+            base.ref(t.base.tRP);  // applies the pending close
+            base.loopBegin(20)
+                .act(bank, at(victim - 1), t.base.tRP)
+                .pre(bank, t.aggOn())
+                .act(bank, at(victim + 1), t.base.tRP)
+                .pre(bank, t.aggOn())
+                .loopEnd();
+        } else {
+            const auto plan = simra(4);
+            if (!plan)
+                continue;
+            aggressors.insert(aggressors.end(), plan->group.begin(),
+                              plan->group.end());
+            hammer::CombinedCounts counts;
+            counts.comra = 300;
+            counts.simra = 200;
+            counts.rowHammer = 1;
+            base = hammer::combinedPattern(
+                bank, at(victim - 1), at(victim + 1), at(victim - 1),
+                at(victim + 1), at(plan->r1), at(plan->r2), counts, t);
+            probed = base.loopCount() - 1;
+        }
+        const bool interleave = rng.below(5) == 0;
+        const auto pattern = static_cast<DataPattern>(rng.below(4));
+        const RowData aggr_data(cfg.cols, pattern);
+        const RowData victim_data(cfg.cols, dram::negate(pattern));
+
+        auto trial = [&](std::uint64_t n) {
+            Program p = base.withLoopCount(probed, n);
+            if (interleave)
+                p = hammer::withRefInterleave(p, t.base);
+            auto probe = [&](hammer::ModuleTester &tester) {
+                Device &d = tester.device();
+                for (RowId a : aggressors)
+                    d.writeRowDirect(bank, d.toLogical(a), aggr_data);
+                d.writeRowDirect(bank, d.toLogical(victim), victim_data);
+                tester.bench().run(p);
+                return tester.bench().countBitflips(
+                           bank, d.toLogical(victim), victim_data) > 0;
+            };
+            const bool flipped = probe(live);
+            ref.bench().executor().reset();
+            EXPECT_EQ(flipped, probe(ref)) << "probe " << n;
+            expectSameDevice(live.device(), ref.device());
+            ++tally.probes;
+            return flipped;
+        };
+        hammer::findHcFirst(search, trial);
+        ++tally.searches;
+        if (::testing::Test::HasFailure())
+            return;
+
+        if (rng.below(4) == 0) {
+            const Celsius temp = 50.0 + 10.0 * rng.below(5);
+            live.device().setTemperature(temp);
+            ref.device().setTemperature(temp);
+        }
+        if (rng.below(8) == 0) {  // arena reuse: a new module
+            tally.reuses += live.bench().executor().stats().prefixReuses;
+            const std::uint64_t module = seed + 1000 * (k + 1);
+            live.reset(module);
+            ref.reset(module);
+            live.device().setTrrEnabled(trr);
+            ref.device().setTrrEnabled(trr);
+            if (para_live) {
+                live.device().setMitigation(&*para_live);
+                ref.device().setMitigation(&*para_ref);
+            }
+        }
+    }
+    tally.reuses += live.bench().executor().stats().prefixReuses;
+    live.device().setMitigation(nullptr);
+    ref.device().setMitigation(nullptr);
+}
+
+TEST(PrefixLog, SearchesMatchATesterThatNeverReuses)
+{
+    OracleTally tally;
+    for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+        runPrefixOracle(seed, tally);
+        if (::testing::Test::HasFailure())
+            break;
+    }
+    EXPECT_GE(tally.searches, 200);
+    // Not vacuous: most probes of the hook-free, REF-free searches come
+    // from the log.
+    EXPECT_GT(tally.reuses, tally.probes / 3);
 }
 
 } // namespace

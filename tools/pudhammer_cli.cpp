@@ -913,7 +913,56 @@ usage()
         "          per-phase time/count tables from a JSONL trace\n"
         "common: --seed=N --rows=N (rows per subarray)\n"
         "        --trace=FILE (JSONL event trace)\n"
-        "        --metrics (deterministic counters on stdout at exit)\n");
+        "        --metrics (deterministic counters on stdout at exit)\n"
+        "        --help (the options a command accepts; any other\n"
+        "        option is an error)\n");
+}
+
+/** A subcommand and every option it reads, shared ones included. */
+struct Command
+{
+    const char *name;
+    std::vector<std::string> options;
+    int (*run)(const Args &);
+};
+
+const std::vector<Command> &
+commands()
+{
+    static const std::vector<Command> table = {
+        {"modules", {"trace", "metrics"},
+         [](const Args &) { return cmdModules(); }},
+        {"reveng", {"module", "profile", "seed", "rows", "trace", "metrics"},
+         cmdReveng},
+        {"hcfirst",
+         {"technique", "n", "temp", "pattern", "module", "victims", "seed",
+          "rows", "jobs", "trace", "metrics"},
+         cmdHcFirst},
+        {"popsweep",
+         {"technique", "n", "temp", "module", "modules", "victims", "seed",
+          "rows", "workers", "jobs", "alpha", "dir", "stall-timeout",
+          "trace", "metrics"},
+         cmdPopsweep},
+        {"attack",
+         {"technique", "n", "hammers", "trr", "module", "profile", "seed",
+          "rows", "trace", "metrics"},
+         cmdAttack},
+        {"lint",
+         {"program", "hammers", "effects", "dataflow", "mitigations",
+          "sarif", "json", "werror", "module", "profile", "seed", "rows",
+          "trace", "metrics"},
+         cmdLint},
+        {"fuzz",
+         {"module", "candidates", "seed", "jobs", "rows", "budget-periods",
+          "chunk", "corpus", "minimize-top", "no-static-filter",
+          "no-baseline", "trace", "metrics"},
+         cmdFuzz},
+        {"diffcheck",
+         {"seeds", "first-seed", "mitigation", "json", "trace", "metrics"},
+         cmdDiffCheck},
+        {"trace-summarize", {"trace"}, cmdTraceSummarize},
+    };
+    return table;
 }
 
 } // namespace
@@ -924,29 +973,26 @@ main(int argc, char **argv)
     const Args args(argc, argv);
     if (args.positional().empty()) {
         usage();
-        return 2;
+        return args.has("help") ? 0 : 2;
     }
     const std::string &cmd = args.positional().front();
+    const auto &table = commands();
+    const auto command =
+        std::find_if(table.begin(), table.end(),
+                     [&](const Command &c) { return cmd == c.name; });
+    if (command == table.end()) {
+        usage();
+        return 2;
+    }
+    if (args.has("help")) {
+        std::printf("pudhammer %s options:", command->name);
+        for (const std::string &option : command->options)
+            std::printf(" --%s", option.c_str());
+        std::printf("\n(see `pudhammer --help` for what they do)\n");
+        return 0;
+    }
+    args.requireKnown(command->options, "pudhammer " + cmd);
     if (cmd != "trace-summarize")
         obs::initFromArgs(args);
-    if (cmd == "modules")
-        return cmdModules();
-    if (cmd == "reveng")
-        return cmdReveng(args);
-    if (cmd == "hcfirst")
-        return cmdHcFirst(args);
-    if (cmd == "popsweep")
-        return cmdPopsweep(args);
-    if (cmd == "attack")
-        return cmdAttack(args);
-    if (cmd == "lint")
-        return cmdLint(args);
-    if (cmd == "fuzz")
-        return cmdFuzz(args);
-    if (cmd == "diffcheck")
-        return cmdDiffCheck(args);
-    if (cmd == "trace-summarize")
-        return cmdTraceSummarize(args);
-    usage();
-    return 2;
+    return command->run(args);
 }
