@@ -23,7 +23,7 @@ constexpr std::size_t kPlanCacheCap = 64;
  * Longest loop body (in instructions, LoopEnd included) that keeps a
  * prefix log.  Probe patterns are four commands long; a log grows with
  * the body -- a SiMRA group's close alone logs hundreds of deposits --
- * and one-off programs with long bodies never reuse theirs.
+ * and keeps its buffers for the executor's lifetime.
  */
 constexpr std::size_t kPrefixLogBody = 16;
 
@@ -125,12 +125,15 @@ Executor::execLoop(const Program &program, const ExecPlan &plan,
     std::uint64_t it = 0;
     int strikes = 0;
 
-    // The first chunk of a short, flat, REF-free top-level loop comes
-    // from the loop's prefix log when the device passes its guards,
-    // and fills it otherwise (DESIGN.md §4.2).
+    // On a repeated run of its plan, the first chunk of a short, flat,
+    // REF-free top-level loop comes from the loop's prefix log when the
+    // device passes its guards, and fills the log otherwise; a plan's
+    // first run leaves the logs alone, so a program that runs once
+    // never pays for logging (DESIGN.md §4.2).
     const LoopNode &node = program.loops()[loop_index];
     dram::Device::PrefixLog *log =
-        node.parent == Program::npos && cls == BodyClass::Simple &&
+        repeatRun_ && node.parent == Program::npos &&
+                cls == BodyClass::Simple &&
                 node.end - node.begin <= kPrefixLogBody
             ? &prefixLog(loop_index)
             : nullptr;
@@ -312,30 +315,20 @@ Executor::freePrefixLogs()
 const std::shared_ptr<const ExecPlan> &
 Executor::planFor(const Program &program)
 {
-    auto hit = [&](std::uint64_t hash) {
-        ++stats_.planCacheHits;
-        if (obs::metricsOn()) [[unlikely]] {
-            static const obs::CounterId c =
-                obs::metrics().counterId("executor.plan_cache_hits");
-            obs::metrics().add(c);
-        }
-        if (obs::traceOn()) [[unlikely]]
-            obs::trace().event("plan_cache_hit", {{"hash", hash}});
-    };
-
-    // Consecutive runs of one shape -- an HC_first search's probes --
-    // find the plan that ran last without hashing the program.
-    if (lastPlan_ != nullptr && (lastLinted_ || !preflight_) &&
-        lastPlan_->matchesShape(program)) {
-        hit(lastPlan_->shapeHash());
-        return lastPlan_;
-    }
-
     const std::uint64_t hash = shapeHashOf(program);
     auto &bucket = planCache_[hash];
     for (CachedPlan &entry : bucket) {
         if (entry.plan->matchesShape(program)) {
-            hit(hash);
+            ++stats_.planCacheHits;
+            if (obs::metricsOn()) [[unlikely]] {
+                static const obs::CounterId c =
+                    obs::metrics().counterId(
+                        "executor.plan_cache_hits");
+                obs::metrics().add(c);
+            }
+            if (obs::traceOn()) [[unlikely]]
+                obs::trace().event("plan_cache_hit",
+                                   {{"hash", hash}});
             if (preflight_ && !entry.linted) {
                 preflightCheck(program);
                 entry.linted = true;
@@ -383,13 +376,13 @@ Executor::run(const Program &program)
     }
 
     const std::shared_ptr<const ExecPlan> &cached = planFor(program);
-    lastLinted_ = preflight_;
-    if (cached != lastPlan_) {
+    repeatRun_ = cached == lastPlan_;
+    if (!repeatRun_) {
         lastPlan_ = cached;
         freePrefixLogs();  // another plan's logs cannot apply
     }
     const ExecPlan &plan = *cached;
-    costs_.recompute(plan, program);
+    costs_.compute(plan, program);
     const RunCosts &costs = costs_;
 
     // Leave a bus-turnaround gap after whatever ran before.

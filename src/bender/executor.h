@@ -143,7 +143,6 @@ class Executor
     {
         planCache_.clear();
         lastPlan_.reset();
-        lastLinted_ = false;
         freePrefixLogs();
         stats_ = ExecStats{};
     }
@@ -204,13 +203,13 @@ class Executor
 
     /**
      * The plan that ran last -- held, so the cache cannot drop it and
-     * hand its address to another -- and whether it was pre-flighted.
-     * Its flat top-level loops keep a prefix log each (DESIGN.md §4.2);
-     * `loop` is npos for a log another plan left behind, kept for its
-     * buffers.
+     * hand its address to another -- and whether the running program
+     * is a repeated run of it.  Its flat top-level loops keep a prefix
+     * log each (DESIGN.md §4.2); `loop` is npos for a log another plan
+     * left behind, kept for its buffers.
      */
     std::shared_ptr<const ExecPlan> lastPlan_;
-    bool lastLinted_ = false;
+    bool repeatRun_ = false;
     struct PrefixSlot
     {
         std::size_t loop;

@@ -103,16 +103,8 @@ ExecPlan::matchesShape(const Program &program) const
     return true;
 }
 
-RunCosts
-RunCosts::compute(const ExecPlan &plan, const Program &program)
-{
-    RunCosts out;
-    out.recompute(plan, program);
-    return out;
-}
-
 void
-RunCosts::recompute(const ExecPlan &plan, const Program &program)
+RunCosts::compute(const ExecPlan &plan, const Program &program)
 {
     const auto &tree = program.loops();
     loops = plan.loops();

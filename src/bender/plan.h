@@ -88,10 +88,9 @@ struct RunCosts
     std::vector<BodyCost> loops;  //!< indexed like Program::loops()
     BodyCost total;               //!< the whole program
 
-    static RunCosts compute(const ExecPlan &plan, const Program &program);
-
-    /** compute() into this object, reusing its buffer. */
-    void recompute(const ExecPlan &plan, const Program &program);
+    /** Compute the program's costs into this object, reusing its
+     *  buffer. */
+    void compute(const ExecPlan &plan, const Program &program);
 };
 
 } // namespace pud::bender

@@ -216,9 +216,10 @@ Device::reset(std::uint64_t seed)
     }
 
     // The disturbance model's only per-module state is its close memo,
-    // whose cell pointers the cleared rows just invalidated (its config
-    // copy never reads the seed); cal_ depends on the family only.
-    disturb_.invalidateCloses();
+    // whose cell pointers the cleared rows just invalidated: the new
+    // data epoch makes it start over (its config copy never reads the
+    // seed); cal_ depends on the family only.
+    ++dataEpoch_;
     temperature_ = cfg_.temperature;
     trrEnabled_ = false;
     now_ = 0;
@@ -269,7 +270,7 @@ Device::restoreRow(BankState &bank, RowId physical)
     for (WeakCell &cell : row.cells) {
         if (cell.flipped()) {
             row.data.toggle(cell.col);
-            disturb_.invalidateCloses();
+            ++dataEpoch_;
         }
         cell.resetDamage();
         disturb_.noteReset(cell);
@@ -299,7 +300,7 @@ Device::majorityMerge(BankState &bank)
             return bank.rows[r].data == first;
         }))
         return;
-    disturb_.invalidateCloses();
+    ++dataEpoch_;
 
     // Resolve into the first open row (the kernel allows an output
     // that is also an input), then copy it over the rest: no
@@ -441,10 +442,8 @@ Device::applyPendingClose(BankState &bank, const BankProtocol::Step *copy)
         }
     }
     const bool memo_hit = disturb_.applyClose(
-        bank.rows, ev, temperature_,
+        bank.rows, ev, temperature_, dataEpoch_,
         static_cast<std::uint32_t>(bankIndex(bank)));
-    if (prefixLog_ != nullptr) [[unlikely]]
-        logFirstHits(bank, ev);
     if (obs::metricsOn()) [[unlikely]] {
         static const obs::CounterId c_hits =
             obs::metrics().counterId("device.close_memo_hits");
@@ -510,7 +509,7 @@ Device::act(Time t, BankId b, RowId logical_row)
         noteLoopTouched(bank, phys);
         if (dst.data != bank.rows[step.src].data) {
             dst.data = bank.rows[step.src].data;
-            disturb_.invalidateCloses();
+            ++dataEpoch_;
         }
         for (WeakCell &c : bank.rows[phys].cells) {
             c.resetDamage();
@@ -580,7 +579,7 @@ Device::wr(Time t, BankId b, const RowData &data)
         noteLoopTouched(bank, r);
         if (bank.rows[r].data != data) {
             bank.rows[r].data = data;
-            disturb_.invalidateCloses();
+            ++dataEpoch_;
         }
         for (WeakCell &c : bank.rows[r].cells) {
             c.resetDamage();
@@ -996,9 +995,8 @@ Device::replayLoopIterations(const LoopRecord &rec,
     // Advance each bank's sampler ring closed-form: of the
     // completed * per pushes only the last n <= kTrrWindow survive.
     // The pushed stream is periodic in the body, so the survivors are
-    // one period rotated to `first % per`, repeated: write them in
-    // place, in the (at most two) runs around the ring's wrap, each as
-    // a few whole periods followed by doubling copies.
+    // one period rotated to `first % per`, repeated: build them by
+    // doubling copies, then write them in around the ring's wrap.
     for (std::size_t b = 0; b < nbanks; ++b) {
         BankState &bank = banks_[b];
         const std::vector<RowId> &acts = rec.samplerActs[b];
@@ -1010,29 +1008,24 @@ Device::replayLoopIterations(const LoopRecord &rec,
             pushes > kTrrWindow ? pushes - kTrrWindow : 0;
         const auto n = static_cast<std::size_t>(pushes - first);
 
-        auto fill = [&](RowId *run, std::size_t len, std::uint64_t from) {
-            constexpr std::uint64_t kSeed = 32;
-            std::size_t built = static_cast<std::size_t>(std::min<std::uint64_t>(
-                len, per * ((kSeed + per - 1) / per)));
-            auto k = static_cast<std::size_t>(from % per);
-            for (std::size_t j = 0; j < built; ++j) {
-                run[j] = acts[k];
-                if (++k == per)
-                    k = 0;
-            }
-            while (built < len) {  // built stays a multiple of per
-                const std::size_t more = std::min(built, len - built);
-                std::memcpy(run + built, run, more * sizeof(RowId));
-                built += more;
-            }
-        };
-        RowId *ring = bank.trrRing.data();
+        RowId *seq = ringScratch_.data();
+        std::size_t built = static_cast<std::size_t>(
+            std::min<std::uint64_t>(per, n));
+        for (std::size_t j = 0; j < built; ++j)
+            seq[j] = acts[static_cast<std::size_t>((first + j) % per)];
+        while (built < n) {  // built stays a multiple of per
+            const std::size_t more = std::min(built, n - built);
+            std::copy_n(seq, more, seq + built);
+            built += more;
+        }
+
         const std::size_t pos0 = bank.trrPos;
         const auto start =
             static_cast<std::size_t>((pos0 + first) % kTrrWindow);
         const std::size_t upto = std::min(n, kTrrWindow - start);
-        fill(ring + start, upto, first);
-        fill(ring, n - upto, first + upto);
+        std::copy_n(seq, upto, bank.trrRing.begin() +
+                                   static_cast<std::ptrdiff_t>(start));
+        std::copy_n(seq + upto, n - upto, bank.trrRing.begin());
         bank.trrPos = static_cast<std::size_t>((pos0 + pushes) % kTrrWindow);
         bank.trrFill = static_cast<std::size_t>(
             std::min<std::uint64_t>(kTrrWindow, bank.trrFill + pushes));
@@ -1092,32 +1085,6 @@ Device::logRow(const BankState &bank, RowId physical)
     return log.rows_.back();
 }
 
-void
-Device::logFirstHits(const BankState &bank, const CloseEvent &ev)
-{
-    // The victims are computeClose()'s: the same-subarray rows within
-    // two of an aggressor that are not aggressors themselves.  Each
-    // now holds the side it was hit from, 0 for both sides.
-    const auto nrows = static_cast<std::int64_t>(bank.rows.size());
-    for (RowId a : ev.rows) {
-        for (int d : {-2, -1, 1, 2}) {
-            const std::int64_t v = static_cast<std::int64_t>(a) + d;
-            if (v < 0 || v >= nrows ||
-                subarrayOfPhysical(static_cast<RowId>(v)) !=
-                    subarrayOfPhysical(a) ||
-                std::find(ev.rows.begin(), ev.rows.end(), v) !=
-                    ev.rows.end())
-                continue;
-            PrefixLog::RowImage &img =
-                logRow(bank, static_cast<RowId>(v));
-            if (!img.hit) {
-                img.hit = true;
-                img.firstSide = img.row->lastSide;
-            }
-        }
-    }
-}
-
 bool
 Device::beginPrefixLog(PrefixLog &log, Time chunk_start)
 {
@@ -1129,7 +1096,7 @@ Device::beginPrefixLog(PrefixLog &log, Time chunk_start)
     log.filled_ = false;
     log.wrote_ = false;
     log.start_ = chunk_start;
-    log.generation_ = disturb_.generation();
+    log.epoch_ = dataEpoch_;
     log.temperature_ = temperature_;
     log.trrEnabled_ = trrEnabled_;
     log.counters_ = counters_;
@@ -1151,7 +1118,7 @@ Device::endPrefixLog(Time chunk_end)
     disturb_.logOps(nullptr);
     const LoopRecord &rec = loopRecord_;
     if (!rec.quiescent || !rec.refs.empty() || log.wrote_ ||
-        disturb_.generation() != log.generation_)
+        dataEpoch_ != log.epoch_)
         return false;
 
     for (PrefixLog::RowImage &img : log.rows_) {
@@ -1191,7 +1158,7 @@ Device::endPrefixLog(Time chunk_end)
 bool
 Device::applyPrefixLog(const PrefixLog &log, Time chunk_start)
 {
-    // Guards (DESIGN.md §4.2): the same environment and generation --
+    // Guards (DESIGN.md §4.2): the same environment and data epoch --
     // so the same data and cells everywhere -- idle banks, and per
     // touched row the same side state, the same damage where the
     // prefix reads it, and the same off-time key for a reopen gap
@@ -1199,23 +1166,16 @@ Device::applyPrefixLog(const PrefixLog &log, Time chunk_start)
     if (!log.filled_ || mitigation_ != nullptr ||
         trrEnabled_ != log.trrEnabled_ ||
         temperature_ != log.temperature_ ||
-        disturb_.generation() != log.generation_)
+        dataEpoch_ != log.epoch_)
         return false;
     for (const PrefixLog::BankImage &bi : log.banks_) {
         const BankProtocol &proto = banks_[bi.bank].proto;
         if (proto.isOpen() || proto.pending.valid)
             return false;
     }
-    // A row's side state is read once, by its first close, and only to
-    // ask whether that close switches sides.
-    auto switches = [](std::int8_t side, std::int8_t from) {
-        return side != 0 && side != from;
-    };
     for (const PrefixLog::RowImage &img : log.rows_) {
         const Row &row = *img.row;
-        if (img.firstSide != 0 &&
-            switches(row.lastSide, img.firstSide) !=
-                switches(img.sideBefore, img.firstSide))
+        if (row.lastSide != img.sideBefore)
             return false;
         if (img.readsDamage &&
             !std::equal(row.cells.begin(), row.cells.end(),
@@ -1237,8 +1197,7 @@ Device::applyPrefixLog(const PrefixLog &log, Time chunk_start)
 
     log.damageLog_.apply();
     for (const PrefixLog::RowImage &img : log.rows_) {
-        if (img.hit)
-            img.row->lastSide = img.sideAfter;
+        img.row->lastSide = img.sideAfter;
         if (img.stamped)
             stampClose(img.bank, img.physical, chunk_start + img.closeAt);
     }
@@ -1280,7 +1239,7 @@ Device::writeRowDirect(BankId b, RowId logical_row, const RowData &data)
     const bool redraw = cfg_.trialNoiseSigma > 0.0;
     if (row.data != data || redraw) {
         row.data = data;
-        disturb_.invalidateCloses();
+        ++dataEpoch_;
     }
     for (WeakCell &c : row.cells) {
         c.resetDamage();

@@ -234,12 +234,8 @@ class Device
             std::size_t bank;
             RowId physical;
             std::uint32_t damageAt;  //!< its cells' damage, in damage_
-            std::int8_t sideBefore;
-            /** Hit by a close, first from `firstSide` (0: both sides),
-             *  and left at `sideAfter`. */
-            bool hit = false;
-            std::int8_t firstSide = 0;
-            std::int8_t sideAfter = 0;
+            std::int8_t sideBefore;     //!< lastSide at the chunk start
+            std::int8_t sideAfter = 0;  //!< and after the prefix
             /** Restored by an ACT: its flips decide its data. */
             bool readsDamage = false;
             /** Closed by the prefix, last at `closeAt`. */
@@ -264,7 +260,7 @@ class Device
         Time start_ = 0;      //!< the fill's chunk start
         Time duration_ = 0;
         Time nowAt_ = 0;
-        std::uint64_t generation_ = 0;
+        std::uint64_t epoch_ = 0;  //!< dataEpoch_ at the fill
         Celsius temperature_ = 0;
         bool trrEnabled_ = false;
         DeviceCounters counters_;  //!< at the start, then the delta
@@ -326,7 +322,7 @@ class Device
      * Stop logging, right after endLoopRecording(); `chunk_end` is the
      * caller's cursor.  Returns whether the log is reusable: the
      * recording was quiescent and REF-free, and no row's data or
-     * cells changed (the close memo's generation held).  If so, the
+     * cells changed (dataEpoch_ held).  If so, the
      * record endLoopRecording() returned has moved into the log:
      * replay from log.record().
      */
@@ -389,8 +385,8 @@ class Device
     }
 
     /** Test-only: forget every memoized close, so the next closes
-     *  recompute their deposits (DisturbanceModel::invalidateCloses). */
-    void invalidateCloses() { disturb_.invalidateCloses(); }
+     *  recompute their deposits (DisturbanceModel::forgetCloses). */
+    void invalidateCloses() { disturb_.forgetCloses(); }
 
     /** Test-only: the TRR sampler's and the trial noise's RNGs. */
     const Rng &trrRng() const { return trrRng_; }
@@ -545,10 +541,6 @@ class Device
     /** The logged image of a row, added on first touch. */
     PrefixLog::RowImage &logRow(const BankState &bank, RowId physical);
 
-    /** Log the side each victim of a just-applied close took, if that
-     *  was its first close in the prefix. */
-    void logFirstHits(const BankState &bank, const CloseEvent &ev);
-
     /** Set a row's close stamp, keeping it on stampedRows_. */
     void
     stampClose(std::size_t bank, RowId physical, Time t)
@@ -614,7 +606,27 @@ class Device
     // Replay scratch, kept warm across replays.
     std::vector<RowId> unionTracked_;
     std::vector<std::pair<std::size_t, RowId>> trrTargets_;
+    std::array<RowId, kTrrWindow> ringScratch_{};
     Celsius temperature_;
+    /**
+     * Moves whenever a row's data or weak cells may have changed, so an
+     * unchanged value proves neither did; the close memo and the prefix
+     * logs read it.  Every site that changes either bumps it -- a
+     * missed site is a silently wrong result:
+     *  - reset() (frees every populated row's cells)
+     *  - writeRowDirect(), when the row's data changes or its cells'
+     *    trialScale redraws
+     *  - wr(), when an open row's data changes
+     *  - the CoMRA copy in act(), when the destination's data changes
+     *  - majorityMerge(), when the group's rows differ
+     *  - restoreRow(), when a flipped cell toggles its bit
+     * populateRow() needs none: every row a memo entry or a log reads
+     * was populated before it was filled, and rows only stop being
+     * populated through reset(); drawing a row's CoMRA/SiMRA factors
+     * fills in values nothing has read.  Damage resets need none
+     * either: a close adds to the damage but never reads it.
+     */
+    std::uint64_t dataEpoch_ = 1;
     bool trrEnabled_ = false;
     Time now_ = 0;
     std::uint64_t refCounter_ = 0;

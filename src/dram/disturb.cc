@@ -444,7 +444,8 @@ DisturbanceModel::replayMemo(const MemoEntry &entry)
 
 bool
 DisturbanceModel::applyClose(std::vector<Row> &rows, const CloseEvent &event,
-                             Celsius temperature, std::uint32_t bank)
+                             Celsius temperature, std::uint64_t data_epoch,
+                             std::uint32_t bank)
 {
     if (memoSlots_.empty()) [[unlikely]] {
         memoSlots_.resize(kMemoSlots);
@@ -452,6 +453,10 @@ DisturbanceModel::applyClose(std::vector<Row> &rows, const CloseEvent &event,
         memoRows_.reserve(kMemoRows + kMaxGroupRows);
         memoVictims_.reserve(kMemoVictims + 4 * kMaxGroupRows);
         memoDeposits_.reserve(kMemoDeposits + kMemoSlack);
+    }
+    if (data_epoch != memoEpoch_) {
+        memoEpoch_ = data_epoch;
+        forgetCloses();
     }
 
     // The slot hash covers the fields that tell a body's closes apart;
@@ -520,7 +525,7 @@ DisturbanceModel::applyClose(std::vector<Row> &rows, const CloseEvent &event,
         memoRows_.size() >= kMemoRows ||
         memoVictims_.size() >= kMemoVictims ||
         memoDeposits_.size() >= kMemoDeposits) [[unlikely]] {
-        invalidateCloses();  // full: start over, from this entry
+        forgetCloses();  // full: start over, from this entry
         slot = {h, memoGen_, 0, {kNoEntry, kNoEntry}, 0};
     }
     slot.misses = 0;

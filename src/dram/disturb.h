@@ -338,7 +338,7 @@ class DamageFold
  * recorded deposits (the same float adds into the same accumulators in
  * the same order) instead of recomputing them.  Everything else a
  * close reads is row data and weak-cell parameters, so whoever owns
- * the rows must call invalidateCloses() whenever either changes.  (A
+ * the rows must pass a new data epoch whenever either changes.  (A
  * row's CoMRA/SiMRA factors may be drawn after an entry over it was
  * filled, but only by a close that is about to read them -- so no
  * entry ever read their undrawn values.)
@@ -353,25 +353,29 @@ class DisturbanceModel
      *
      * @param rows        the bank's physical row array; the memo keys
      *                    on its address, so a new array in the same
-     *                    place needs invalidateCloses() first
+     *                    place needs a new data epoch
      * @param event       the closed aggressor context
      * @param temperature current chip temperature
+     * @param data_epoch  the row owner's count of changes to row data
+     *                    and weak cells: when it moves, the memo
+     *                    forgets every entry
      * @param bank        the array's bank index: spreads the banks'
      *                    closes over the memo's slots (addresses would
      *                    make its hit counts run-dependent)
      * @return true iff the memo supplied the deposits
      */
     bool applyClose(std::vector<Row> &rows, const CloseEvent &event,
-                    Celsius temperature, std::uint32_t bank = 0);
+                    Celsius temperature, std::uint64_t data_epoch,
+                    std::uint32_t bank = 0);
 
     /**
-     * Forget every memoized close outcome.  Required before the next
-     * close after any change to a row's data or weak cells (a repeated
-     * close would otherwise replay deposits computed from the old
-     * contents), and after rows are freed (entries point into them).
+     * Forget every memoized close outcome.  applyClose() does so when
+     * the data epoch moves (a repeated close would otherwise replay
+     * deposits computed from the old contents, or into freed rows) and
+     * when the memo is full.
      */
     void
-    invalidateCloses()
+    forgetCloses()
     {
         ++memoGen_;
         memoEntries_.clear();
@@ -427,13 +431,6 @@ class DisturbanceModel
         opLog_ = log;
         tapped_ = recording_ || opLog_ != nullptr;
     }
-
-    /**
-     * The memo's generation: it moves whenever row data or weak cells
-     * may have changed (see memoGen_), so an unchanged value proves
-     * neither did.
-     */
-    std::uint64_t generation() const { return memoGen_; }
 
     // --- individual factors, exposed for unit tests -------------------
 
@@ -652,26 +649,14 @@ class DisturbanceModel
 
     /**
      * Generation of the memo: a slot is live only while this equals
-     * its `gen`.  Starts at 1 so never-used slots (gen 0) are dead.
-     *
-     * invalidateCloses() bumps it.  Device calls it at every site that
-     * changes a row's data or weak cells -- a missed site is a silently
-     * wrong result:
-     *  - reset() (frees every populated row's cells)
-     *  - writeRowDirect(), when the row's data changes or its cells'
-     *    trialScale redraws
-     *  - wr(), when an open row's data changes
-     *  - the CoMRA copy in act(), when the destination's data changes
-     *  - majorityMerge(), when the group's rows differ
-     *  - restoreRow(), when a flipped cell toggles its bit
-     * populateRow() needs none: every row an entry reads was populated
-     * before the entry was filled, and rows only stop being populated
-     * through reset(); drawing a row's CoMRA/SiMRA factors fills in
-     * values no entry has read.  Damage resets need none either: a
-     * close adds to the damage but never reads it.  The temperature is
-     * part of the key, and lastSide is validated per victim.
+     * its `gen`.  Starts at 1 so never-used slots (gen 0) are dead;
+     * forgetCloses() bumps it.
      */
     std::uint64_t memoGen_ = 1;
+    /** The data epoch the entries were filled under (Device::dataEpoch_
+     *  lists what moves it).  The temperature is part of the key, and
+     *  lastSide is validated per victim. */
+    std::uint64_t memoEpoch_ = 0;
     /** Sized on the first lookup, when the buffers below are reserved
      *  at their caps, so a warm device's closes do not allocate. */
     std::vector<MemoSlot> memoSlots_;

@@ -299,15 +299,15 @@ TEST(ApplyClose, DoubleSidedNormalization)
         m.regionGain(TechClass::Conventional, 1, m.regionOf(3));
     const int rounds = static_cast<int>(1000.0 / gain);
     for (int round = 0; round < rounds - 2; ++round) {
-        m.applyClose(rows, left, 80.0);
-        m.applyClose(rows, right, 80.0);
+        m.applyClose(rows, left, 80.0, 1);
+        m.applyClose(rows, right, 80.0, 1);
     }
     EXPECT_FALSE(rows[3].cells[0].flipped());
     // A few more rounds push it over 1.0 (the very first event is
     // reduced-strength before alternation establishes).
     for (int round = 0; round < 4; ++round) {
-        m.applyClose(rows, left, 80.0);
-        m.applyClose(rows, right, 80.0);
+        m.applyClose(rows, left, 80.0, 1);
+        m.applyClose(rows, right, 80.0, 1);
     }
     EXPECT_TRUE(rows[3].cells[0].flipped());
 }
@@ -334,7 +334,7 @@ TEST(ApplyClose, SubarrayBoundaryIsolates)
     ev.cls = TechClass::Conventional;
     ev.tOn = units::fromNs(36);
     for (int i = 0; i < 1000; ++i)
-        m.applyClose(rows, ev, 80.0);
+        m.applyClose(rows, ev, 80.0, 1);
     EXPECT_FLOAT_EQ(rows[rps].cells[0].totalDamage(), 0.0f);
 }
 
@@ -357,11 +357,11 @@ TEST(ApplyClose, RecordingReplaysExactly)
     ev.cls = TechClass::Conventional;
     ev.tOn = units::fromNs(36);
 
-    m.applyClose(rows, ev, 80.0);  // warm-up (side state)
+    m.applyClose(rows, ev, 80.0, 1);  // warm-up (side state)
     const float after_one = rows[3].cells[0].damage[0];
 
     m.beginRecording();
-    m.applyClose(rows, ev, 80.0);
+    m.applyClose(rows, ev, 80.0, 1);
     DamageRecord record;
     m.endRecording(record);
     const float per_iter = rows[3].cells[0].damage[0] - after_one;

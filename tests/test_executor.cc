@@ -283,7 +283,8 @@ TEST(ExecPlan, RunCostsSaturate)
         .pre(0, units::fromNs(36))
         .loopEnd()
         .loopEnd();
-    const RunCosts costs = RunCosts::compute(ExecPlan::compile(p), p);
+    RunCosts costs;
+    costs.compute(ExecPlan::compile(p), p);
     EXPECT_EQ(costs.loops[1].duration, units::fromNs(51));
     EXPECT_EQ(costs.loops[0].duration, kMaxTime);
     EXPECT_EQ(costs.total.duration, kMaxTime);
@@ -305,7 +306,8 @@ TEST(ExecPlan, RunCostsTotalIsTheExecutedDuration)
     Device dev(smallConfig());
     Executor ex(dev);
     const ExecResult r = ex.run(p);
-    const RunCosts costs = RunCosts::compute(ExecPlan::compile(p), p);
+    RunCosts costs;
+    costs.compute(ExecPlan::compile(p), p);
     EXPECT_EQ(costs.total.duration, r.endTime - r.startTime);
 }
 
@@ -922,11 +924,14 @@ struct OracleTally
  * SiMRA-2/8/16, a combined pattern, or RowHammer after a probed
  * single-sided loop that damages one of its aggressors (so the row
  * the prefix restores carries damage that grows with the probe, until
- * it flips), some with REFs interleaved, on
- * a module with TRR on for some seeds and a PARA hook for others;
- * temperature changes and module resets land between searches, and
- * earlier searches' damage stays in rows later ones do not rewrite.
- * After every probe both devices must agree bit for bit.
+ * it flips), some with REFs interleaved, on a module with TRR on for
+ * some seeds and a PARA hook for others; temperature changes and
+ * module resets land between searches, and earlier searches' damage
+ * stays in rows later ones do not rewrite.  Some searches repeat the
+ * last one, so its first probe meets the log the last one filled,
+ * some of those after a close outside any program that leaves a row
+ * the search hits set from the other side.  After every probe both
+ * devices must agree bit for bit.
  */
 void
 runPrefixOracle(std::uint64_t seed, OracleTally &tally)
@@ -965,76 +970,103 @@ runPrefixOracle(std::uint64_t seed, OracleTally &tally)
 
     RowId victim = 1;
     BankId bank = 0;
+    int kind = 0;
+    std::vector<RowId> aggressors;
+    Program base;
+    std::size_t probed = 0;
+    bool interleave = false;
+    auto pattern = DataPattern::P00;
+    bool searched = false;  // the last pass ran a search
     for (int k = 0; k < 4; ++k) {
-        // Half the searches move four rows on in the same bank, so
-        // their rows start out hit from the other side.
-        if (k == 0 || rng.below(2) == 0 ||
-            victim + 6 >= cfg.rowsPerBank()) {
-            bank = static_cast<BankId>(rng.below(cfg.banks));
-            victim = static_cast<RowId>(
-                1 + 2 * rng.below(cfg.rowsPerBank() / 2 - 1));  // odd
-        } else {
-            victim += 4;
-        }
-        const int kind = static_cast<int>(rng.below(7));
-        SCOPED_TRACE("search " + std::to_string(k) + " kind " +
-                     std::to_string(kind) + " victim " +
-                     std::to_string(victim));
         const Device &dev = live.device();
         auto at = [&](RowId phys) { return dev.toLogical(phys); };
 
-        std::vector<RowId> aggressors{victim - 1, victim + 1};
-        Program base;
-        std::size_t probed = 0;
-        auto simra = [&](int n) {
-            return live.planSimraDouble(victim, n);
-        };
-        if (kind == 0) {
-            base = hammer::doubleSidedRowHammer(bank, at(victim - 1),
-                                                at(victim + 1), 1, t);
-        } else if (kind == 1) {
-            base = hammer::comraHammer(bank, at(victim - 1),
-                                       at(victim + 1), 1, t);
-        } else if (kind <= 4) {
-            const int n = kind == 2 ? 2 : kind == 3 ? 8 : 16;
-            const auto plan = simra(n);
-            if (!plan)
-                continue;
-            aggressors = plan->group;
-            base = hammer::simraHammer(bank, at(plan->r1), at(plan->r2),
-                                       1, t);
-        } else if (kind == 6) {
-            if (victim + 2 >= cfg.rowsPerBank())
-                continue;
-            aggressors.push_back(victim + 2);
-            base.loopBegin(1)
-                .act(bank, at(victim + 2), t.base.tRP)
-                .pre(bank, t.aggOn())
-                .loopEnd();
-            base.ref(t.base.tRP);  // applies the pending close
-            base.loopBegin(20)
-                .act(bank, at(victim - 1), t.base.tRP)
-                .pre(bank, t.aggOn())
-                .act(bank, at(victim + 1), t.base.tRP)
-                .pre(bank, t.aggOn())
-                .loopEnd();
-        } else {
-            const auto plan = simra(4);
-            if (!plan)
-                continue;
-            aggressors.insert(aggressors.end(), plan->group.begin(),
-                              plan->group.end());
-            hammer::CombinedCounts counts;
-            counts.comra = 300;
-            counts.simra = 200;
-            counts.rowHammer = 1;
-            base = hammer::combinedPattern(
-                bank, at(victim - 1), at(victim + 1), at(victim - 1),
-                at(victim + 1), at(plan->r1), at(plan->r2), counts, t);
-            probed = base.loopCount() - 1;
+        // A third of the searches repeat the last one: its plan runs
+        // again, so the first probe can reuse the log the last search
+        // filled.  Half of those first open and close the row three
+        // past the victim outside any program, which leaves the row two
+        // past it hit from the other side than the search hits it.
+        const bool repeat = searched && rng.below(3) == 0;
+        if (repeat && rng.below(2) == 0 &&
+            victim + 3 < cfg.rowsPerBank()) {
+            for (hammer::ModuleTester *tester : {&live, &ref}) {
+                Device &d = tester->device();
+                const Time when = d.now() + units::fromNs(1000);
+                d.act(when, bank, d.toLogical(victim + 3));
+                d.pre(when + units::fromNs(1000), bank);
+                d.flush();
+            }
         }
-        const bool interleave = rng.below(5) == 0;
-        const auto pattern = static_cast<DataPattern>(rng.below(4));
+        searched = false;
+        if (!repeat) {
+            // Half the searches move four rows on in the same bank, so
+            // their rows start out hit from the other side.
+            if (k == 0 || rng.below(2) == 0 ||
+                victim + 6 >= cfg.rowsPerBank()) {
+                bank = static_cast<BankId>(rng.below(cfg.banks));
+                victim = static_cast<RowId>(
+                    1 + 2 * rng.below(cfg.rowsPerBank() / 2 - 1));  // odd
+            } else {
+                victim += 4;
+            }
+            kind = static_cast<int>(rng.below(7));
+            aggressors = {victim - 1, victim + 1};
+            base = Program();
+            probed = 0;
+            auto simra = [&](int n) {
+                return live.planSimraDouble(victim, n);
+            };
+            if (kind == 0) {
+                base = hammer::doubleSidedRowHammer(
+                    bank, at(victim - 1), at(victim + 1), 1, t);
+            } else if (kind == 1) {
+                base = hammer::comraHammer(bank, at(victim - 1),
+                                           at(victim + 1), 1, t);
+            } else if (kind <= 4) {
+                const int n = kind == 2 ? 2 : kind == 3 ? 8 : 16;
+                const auto plan = simra(n);
+                if (!plan)
+                    continue;
+                aggressors = plan->group;
+                base = hammer::simraHammer(bank, at(plan->r1),
+                                           at(plan->r2), 1, t);
+            } else if (kind == 6) {
+                if (victim + 2 >= cfg.rowsPerBank())
+                    continue;
+                aggressors.push_back(victim + 2);
+                base.loopBegin(1)
+                    .act(bank, at(victim + 2), t.base.tRP)
+                    .pre(bank, t.aggOn())
+                    .loopEnd();
+                base.ref(t.base.tRP);  // applies the pending close
+                base.loopBegin(20)
+                    .act(bank, at(victim - 1), t.base.tRP)
+                    .pre(bank, t.aggOn())
+                    .act(bank, at(victim + 1), t.base.tRP)
+                    .pre(bank, t.aggOn())
+                    .loopEnd();
+            } else {
+                const auto plan = simra(4);
+                if (!plan)
+                    continue;
+                aggressors.insert(aggressors.end(), plan->group.begin(),
+                                  plan->group.end());
+                hammer::CombinedCounts counts;
+                counts.comra = 300;
+                counts.simra = 200;
+                counts.rowHammer = 1;
+                base = hammer::combinedPattern(
+                    bank, at(victim - 1), at(victim + 1), at(victim - 1),
+                    at(victim + 1), at(plan->r1), at(plan->r2), counts,
+                    t);
+                probed = base.loopCount() - 1;
+            }
+            interleave = rng.below(5) == 0;
+            pattern = static_cast<DataPattern>(rng.below(4));
+        }
+        SCOPED_TRACE("search " + std::to_string(k) + " kind " +
+                     std::to_string(kind) + " victim " +
+                     std::to_string(victim) + (repeat ? " (repeat)" : ""));
         const RowData aggr_data(cfg.cols, pattern);
         const RowData victim_data(cfg.cols, dram::negate(pattern));
 
@@ -1060,6 +1092,7 @@ runPrefixOracle(std::uint64_t seed, OracleTally &tally)
         };
         hammer::findHcFirst(search, trial);
         ++tally.searches;
+        searched = true;
         if (::testing::Test::HasFailure())
             return;
 
@@ -1069,6 +1102,7 @@ runPrefixOracle(std::uint64_t seed, OracleTally &tally)
             ref.device().setTemperature(temp);
         }
         if (rng.below(8) == 0) {  // arena reuse: a new module
+            searched = false;  // whose mapping the program may not fit
             tally.reuses += live.bench().executor().stats().prefixReuses;
             const std::uint64_t module = seed + 1000 * (k + 1);
             live.reset(module);
