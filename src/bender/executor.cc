@@ -16,9 +16,6 @@ namespace {
 /** Cap on up-front ExecResult::reads reservation (entries). */
 constexpr std::uint64_t kReadReserveCap = 1ULL << 20;
 
-/** Plan-cache entries kept before the cache is dropped wholesale. */
-constexpr std::size_t kPlanCacheCap = 64;
-
 /**
  * Longest loop body (in instructions, LoopEnd included) that keeps a
  * prefix log.  Probe patterns are four commands long; a log grows with
@@ -78,15 +75,13 @@ Executor::execOne(const Program &program, const Inst &inst, Time &cursor,
 }
 
 void
-Executor::execLoop(const Program &program, const ExecPlan &plan,
-                   const RunCosts &costs, std::size_t loop_index,
+Executor::execLoop(const Program &program, std::size_t loop_index,
                    std::uint64_t n, Time &cursor, ExecResult &result)
 {
     const BodyClass cls = program.loops()[loop_index].cls;
+    const BodyCost &cost = costs_.loops[loop_index];
 
-    auto body = [&] {
-        execBody(program, plan, costs, loop_index, cursor, result);
-    };
+    auto body = [&] { execBody(program, loop_index, cursor, result); };
 
     // Recording an outer loop runs its body fully naively once, so it
     // only pays off when that beats letting the inner loops fast-path
@@ -95,8 +90,7 @@ Executor::execLoop(const Program &program, const ExecPlan &plan,
     const bool eligible =
         fastPath_ && !recording_ && cls != BodyClass::Naive &&
         n >= kFastPathThreshold &&
-        costs.loops[loop_index].naiveCost <=
-            satMul(costs.loops[loop_index].fastCost, n - 2);
+        cost.naiveCost <= satMul(cost.fastCost, n - 2);
 
     if (!eligible) {
         // Only a loop that *could* have fast-pathed is an interesting
@@ -125,11 +119,11 @@ Executor::execLoop(const Program &program, const ExecPlan &plan,
     std::uint64_t it = 0;
     int strikes = 0;
 
-    // On a repeated run of its plan, the first chunk of a short, flat,
-    // REF-free top-level loop comes from the loop's prefix log when the
-    // device passes its guards, and fills the log otherwise; a plan's
-    // first run leaves the logs alone, so a program that runs once
-    // never pays for logging (DESIGN.md §4.2).
+    // On a run that repeats the last run's shape, the first chunk of a
+    // short, flat, REF-free top-level loop comes from the loop's prefix
+    // log when the device passes its guards, and fills the log
+    // otherwise; a shape's first run leaves the logs alone, so a
+    // program that runs once never pays for logging (DESIGN.md §4.2).
     const LoopNode &node = program.loops()[loop_index];
     dram::Device::PrefixLog *log =
         repeatRun_ && node.parent == Program::npos &&
@@ -186,7 +180,7 @@ Executor::execLoop(const Program &program, const ExecPlan &plan,
         const std::uint64_t replayed =
             device_->replayLoopIterations(rec, n - it);
         if (replayed > 0) {
-            const Time period = costs.loops[loop_index].duration;
+            const Time period = cost.duration;
             const Time skipped = satMulT(period, replayed);
             // Only what the recorded iteration stamped recurs in every
             // skipped one: a row the warm-ups alone closed keeps its
@@ -240,51 +234,17 @@ Executor::execLoop(const Program &program, const ExecPlan &plan,
 }
 
 void
-Executor::execBody(const Program &program, const ExecPlan &plan,
-                   const RunCosts &costs, std::size_t loop_id, Time &cursor,
-                   ExecResult &result)
+Executor::execBody(const Program &program, std::size_t loop_id,
+                   Time &cursor, ExecResult &result)
 {
     const auto &insts = program.insts();
     program.forEachInBody(
         loop_id,
         [&](std::size_t i) { execOne(program, insts[i], cursor, result); },
         [&](std::size_t li) {
-            execLoop(program, plan, costs, li,
-                     insts[program.loops()[li].begin].count, cursor,
-                     result);
+            execLoop(program, li, insts[program.loops()[li].begin].count,
+                     cursor, result);
         });
-}
-
-void
-Executor::preflightCheck(const Program &program)
-{
-    // Refuse programs the device would fatal on, with a pointer at the
-    // bad instruction.  Warnings (deliberately violated timings that
-    // match no PuD idiom) are the caller's business -- see
-    // lint::lintProgram.
-    lint::LintOptions opts;
-    opts.effects = preflightEffects_;
-    opts.dataflow = preflightDataflow_;
-    opts.mitigations = preflightMitigations_;
-    const lint::LintResult pre = lint::requireClean(
-        program, device_->config(), "Executor", opts);
-    if (preflightEffects_ || preflightDataflow_ ||
-        preflightMitigations_.any()) {
-        for (const lint::Diag &d : pre.diags) {
-            const bool surfaced =
-                (preflightEffects_ &&
-                 d.code == lint::Code::DisturbanceImpossible) ||
-                (preflightDataflow_ &&
-                 d.severity == lint::Severity::Warning &&
-                 lint::isDataflowCode(d.code)) ||
-                (preflightMitigations_.any() &&
-                 d.severity == lint::Severity::Warning &&
-                 lint::isMitigationCode(d.code));
-            if (surfaced)
-                warn("Executor pre-flight: [%s] %s", lint::name(d.code),
-                     d.message.c_str());
-        }
-    }
 }
 
 dram::Device::PrefixLog &
@@ -312,53 +272,26 @@ Executor::freePrefixLogs()
     }
 }
 
-const std::shared_ptr<const ExecPlan> &
-Executor::planFor(const Program &program)
+bool
+Executor::sameShape(const Program &program) const
 {
-    const std::uint64_t hash = shapeHashOf(program);
-    auto &bucket = planCache_[hash];
-    for (CachedPlan &entry : bucket) {
-        if (entry.plan->matchesShape(program)) {
-            ++stats_.planCacheHits;
-            if (obs::metricsOn()) [[unlikely]] {
-                static const obs::CounterId c =
-                    obs::metrics().counterId(
-                        "executor.plan_cache_hits");
-                obs::metrics().add(c);
-            }
-            if (obs::traceOn()) [[unlikely]]
-                obs::trace().event("plan_cache_hit",
-                                   {{"hash", hash}});
-            if (preflight_ && !entry.linted) {
-                preflightCheck(program);
-                entry.linted = true;
-            }
-            return entry.plan;
-        }
+    const auto &insts = program.insts();
+    const auto &data = program.dataTable();
+    if (!haveShape_ || insts.size() != shapeInsts_.size() ||
+        data.size() != shapeDataBits_.size())
+        return false;
+    for (std::size_t i = 0; i < insts.size(); ++i) {
+        const Inst &a = insts[i];
+        const Inst &b = shapeInsts_[i];
+        if (a.op != b.op || a.gap != b.gap || a.bank != b.bank ||
+            a.row != b.row || a.dataIndex != b.dataIndex ||
+            (a.op != Op::LoopBegin && a.count != b.count))
+            return false;
     }
-
-    ++stats_.planCacheMisses;
-    if (obs::metricsOn()) [[unlikely]] {
-        static const obs::CounterId c =
-            obs::metrics().counterId("executor.plan_cache_misses");
-        obs::metrics().add(c);
-    }
-    if (planCache_.size() > kPlanCacheCap)
-        planCache_.clear();
-
-    auto plan = std::make_shared<const ExecPlan>(
-        ExecPlan::compile(program));
-    if (obs::traceOn()) [[unlikely]]
-        obs::trace().event(
-            "plan_compile",
-            {{"hash", hash},
-             {"insts", program.insts().size()},
-             {"loops", plan->loops().size()}});
-    if (preflight_)
-        preflightCheck(program);
-    auto &fresh = planCache_[hash];
-    fresh.push_back(CachedPlan{plan, preflight_});
-    return fresh.back().plan;
+    for (std::size_t i = 0; i < data.size(); ++i)
+        if (data[i].bits() != shapeDataBits_[i])
+            return false;
+    return true;
 }
 
 ExecResult
@@ -375,19 +308,44 @@ Executor::run(const Program &program)
                            {{"insts", program.insts().size()}});
     }
 
-    const std::shared_ptr<const ExecPlan> &cached = planFor(program);
-    repeatRun_ = cached == lastPlan_;
-    if (!repeatRun_) {
-        lastPlan_ = cached;
-        freePrefixLogs();  // another plan's logs cannot apply
+    // A run repeating the last run's shape keeps its pre-flight verdict
+    // and prefix logs; another shape's logs cannot apply.
+    repeatRun_ = sameShape(program);
+    if (repeatRun_) {
+        ++stats_.planCacheHits;
+        if (obs::metricsOn()) [[unlikely]] {
+            static const obs::CounterId c =
+                obs::metrics().counterId("executor.plan_cache_hits");
+            obs::metrics().add(c);
+        }
+    } else {
+        ++stats_.planCacheMisses;
+        if (obs::metricsOn()) [[unlikely]] {
+            static const obs::CounterId c =
+                obs::metrics().counterId("executor.plan_cache_misses");
+            obs::metrics().add(c);
+        }
+        haveShape_ = true;
+        shapeInsts_ = program.insts();  // buffers reused
+        shapeDataBits_.clear();
+        for (const RowData &data : program.dataTable())
+            shapeDataBits_.push_back(data.bits());
+        shapeLinted_ = false;
+        freePrefixLogs();
     }
-    const ExecPlan &plan = *cached;
-    costs_.compute(plan, program);
-    const RunCosts &costs = costs_;
+    // The pre-flight refuses programs the device would fatal on, with
+    // a pointer at the bad instruction.  Warnings (deliberately violated
+    // timings that match no PuD idiom) are the caller's business -- see
+    // lint::lintProgram.
+    if (preflight_ && !shapeLinted_) {
+        lint::requireClean(program, device_->config(), "Executor");
+        shapeLinted_ = true;
+    }
+    costs_.compute(program);
 
     // Leave a bus-turnaround gap after whatever ran before.
     Time cursor = device_->now() + units::fromNs(100);
-    const Time duration = costs.total.duration;
+    const Time duration = costs_.total.duration;
     if (duration > kMaxTime - cursor)
         fatal("Executor: program duration (%s%.0f s) would carry the "
               "device clock past the end of its range (%.1f days); "
@@ -398,9 +356,9 @@ Executor::run(const Program &program)
 
     ExecResult result;
     result.reads.reserve(static_cast<std::size_t>(
-        std::min(costs.total.rds, kReadReserveCap)));
+        std::min(costs_.total.rds, kReadReserveCap)));
     result.startTime = cursor;
-    execBody(program, plan, costs, Program::npos, cursor, result);
+    execBody(program, Program::npos, cursor, result);
     device_->flush();
     result.endTime = cursor;
 

@@ -18,24 +18,24 @@
  * is exact under the linear damage-accrual model and verified
  * bit-identical against naive execution in the tests, TRR included.
  *
- * Programs are compiled to an ExecPlan (bender/plan.h) and cached by
- * *shape* -- trip counts excluded -- so an HC_first bisection's dozens
- * of near-identical probes pay compilation and the pre-flight lint
- * once.  Cumulative counters are exposed via stats() for telemetry.
+ * Each run's costs (bender/plan.h) are recomputed in one pass.  The
+ * executor keeps a copy of the last run's *shape* -- the program with
+ * its trip counts excluded -- so the dozens of probes of an HC_first
+ * bisection, which differ only in a trip count, are recognized as
+ * repeats: they pay the pre-flight lint once and reuse the loops'
+ * prefix logs.  Cumulative counters are exposed via stats() for
+ * telemetry.
  */
 
 #ifndef PUD_BENDER_EXECUTOR_H
 #define PUD_BENDER_EXECUTOR_H
 
 #include <cstdint>
-#include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "bender/plan.h"
 #include "bender/program.h"
 #include "dram/device.h"
-#include "lint/mitigation_absint.h"
 
 namespace pud::bender {
 
@@ -52,6 +52,7 @@ struct ExecResult
 struct ExecStats
 {
     std::uint64_t fastPathIterations = 0;  //!< replayed, never executed
+    /** Runs that repeat / change the last run's shape. */
     std::uint64_t planCacheHits = 0;
     std::uint64_t planCacheMisses = 0;
     std::uint64_t phaseBreaks = 0;  //!< replays interrupted by a refresh
@@ -79,70 +80,26 @@ class Executor
      * data indices -- abort the run with a diagnostic instead of
      * failing deep inside the device model.  Defaults to on in debug
      * builds and off in release builds (the analysis walks the whole
-     * program and would tax hot characterization loops).  The verdict
-     * is cached with the compiled plan, so a given program *shape* is
-     * analyzed once, at the trip counts it is first run with.
+     * program and would tax hot characterization loops).  A run that
+     * repeats the last run's shape is not analyzed again, so an
+     * HC_first bisection is analyzed once, at the trip counts of its
+     * first probe run with the pre-flight on.
      */
     void setPreflight(bool on) { preflight_ = on; }
     bool preflight() const { return preflight_; }
 
-    /**
-     * Additionally run the static disturbance-effect predictor during
-     * the pre-flight and warn() on its warning-severity findings (a
-     * hammer-grade program that cannot flip bits on the configured
-     * module).  Off by default: the predictor's verdicts depend on
-     * sweep intent, so harnesses opt in where a full-budget program
-     * is known to be checked.  Implies nothing unless the pre-flight
-     * itself is enabled.
-     */
-    void setPreflightEffects(bool on) { preflightEffects_ = on; }
-    bool preflightEffects() const { return preflightEffects_; }
-
-    /**
-     * Additionally run the row-state dataflow pass (lint/dataflow.h)
-     * during the pre-flight and warn() on its warning-severity
-     * findings -- merges over never-written rows, activation groups
-     * crossing a subarray boundary, control-row writes stranded across
-     * one.  Off by default for the same reason as the effect
-     * predictor: reading never-written victim rows is the *point* of a
-     * characterization sweep.  Implies nothing unless the pre-flight
-     * itself is enabled.
-     */
-    void setPreflightDataflow(bool on) { preflightDataflow_ = on; }
-    bool preflightDataflow() const { return preflightDataflow_; }
-
-    /**
-     * Additionally run the mitigation bypass certifier
-     * (lint/mitigation_absint.h) against the mechanisms enabled in
-     * `spec` during the pre-flight and warn() on its warning-severity
-     * findings (a certain or uncertifiable bypass of the assumed
-     * mitigations).  An empty spec (no mechanism enabled) disables the
-     * pass.  Implies nothing unless the pre-flight itself is enabled.
-     */
-    void
-    setPreflightMitigations(const lint::MitigationSpec &spec)
-    {
-        preflightMitigations_ = spec;
-    }
-    const lint::MitigationSpec &
-    preflightMitigations() const
-    {
-        return preflightMitigations_;
-    }
-
-    /** Cumulative fast-path / plan-cache counters. */
+    /** Cumulative fast-path / shape / prefix-log counters. */
     const ExecStats &stats() const { return stats_; }
 
     /**
-     * Forget every compiled plan and prefix log and zero the stats, as
-     * if freshly constructed (the settings above are kept; so are the
-     * logs' buffers).
+     * Forget the last run's shape and every prefix log and zero the
+     * stats, as if freshly constructed (the settings above are kept;
+     * so are the buffers).
      */
     void
     reset()
     {
-        planCache_.clear();
-        lastPlan_.reset();
+        haveShape_ = false;
         freePrefixLogs();
         stats_ = ExecStats{};
     }
@@ -152,8 +109,9 @@ class Executor
         bender::kFastPathThreshold;
 
   private:
-    /** Look up (or compile + pre-flight) the program's cached plan. */
-    const std::shared_ptr<const ExecPlan> &planFor(const Program &program);
+    /** Whether the program repeats the last run's shape: the same
+     *  instructions, LoopBegin counts aside, and data-table widths. */
+    bool sameShape(const Program &program) const;
 
     /** Loop `loop_index`'s prefix log, taking a free one if it has none. */
     dram::Device::PrefixLog &prefixLog(std::size_t loop_index);
@@ -161,26 +119,16 @@ class Executor
     /** Forget every prefix log, keeping its buffers. */
     void freePrefixLogs();
 
-    void preflightCheck(const Program &program);
-
     /** Execute loop `loop_id`'s body once (Program::npos: the program). */
-    void execBody(const Program &program, const ExecPlan &plan,
-                  const RunCosts &costs, std::size_t loop_id, Time &cursor,
-                  ExecResult &result);
+    void execBody(const Program &program, std::size_t loop_id,
+                  Time &cursor, ExecResult &result);
 
     /** Run one counted loop (fast-path or naive). */
-    void execLoop(const Program &program, const ExecPlan &plan,
-                  const RunCosts &costs, std::size_t loop_index,
+    void execLoop(const Program &program, std::size_t loop_index,
                   std::uint64_t n, Time &cursor, ExecResult &result);
 
     void execOne(const Program &program, const Inst &inst, Time &cursor,
                  ExecResult &result);
-
-    struct CachedPlan
-    {
-        std::shared_ptr<const ExecPlan> plan;
-        bool linted = false;
-    };
 
     dram::Device *device_;
     bool fastPath_ = true;
@@ -193,22 +141,20 @@ class Executor
 #else
     bool preflight_ = true;
 #endif
-    bool preflightEffects_ = false;
-    bool preflightDataflow_ = false;
-    lint::MitigationSpec preflightMitigations_;
     ExecStats stats_;
     RunCosts costs_;  //!< the running program's, buffer kept warm
-    std::unordered_map<std::uint64_t, std::vector<CachedPlan>>
-        planCache_;
 
     /**
-     * The plan that ran last -- held, so the cache cannot drop it and
-     * hand its address to another -- and whether the running program
-     * is a repeated run of it.  Its flat top-level loops keep a prefix
-     * log each (DESIGN.md §4.2); `loop` is npos for a log another plan
-     * left behind, kept for its buffers.
+     * The last run's shape (its LoopBegin counts are not compared),
+     * whether the pre-flight has analyzed it, and whether the running
+     * program repeats it.  The shape's flat top-level loops keep a
+     * prefix log each (DESIGN.md §4.2); `loop` is npos for a log
+     * another shape left behind, kept for its buffers.
      */
-    std::shared_ptr<const ExecPlan> lastPlan_;
+    bool haveShape_ = false;
+    std::vector<Inst> shapeInsts_;
+    std::vector<std::uint32_t> shapeDataBits_;
+    bool shapeLinted_ = false;
     bool repeatRun_ = false;
     struct PrefixSlot
     {

@@ -65,10 +65,10 @@ class TestBench
 
     /**
      * Re-seed the socket for the next module instance without
-     * reconstructing the Device arena: O(populated rows), and the
-     * Executor's shape-keyed plan cache stays warm (plans depend only
-     * on program shape, never on module state).  ModuleTester::reset
-     * also empties it.
+     * reconstructing the Device arena: O(populated rows).  The
+     * Executor keeps the last run's shape and prefix logs (the logs'
+     * guards re-check the device state); ModuleTester::reset also
+     * forgets them.
      */
     void reset(std::uint64_t seed) { device_->reset(seed); }
 

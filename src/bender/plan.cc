@@ -4,115 +4,35 @@
 
 namespace pud::bender {
 
-namespace {
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
 void
-mix(std::uint64_t &h, std::uint64_t v)
-{
-    h ^= v;
-    h *= kFnvPrime;
-}
-
-void
-mixInstShape(std::uint64_t &h, const Inst &inst)
-{
-    mix(h, static_cast<std::uint64_t>(inst.op));
-    mix(h, static_cast<std::uint64_t>(inst.gap));
-    mix(h, inst.bank);
-    mix(h, inst.row);
-    mix(h, static_cast<std::uint64_t>(inst.dataIndex) + 1);
-    // The trip count is deliberately excluded for LoopBegin: an
-    // HC_first bisection's probes differ only there and must share one
-    // plan (and one pre-flight lint).
-    if (inst.op != Op::LoopBegin)
-        mix(h, inst.count);
-}
-
-} // namespace
-
-std::uint64_t
-shapeHashOf(const Program &program)
-{
-    std::uint64_t h = kFnvOffset;
-    mix(h, program.insts().size());
-    for (const Inst &inst : program.insts())
-        mixInstShape(h, inst);
-    mix(h, program.dataTable().size());
-    for (const RowData &data : program.dataTable())
-        mix(h, data.bits());
-    return h;
-}
-
-ExecPlan
-ExecPlan::compile(const Program &program)
-{
-    const auto &insts = program.insts();
-
-    ExecPlan plan;
-    plan.loops_.resize(program.loopCount());
-    auto summarize = [&](std::size_t id, BodyCost &flat) {
-        program.forEachInBody(
-            id,
-            [&](std::size_t i) {
-                flat.duration += insts[i].gap;
-                flat.rds += insts[i].op == Op::Rd ? 1 : 0;
-                ++flat.naiveCost;
-                ++flat.fastCost;
-            },
-            [](std::size_t) {});
-    };
-    summarize(Program::npos, plan.top_);
-    for (std::size_t li = 0; li < plan.loops_.size(); ++li)
-        summarize(li, plan.loops_[li]);
-
-    plan.shapeHash_ = shapeHashOf(program);
-    plan.shapeInsts_ = insts;
-    for (Inst &inst : plan.shapeInsts_)
-        if (inst.op == Op::LoopBegin)
-            inst.count = 0;
-    plan.dataBits_.reserve(program.dataTable().size());
-    for (const RowData &data : program.dataTable())
-        plan.dataBits_.push_back(data.bits());
-    return plan;
-}
-
-bool
-ExecPlan::matchesShape(const Program &program) const
-{
-    const auto &insts = program.insts();
-    if (insts.size() != shapeInsts_.size() ||
-        program.dataTable().size() != dataBits_.size()) {
-        return false;
-    }
-    for (std::size_t i = 0; i < insts.size(); ++i) {
-        const Inst &a = insts[i];
-        const Inst &b = shapeInsts_[i];
-        if (a.op != b.op || a.gap != b.gap || a.bank != b.bank ||
-            a.row != b.row || a.dataIndex != b.dataIndex) {
-            return false;
-        }
-        if (a.op != Op::LoopBegin && a.count != b.count)
-            return false;
-    }
-    for (std::size_t i = 0; i < dataBits_.size(); ++i)
-        if (program.dataTable()[i].bits() != dataBits_[i])
-            return false;
-    return true;
-}
-
-void
-RunCosts::compute(const ExecPlan &plan, const Program &program)
+RunCosts::compute(const Program &program)
 {
     const auto &tree = program.loops();
-    loops = plan.loops();
-    total = plan.top();
+    loops.assign(tree.size(), BodyCost{});
+    total = BodyCost{};
 
-    // Children have larger ids than their parent (loops are numbered
-    // in LoopBegin order), so folding each loop into its parent in
-    // descending id order completes every loop before it is folded.
+    // Flat costs: each instruction counts toward the innermost loop
+    // around it (loops are numbered in LoopBegin order).
+    std::size_t open = Program::npos, next = 0;
+    for (const Inst &inst : program.insts()) {
+        if (inst.op == Op::LoopBegin) {
+            open = next++;
+            continue;
+        }
+        if (inst.op == Op::LoopEnd) {
+            open = tree[open].parent;
+            continue;
+        }
+        BodyCost &flat = open == Program::npos ? total : loops[open];
+        flat.duration += inst.gap;
+        flat.rds += inst.op == Op::Rd ? 1 : 0;
+        ++flat.naiveCost;
+        ++flat.fastCost;
+    }
+
+    // Children have larger ids than their parent, so folding each loop
+    // into its parent in descending id order completes every loop
+    // before it is folded.
     for (std::size_t li = loops.size(); li-- > 0;) {
         const BodyCost &body = loops[li];
         BodyCost &into = tree[li].parent == Program::npos

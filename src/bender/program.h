@@ -231,8 +231,8 @@ class Program
     /**
      * Copy of this program with the i-th loop's trip count patched.
      * This is how sweep harnesses should vary a hammer count: the
-     * copies share one *shape*, so the executor compiles and pre-flight
-     * lints the program once for the whole sweep (bender/plan.h).
+     * copies share one *shape*, so the executor pre-flight lints the
+     * program once for the whole sweep (bender/executor.h).
      */
     Program
     withLoopCount(std::size_t loop_index, std::uint64_t count) const

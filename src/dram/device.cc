@@ -715,18 +715,9 @@ Device::endLoopRecording()
 
     // REF/TRR refreshes are replayed live (they rotate and draw), so
     // only the strictly per-iteration counters are scaled.
-    rec.counterDelta = DeviceCounters{};
-    rec.counterDelta.acts =
-        counters_.acts - recorder_.countersAtStart.acts;
-    rec.counterDelta.pres =
-        counters_.pres - recorder_.countersAtStart.pres;
-    rec.counterDelta.comraCopies =
-        counters_.comraCopies - recorder_.countersAtStart.comraCopies;
-    rec.counterDelta.simraOps =
-        counters_.simraOps - recorder_.countersAtStart.simraOps;
-    rec.counterDelta.ignoredCommands =
-        counters_.ignoredCommands -
-        recorder_.countersAtStart.ignoredCommands;
+    rec.counterDelta = counters_.since(recorder_.countersAtStart);
+    rec.counterDelta.refs = 0;
+    rec.counterDelta.trrRefreshes = 0;
 
     // Quiescence: if a refresh reset a row the body also deposits into
     // (or otherwise mutates), the recorded iteration is not the
@@ -985,18 +976,16 @@ Device::replayLoopIterations(const LoopRecord &rec,
     // deposit-bearing (tracked) row.
     DisturbanceModel::replay(rec.damage, completed);
 
-    counters_.acts += rec.counterDelta.acts * completed;
-    counters_.pres += rec.counterDelta.pres * completed;
-    counters_.comraCopies += rec.counterDelta.comraCopies * completed;
-    counters_.simraOps += rec.counterDelta.simraOps * completed;
-    counters_.ignoredCommands +=
-        rec.counterDelta.ignoredCommands * completed;
+    counters_.add(rec.counterDelta, completed);
 
     // Advance each bank's sampler ring closed-form: of the
     // completed * per pushes only the last n <= kTrrWindow survive.
     // The pushed stream is periodic in the body, so the survivors are
     // one period rotated to `first % per`, repeated: build them by
     // doubling copies, then write them in around the ring's wrap.
+    // Every push past the ring's free slots evicts an entry, as
+    // trrRecord counts live (without its per-push trace event).
+    std::uint64_t evictions = 0;
     for (std::size_t b = 0; b < nbanks; ++b) {
         BankState &bank = banks_[b];
         const std::vector<RowId> &acts = rec.samplerActs[b];
@@ -1027,8 +1016,15 @@ Device::replayLoopIterations(const LoopRecord &rec,
                                    static_cast<std::ptrdiff_t>(start));
         std::copy_n(seq + upto, n - upto, bank.trrRing.begin());
         bank.trrPos = static_cast<std::size_t>((pos0 + pushes) % kTrrWindow);
+        if (bank.trrFill + pushes > kTrrWindow)
+            evictions += bank.trrFill + pushes - kTrrWindow;
         bank.trrFill = static_cast<std::size_t>(
             std::min<std::uint64_t>(kTrrWindow, bank.trrFill + pushes));
+    }
+    if (evictions > 0 && obs::metricsOn()) [[unlikely]] {
+        static const obs::CounterId c =
+            obs::metrics().counterId("device.trr_evictions");
+        obs::metrics().add(c, evictions);
     }
     return completed;
 }
@@ -1137,14 +1133,7 @@ Device::endPrefixLog(Time chunk_end)
         shiftProtocol(bi.proto, -log.start_);
         bi.open = banks_[bi.bank].open;
     }
-    const DeviceCounters &at = log.counters_;
-    log.counters_ = {counters_.acts - at.acts,
-                     counters_.pres - at.pres,
-                     counters_.refs - at.refs,
-                     counters_.comraCopies - at.comraCopies,
-                     counters_.simraOps - at.simraOps,
-                     counters_.ignoredCommands - at.ignoredCommands,
-                     counters_.trrRefreshes - at.trrRefreshes};
+    log.counters_ = counters_.since(log.counters_);
     log.damageLog_.fold();
     log.nowAt_ = now_ - log.start_;
     log.duration_ = chunk_end - log.start_;
@@ -1209,14 +1198,7 @@ Device::applyPrefixLog(const PrefixLog &log, Time chunk_start)
     }
     for (const auto &[b, r] : log.pushes_)
         trrRecord(banks_[b], r);
-    const DeviceCounters &d = log.counters_;
-    counters_.acts += d.acts;
-    counters_.pres += d.pres;
-    counters_.refs += d.refs;
-    counters_.comraCopies += d.comraCopies;
-    counters_.simraOps += d.simraOps;
-    counters_.ignoredCommands += d.ignoredCommands;
-    counters_.trrRefreshes += d.trrRefreshes;
+    counters_.add(log.counters_);
     now_ = chunk_start + log.nowAt_;
     return true;
 }

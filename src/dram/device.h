@@ -51,6 +51,32 @@ struct DeviceCounters
     std::uint64_t simraOps = 0;      //!< detected SiMRA group opens
     std::uint64_t ignoredCommands = 0;  //!< grossly violating, ignored
     std::uint64_t trrRefreshes = 0;     //!< TRR victim refreshes
+
+    /** These counters minus `start`, an earlier snapshot of them. */
+    DeviceCounters
+    since(const DeviceCounters &start) const
+    {
+        return {acts - start.acts,
+                pres - start.pres,
+                refs - start.refs,
+                comraCopies - start.comraCopies,
+                simraOps - start.simraOps,
+                ignoredCommands - start.ignoredCommands,
+                trrRefreshes - start.trrRefreshes};
+    }
+
+    /** Add `times` copies of `delta` to the counters. */
+    void
+    add(const DeviceCounters &delta, std::uint64_t times = 1)
+    {
+        acts += delta.acts * times;
+        pres += delta.pres * times;
+        refs += delta.refs * times;
+        comraCopies += delta.comraCopies * times;
+        simraOps += delta.simraOps * times;
+        ignoredCommands += delta.ignoredCommands * times;
+        trrRefreshes += delta.trrRefreshes * times;
+    }
 };
 
 /**

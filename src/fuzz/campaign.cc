@@ -152,7 +152,7 @@ measureBuiltHc(bender::TestBench &bench, const BuiltPattern &built,
         dev.config().cols, dram::negate(dram::DataPattern::P55));
 
     // Identical silicon for every candidate: reset to the config
-    // seed (cheap arena reuse; the executor's plan cache stays warm).
+    // seed (cheap arena reuse; the executor keeps its last shape).
     bench.reset(dev.config().seed);
 
     const auto trial = [&](std::uint64_t n) {
@@ -216,9 +216,7 @@ runCampaign(const CampaignConfig &cfg)
     const std::size_t chunks =
         (r.corpus.size() + cfg.chunk - 1) / cfg.chunk;
     exec::parallelFor(cfg.jobs, chunks, [&](std::size_t chunk_i) {
-        // One bench per chunk: the executor's plan cache is unbounded
-        // and a campaign sees one plan per shape, so cache lifetime
-        // must be scoped to a bounded candidate count.
+        // One bench per chunk, the pool's work unit.
         bender::TestBench bench(dcfg);
         bench.executor().setPreflight(false);
         const std::size_t begin = chunk_i * cfg.chunk;

@@ -7,11 +7,10 @@
  *      the first candidate with a given shapeHash enters the corpus
  *      (order-stable, so the corpus is independent of --jobs).
  *   2. Unique candidates execute in fixed-size chunks fanned onto
- *      exec::parallelFor.  Each chunk owns a fresh TestBench -- the
- *      executor's plan cache is unbounded and a campaign sees one
- *      plan per shape, so benches must be scoped to bound memory --
- *      and each candidate resets the bench to the campaign seed, so
- *      every pattern competes on identical silicon.  Results are
+ *      exec::parallelFor.  A chunk is the pool's work unit and owns
+ *      one TestBench, and each candidate resets the bench to the
+ *      campaign seed, so every pattern competes on identical silicon
+ *      whatever the chunk size.  Results are
  *      slot-addressed by corpus index (the PR-2 determinism story).
  *   3. A candidate is first probed once at the full period budget;
  *      only if the victim flips does the bisection HC_first search
@@ -59,8 +58,9 @@ struct CampaignConfig
     /** HC_first budget, in base periods of each candidate. */
     std::uint64_t maxPeriods = 20000;
 
-    /** Candidates per execution chunk (plan-cache scope).  Fixed
-     *  regardless of --jobs so chunk boundaries are deterministic. */
+    /** Candidates per execution chunk: the pool's work unit, which
+     *  owns one TestBench.  Fixed regardless of --jobs so chunk
+     *  boundaries are deterministic; results do not depend on it. */
     std::size_t chunk = 256;
 
     /** Skip candidates the static effect predictor proves flipless. */

@@ -89,7 +89,7 @@ struct ShardReport
 
     // Executor counters accumulated by the shard's tester
     // (bender::ExecStats): how much of the work took the loop
-    // fast-path and how often probe programs reused a compiled plan.
+    // fast-path and how often a program repeated the last run's shape.
     std::uint64_t fastPathIterations = 0;
     std::uint64_t planCacheHits = 0;
     std::uint64_t planCacheMisses = 0;

@@ -383,7 +383,7 @@ runShards(const PopulationConfig &cfg,
     // Module instances of one population differ only in their device
     // seed (populationDeviceConfig), so a finished shard's tester is
     // reset for the next shard -- an O(populated-rows) Device::reset
-    // plus an emptied plan cache -- instead of reconstructing the
+    // plus a forgotten executor shape -- instead of reconstructing the
     // whole arena.  The pool holds at most `jobs` testers.  A reset
     // tester is a fresh one (pinned by ArenaReuse), so neither results
     // nor executor counters depend on which arena a shard lands on.

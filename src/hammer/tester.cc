@@ -10,25 +10,6 @@
 
 namespace pud::hammer {
 
-namespace {
-
-/**
- * Probe builder that patches one loop's trip count into a prebuilt
- * pattern.  Every probe of an HC_first search then shares the base
- * program's *shape*, so the executor's plan cache compiles and
- * pre-flight lints the pattern once for the whole bisection instead
- * of once per probe (bender/plan.h).
- */
-std::function<Program(std::uint64_t)>
-countPatchedBuilder(Program base, std::size_t loop_index)
-{
-    return [base = std::move(base), loop_index](std::uint64_t n) {
-        return base.withLoopCount(loop_index, n);
-    };
-}
-
-} // namespace
-
 std::vector<dram::SubarrayId>
 ModuleTester::testedSubarrays(int count) const
 {
@@ -47,13 +28,14 @@ ModuleTester::sampleVictims(RowId victims_per_subarray, bool odd_only,
 std::uint64_t
 ModuleTester::measureWithPattern(
     const Options &opt, DataPattern pattern, RowId victim,
-    const std::vector<RowId> &aggressors,
-    const std::function<Program(std::uint64_t)> &raw_build)
+    const std::vector<RowId> &aggressors, const Program &base,
+    std::size_t loop)
 {
-    // Optionally rewrite every probe to interleave nominal REFs at
-    // the tREFI cadence.
+    // Each probe patches the trip count, and optionally rewrites the
+    // program to interleave nominal REFs at the tREFI cadence (which
+    // depends on n).
     const auto build = [&](std::uint64_t n) {
-        Program prog = raw_build(n);
+        Program prog = base.withLoopCount(loop, n);
         if (opt.refreshInterleave)
             prog = withRefInterleave(prog, opt.timings.base);
         return prog;
@@ -137,16 +119,16 @@ ModuleTester::measureWithPattern(
 std::uint64_t
 ModuleTester::measure(const Options &opt, RowId victim,
                       const std::vector<RowId> &aggressors,
-                      const std::function<Program(std::uint64_t)> &build)
+                      const Program &base, std::size_t loop)
 {
     if (!opt.searchWcdp) {
         return measureWithPattern(opt, opt.pattern, victim, aggressors,
-                                  build);
+                                  base, loop);
     }
     std::uint64_t best = kNoFlip;
     for (DataPattern p : dram::kAllPatterns) {
         best = std::min(best, measureWithPattern(opt, p, victim,
-                                                 aggressors, build));
+                                                 aggressors, base, loop));
     }
     return best;
 }
@@ -161,10 +143,8 @@ ModuleTester::rhDouble(RowId victim, const Options &opt)
     const RowId a1 = dev.toLogical(victim - 1);
     const RowId a2 = dev.toLogical(victim + 1);
     return measure(opt, victim, {victim - 1, victim + 1},
-                   countPatchedBuilder(
-                       doubleSidedRowHammer(opt.bank, a1, a2, 1,
-                                            opt.timings),
-                       0));
+                   doubleSidedRowHammer(opt.bank, a1, a2, 1, opt.timings),
+                   0);
 }
 
 std::uint64_t
@@ -174,9 +154,7 @@ ModuleTester::rhSingle(RowId victim, const Options &opt)
     const RowId aggr = victim - 1;
     const RowId a = dev.toLogical(aggr);
     return measure(opt, victim, {aggr},
-                   countPatchedBuilder(
-                       singleSidedRowHammer(opt.bank, a, 1, opt.timings),
-                       0));
+                   singleSidedRowHammer(opt.bank, a, 1, opt.timings), 0);
 }
 
 RowId
@@ -200,10 +178,8 @@ ModuleTester::farDouble(RowId victim, const Options &opt, RowId spread)
     const RowId a1 = dev.toLogical(near);
     const RowId a2 = dev.toLogical(far);
     return measure(opt, victim, {near, far},
-                   countPatchedBuilder(
-                       doubleSidedRowHammer(opt.bank, a1, a2, 1,
-                                            opt.timings),
-                       0));
+                   doubleSidedRowHammer(opt.bank, a1, a2, 1, opt.timings),
+                   0);
 }
 
 std::uint64_t
@@ -217,8 +193,7 @@ ModuleTester::comraDouble(RowId victim, const Options &opt, bool reversed)
     const RowId s = dev.toLogical(src);
     const RowId d = dev.toLogical(dst);
     return measure(opt, victim, {src, dst},
-                   countPatchedBuilder(
-                       comraHammer(opt.bank, s, d, 1, opt.timings), 0));
+                   comraHammer(opt.bank, s, d, 1, opt.timings), 0);
 }
 
 std::uint64_t
@@ -234,8 +209,7 @@ ModuleTester::comraSingle(RowId victim, const Options &opt, RowId spread,
     const RowId s = dev.toLogical(src);
     const RowId d = dev.toLogical(dst);
     return measure(opt, victim, {src, dst},
-                   countPatchedBuilder(
-                       comraHammer(opt.bank, s, d, 1, opt.timings), 0));
+                   comraHammer(opt.bank, s, d, 1, opt.timings), 0);
 }
 
 std::optional<SimraPlan>
@@ -325,9 +299,7 @@ ModuleTester::simraDouble(RowId victim, int n, const Options &opt)
     const RowId r1 = dev.toLogical(plan->r1);
     const RowId r2 = dev.toLogical(plan->r2);
     return measure(opt, victim, plan->group,
-                   countPatchedBuilder(
-                       simraHammer(opt.bank, r1, r2, 1, opt.timings),
-                       0));
+                   simraHammer(opt.bank, r1, r2, 1, opt.timings), 0);
 }
 
 std::uint64_t
@@ -341,9 +313,7 @@ ModuleTester::simraSingle(RowId victim, int n, const Options &opt)
     const RowId r1 = dev.toLogical(plan->r1);
     const RowId r2 = dev.toLogical(plan->r2);
     return measure(opt, victim, plan->group,
-                   countPatchedBuilder(
-                       simraHammer(opt.bank, r1, r2, 1, opt.timings),
-                       0));
+                   simraHammer(opt.bank, r1, r2, 1, opt.timings), 0);
 }
 
 std::uint64_t
@@ -386,13 +356,12 @@ ModuleTester::combinedRh(RowId victim, const CombinedSpec &spec,
 
     CombinedCounts base_counts = counts;
     base_counts.rowHammer = 1;
-    Program base =
+    const Program base =
         combinedPattern(opt.bank, a1, a2, comra_src, comra_dst,
                         simra_r1, simra_r2, base_counts, opt.timings);
     // The RowHammer loop (the probed one) is always built last.
     const std::size_t rh_loop = base.loopCount() - 1;
-    return measure(opt, victim, extra_aggressors,
-                   countPatchedBuilder(std::move(base), rh_loop));
+    return measure(opt, victim, extra_aggressors, base, rh_loop);
 }
 
 } // namespace pud::hammer

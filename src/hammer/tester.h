@@ -15,7 +15,6 @@
 #define PUD_HAMMER_TESTER_H
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -73,10 +72,11 @@ class ModuleTester
     /**
      * Turn this tester into a fresh one for module seed `seed` (arena
      * reuse): the device is re-seeded (TestBench::reset) and the
-     * executor drops its plan cache and stats, so what a reset tester
-     * measures and counts never depends on what it ran before.  Only
-     * the once-per-tester warning latches stay latched: under arena
-     * reuse they fire once per arena, which changes stderr only.
+     * executor forgets its last shape, prefix logs and stats, so what
+     * a reset tester measures and counts never depends on what it ran
+     * before.  Only the once-per-tester warning latches stay latched:
+     * under arena reuse they fire once per arena, which changes stderr
+     * only.
      */
     void
     reset(std::uint64_t seed)
@@ -166,17 +166,19 @@ class ModuleTester
     /**
      * Run the full HC_first search where each trial initializes
      * `aggressors` with the aggressor pattern and the victim with its
-     * negation, executes `build(n)`, and checks the victim.
+     * negation, executes `base` with loop `loop`'s trip count set to
+     * the probed n, and checks the victim.  Every probe shares the
+     * base program's *shape*, so the executor lints it once and its
+     * prefix logs serve the whole search (bender/executor.h).
      */
-    std::uint64_t
-    measure(const Options &opt, RowId victim,
-            const std::vector<RowId> &aggressors,
-            const std::function<Program(std::uint64_t)> &build);
+    std::uint64_t measure(const Options &opt, RowId victim,
+                          const std::vector<RowId> &aggressors,
+                          const Program &base, std::size_t loop);
 
     std::uint64_t
     measureWithPattern(const Options &opt, DataPattern pattern,
                        RowId victim, const std::vector<RowId> &aggressors,
-                       const std::function<Program(std::uint64_t)> &build);
+                       const Program &base, std::size_t loop);
 
     /** A same-subarray far partner row for single-sided patterns. */
     RowId farRowInSubarray(RowId near, RowId spread) const;

@@ -24,7 +24,7 @@
  *
  *   if (obs::metricsOn()) {
  *       static const obs::CounterId id =
- *           obs::metrics().counterId("executor.plan_cache_hits");
+ *           obs::metrics().counterId("executor.phase_breaks");
  *       obs::metrics().add(id);
  *   }
  */

@@ -20,7 +20,7 @@
  * Instrumentation idiom:
  *
  *   if (obs::traceOn())
- *       obs::trace().event("plan_cache_hit", {{"hash", hash}});
+ *       obs::trace().event("phase_break", {{"loop", loop}, {"it", it}});
  */
 
 #ifndef PUD_OBS_TRACE_H

@@ -20,6 +20,7 @@
 #include "hammer/patterns.h"
 #include "hammer/tester.h"
 #include "mitigation/countermeasures.h"
+#include "obs/metrics.h"
 #include "util/rng.h"
 #include "util/saturate.h"
 
@@ -274,7 +275,7 @@ TEST(Program, WithLoopCountCopiesTheLoopTree)
     EXPECT_EQ(q.loops()[0].next, 2u);
 }
 
-TEST(ExecPlan, RunCostsSaturate)
+TEST(RunCosts, RunCostsSaturate)
 {
     Program p;
     p.loopBegin(2)
@@ -284,13 +285,13 @@ TEST(ExecPlan, RunCostsSaturate)
         .loopEnd()
         .loopEnd();
     RunCosts costs;
-    costs.compute(ExecPlan::compile(p), p);
+    costs.compute(p);
     EXPECT_EQ(costs.loops[1].duration, units::fromNs(51));
     EXPECT_EQ(costs.loops[0].duration, kMaxTime);
     EXPECT_EQ(costs.total.duration, kMaxTime);
 }
 
-TEST(ExecPlan, RunCostsTotalIsTheExecutedDuration)
+TEST(RunCosts, RunCostsTotalIsTheExecutedDuration)
 {
     Program p;
     p.nop(units::fromNs(5));
@@ -307,7 +308,7 @@ TEST(ExecPlan, RunCostsTotalIsTheExecutedDuration)
     Executor ex(dev);
     const ExecResult r = ex.run(p);
     RunCosts costs;
-    costs.compute(ExecPlan::compile(p), p);
+    costs.compute(p);
     EXPECT_EQ(costs.total.duration, r.endTime - r.startTime);
 }
 
@@ -437,6 +438,68 @@ TEST(Executor, PlanCacheSharedAcrossTripCounts)
         .loopEnd();
     ex.run(other);
     EXPECT_EQ(ex.stats().planCacheMisses, 2u);
+}
+
+TEST(Executor, PrefixLogFollowsTheLastRunsShape)
+{
+    Device dev(smallConfig());
+    Executor ex(dev);
+    const hammer::PatternTimings t;
+    const Program a = hammer::doubleSidedRowHammer(0, 10, 12, 1000, t);
+    const Program b = hammer::doubleSidedRowHammer(0, 30, 32, 1000, t);
+    const RowData data(dev.config().cols, DataPattern::P55);
+    auto run = [&](const Program &p) {
+        // Fresh rows around both patterns, as an HC_first probe writes.
+        for (RowId r = 8; r <= 34; ++r)
+            dev.writeRowDirect(0, r, data);
+        ex.run(p);
+    };
+
+    // A shape's first run logs nothing, its second fills the loop's
+    // log and its third applies it.
+    run(a);
+    EXPECT_EQ(ex.stats().prefixFills, 0u);
+    run(a);
+    EXPECT_EQ(ex.stats().prefixFills, 1u);
+    EXPECT_EQ(ex.stats().prefixReuses, 0u);
+    run(a);
+    EXPECT_EQ(ex.stats().prefixFills, 1u);
+    EXPECT_EQ(ex.stats().prefixReuses, 1u);
+
+    // A run of another shape in between makes A's next run a first run.
+    ex.reset();
+    run(a);
+    run(b);
+    run(a);
+    EXPECT_EQ(ex.stats().planCacheMisses, 3u);
+    EXPECT_EQ(ex.stats().prefixFills, 0u);
+    EXPECT_EQ(ex.stats().prefixReuses, 0u);
+}
+
+TEST(Executor, ReplayCountsTrrEvictionsLikeNaive)
+{
+    auto evictions = [](bool fast) {
+        auto counter = [] {
+            for (const auto &c : obs::metrics().snapshot().counters)
+                if (c.name == "device.trr_evictions")
+                    return c.value;
+            return std::uint64_t{0};
+        };
+        Device dev(smallConfig());
+        Executor ex(dev);
+        ex.setFastPath(fast);
+        obs::metrics().setEnabled(true);
+        const std::uint64_t before = counter();
+        const ExecResult r = ex.run(hammer::doubleSidedRowHammer(
+            0, 10, 12, 2000, hammer::PatternTimings{}));
+        const std::uint64_t evicted = counter() - before;
+        obs::metrics().setEnabled(false);
+        EXPECT_EQ(r.fastPathIterations > 0, fast);
+        return evicted;
+    };
+    // 4000 sampler pushes into a 450-entry ring.
+    EXPECT_EQ(evictions(false), 3550u);
+    EXPECT_EQ(evictions(true), 3550u);
 }
 
 TEST(Executor, NestedLoopsExecute)

@@ -659,18 +659,23 @@ TEST(LintPreflight, ExecutorRunsCleanProgramWithPreflight)
     EXPECT_GT(r.endTime, r.startTime);
 }
 
-TEST(LintPreflight, ExecutorEffectsPreflightStillRuns)
+TEST(LintPreflight, ExecutorLintsARepeatedShapeOnceEnabled)
 {
     dram::Device dev(smallConfig());
     Executor ex(dev);
+    // A WR past the data table, in a loop that first runs no trips.
+    Program p;
+    p.loopBegin(0)
+        .act(0, 1, kT.tRP)
+        .wrUnchecked(0, 3, kT.tRCD)
+        .pre(0, kT.tRAS)
+        .loopEnd();
+    ex.setPreflight(false);
+    ex.run(p);
+    // The same shape with the pre-flight on is analyzed before it
+    // runs: the lint refuses it, not the WR in execOne.
     ex.setPreflight(true);
-    ex.setPreflightEffects(true);
-    hammer::PatternTimings t;
-    // Hammer-grade (>= kHammerIntentCloses) but hopeless: the
-    // pre-flight reports DisturbanceImpossible yet must not refuse.
-    const auto p = hammer::doubleSidedRowHammer(0, 32, 34, 300, t);
-    const auto r = ex.run(p);
-    EXPECT_GT(r.endTime, r.startTime);
+    EXPECT_DEATH(ex.run(p.withLoopCount(0, 1)), "pre-flight lint failed");
 }
 
 // ---- loop summaries (absint) -------------------------------------------

@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "bender/host.h"
 #include "lint/effects.h"
 #include "lint/linter.h"
 #include "lint/mitigation_absint.h"
@@ -514,26 +513,6 @@ TEST(MitAbsint, SarifEndToEndCarriesTheBypassResult)
     EXPECT_NE(out.find("\"ruleId\":\"mit-bypass-certain\""),
               std::string::npos);
     EXPECT_NE(out.find("\"level\":\"warning\""), std::string::npos);
-}
-
-// ---- executor pre-flight integration -----------------------------------
-
-TEST(MitAbsint, ExecutorPreflightAcceptsMitigationSpec)
-{
-    const dram::DeviceConfig cfg = mitConfig();
-    bender::TestBench bench(cfg);
-    bench.executor().setPreflight(true);
-    MitigationSpec spec;
-    spec.trr = true;
-    bench.executor().setPreflightMitigations(spec);
-    EXPECT_TRUE(bench.executor().preflightMitigations().trr);
-
-    // A certain-bypass program is a warning, not an error: the
-    // pre-flight surfaces it via warn() and the run proceeds.
-    Program p;
-    appendDoubleSided(p, 10, 600, /*ref_in_loop=*/false);
-    bench.run(p);
-    SUCCEED();
 }
 
 } // namespace

@@ -295,7 +295,7 @@ TEST(Sweep, DenseSeriesSketchedByShardMatchesSweep)
 /**
  * With --metrics on, a sweep's counters are a property of the work,
  * not of how shards landed on arenas: every shard starts from a fresh
- * (reset) tester, plan cache included.
+ * (reset) tester, executor shape included.
  */
 TEST(Sweep, MetricsSnapshotIsIdenticalAcrossJobs)
 {
