@@ -60,10 +60,11 @@ BM_HammerProbe(benchmark::State &state)
 }
 
 /**
- * REF-interleaved CoMRA probe: the tREFI-cadence refresh stream means
- * every hot loop carries a REF, which the generalized fast-path
- * replays iteration-by-iteration (stripe refresh + TRR bookkeeping
- * advance closed-form) instead of falling back to naive execution.
+ * REF-interleaved CoMRA probe (TRR off): the tREFI-cadence refresh
+ * stream means every hot loop carries a REF, which the fast path
+ * replays in one step up to the first stripe refresh that would land
+ * on the hammered rows (the sampler ring advances closed-form)
+ * instead of falling back to naive execution.
  */
 void
 BM_RefProbe(benchmark::State &state)

@@ -139,8 +139,10 @@ Executor::execLoop(const Program &program, std::size_t loop_index,
     // in one chunk; a REF-bearing body replays until a refresh is
     // about to land on a loop-damaged row (phase break), executes that
     // iteration live, and re-records.  A body whose refreshes keep
-    // colliding with its own rows never settles -- after two fruitless
-    // chunks we stop re-recording and finish naively.
+    // colliding with its own rows never settles, nor does one whose
+    // record can never replay (a REF with TRR on, a mitigation hook)
+    // -- after two fruitless chunks we stop re-recording and finish
+    // naively.
     while (n - it >= kFastPathThreshold && strikes < 2) {
         const Time chunk_start = cursor;
         const dram::Device::LoopRecord *recorded;

@@ -5,16 +5,18 @@
  * The executor issues each instruction at its scheduled time.  Hot
  * loops take an exact *fast-path*: the body runs live for two warm-up
  * iterations, one steady-state iteration is recorded (damage deltas,
- * TRR sampler pushes, REF anchors, touched rows), and the remaining
- * trip count is replayed arithmetically.  Loop bodies containing REF
- * replay iteration by iteration -- TRR RNG draws and refresh counters
- * advance exactly as live execution would, with a *phase break* back
- * to live execution whenever a refresh is about to land on a
- * loop-damaged row -- while REF-free bodies commit the whole remaining
- * count in one step.  Nested loops fast-path inside naive outer
- * iterations, and an outer loop records across its inner loops when
- * the cost model says that wins.  Only RD in the body forces fully
- * naive execution (results are collected per iteration).  All of this
+ * TRR sampler pushes, REF count, touched rows), and the remaining
+ * trip count is replayed arithmetically.  REF-free bodies commit the
+ * whole remaining count in one step; with TRR off, a body containing
+ * REF commits every iteration before the first stripe refresh that
+ * would land on a loop-damaged row, with a *phase break* back to live
+ * execution there.  A body whose recorded iteration cannot replay --
+ * a REF with TRR on, any body under a mitigation hook, a refresh that
+ * hit the loop's own rows -- is re-recorded once and then finished
+ * naively.  Nested loops fast-path inside naive outer iterations, and
+ * an outer loop records across its inner loops when the cost model
+ * says that wins.  Only RD in the body forces fully naive execution
+ * (results are collected per iteration).  All of this
  * is exact under the linear damage-accrual model and verified
  * bit-identical against naive execution in the tests, TRR included.
  *

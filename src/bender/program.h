@@ -64,9 +64,10 @@ enum class BodyClass : std::uint8_t
     Simple,
     /**
      * Contains REF and/or nested loops but no RD: still recordable --
-     * REF stripe/TRR effects and nested-loop damage advance by
+     * REF stripe refreshes and nested-loop damage advance by
      * closed-form per-iteration deltas, with a live "phase break"
-     * whenever a refresh is about to touch a loop-damaged row.
+     * whenever a refresh is about to touch a loop-damaged row.  With
+     * TRR on, a body with a REF records but never replays.
      */
     Recorded,
     /** Contains RD: results must be collected per iteration. */

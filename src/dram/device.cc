@@ -210,10 +210,8 @@ Device::reset(std::uint64_t seed)
 
         bank.proto = BankProtocol{};
         bank.open = OpenConditions{};
-        std::fill(bank.trrRing.begin(), bank.trrRing.end(), kNoRow);
-        bank.trrPos = 0;
-        bank.trrFill = 0;
     }
+    resetTrrSampler();
 
     // The disturbance model's only per-module state is its close memo,
     // whose cell pointers the cleared rows just invalidated: the new
@@ -593,25 +591,12 @@ Device::ref(Time t)
 {
     advanceTime(t);
     ++counters_.refs;
-    if (recorder_.active) {
-        // Anchor this REF against the body's sampler pushes so replay
-        // can reconstruct each bank's exact ring fill at this point of
-        // any later iteration.
-        LoopRecord::RefPoint rp;
-        rp.actsBefore.reserve(loopRecord_.samplerActs.size());
-        for (const auto &acts : loopRecord_.samplerActs)
-            rp.actsBefore.push_back(
-                static_cast<std::uint32_t>(acts.size()));
-        loopRecord_.refs.push_back(std::move(rp));
-    }
-    const RowId rows_per_bank = cfg_.rowsPerBank();
-    const auto window = static_cast<std::uint64_t>(
-        cfg_.timings.refsPerWindow);
-    const std::uint64_t slot = refCounter_ % window;
-    const RowId start =
-        static_cast<RowId>(slot * rows_per_bank / window);
-    const RowId end =
-        static_cast<RowId>((slot + 1) * rows_per_bank / window);
+    if (recorder_.active)
+        ++loopRecord_.refs;
+    const std::uint64_t slot =
+        refCounter_ % static_cast<std::uint64_t>(cfg_.timings.refsPerWindow);
+    const RowId start = stripeStart(slot);
+    const RowId end = stripeStart(slot + 1);
     ++refCounter_;
     if (obs::metricsOn()) [[unlikely]] {
         static const obs::CounterId c =
@@ -694,7 +679,7 @@ Device::beginLoopRecording()
     rec.tracked.resize(banks_.size());
     for (auto &rows : rec.tracked)
         rows.clear();
-    rec.refs.clear();
+    rec.refs = 0;
     rec.quiescent = true;
     disturb_.beginRecording();
 }
@@ -713,11 +698,7 @@ Device::endLoopRecording()
         rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
     }
 
-    // REF/TRR refreshes are replayed live (they rotate and draw), so
-    // only the strictly per-iteration counters are scaled.
     rec.counterDelta = counters_.since(recorder_.countersAtStart);
-    rec.counterDelta.refs = 0;
-    rec.counterDelta.trrRefreshes = 0;
 
     // Quiescence: if a refresh reset a row the body also deposits into
     // (or otherwise mutates), the recorded iteration is not the
@@ -730,9 +711,11 @@ Device::endLoopRecording()
         }
     }
     // A close-driven mitigation is an arbitrary state machine over
-    // the close stream; its refreshes are not iteration-affine, so a
-    // hooked device never exposes a replayable steady state.
-    if (mitigation_ != nullptr)
+    // the close stream, and sampling TRR's REF refreshes the
+    // neighbours of a randomly drawn ring entry: neither's refreshes
+    // are iteration-affine, so a hooked device, or a TRR device's
+    // REF-bearing body, never exposes a replayable steady state.
+    if (mitigation_ != nullptr || (trrEnabled_ && rec.refs > 0))
         rec.quiescent = false;
     return rec;
 }
@@ -744,36 +727,22 @@ Device::replayLoopIterations(const LoopRecord &rec,
     if (!rec.quiescent || max_iterations == 0)
         return 0;
 
-    const std::size_t nbanks = banks_.size();
-    const RowId rows_per_bank = cfg_.rowsPerBank();
-    const auto window =
-        static_cast<std::uint64_t>(cfg_.timings.refsPerWindow);
-
-    std::uint64_t completed = 0;
-    std::uint64_t obs_trr_refreshes = 0;
-
-    // The live sampler rings (trrRing, trrPos, trrFill) stay frozen
-    // until the committed iteration count is known, so they hold the
-    // pre-replay state and negative virtual indices read them directly.
-
-    if (rec.refs.empty()) {
-        // Nothing iteration-dependent happens between deposits: the
-        // whole remaining trip count commits in one step.
-        completed = max_iterations;
-    } else if (!trrEnabled_) {
-        // Without TRR a REF only refreshes the next stripe of a fixed
-        // rotation -- slot s covers rows [s * rows / window,
-        // (s + 1) * rows / window) of every bank -- so the REFs from
-        // refCounter_ on sweep the rows from `lo` on, cyclically.  The
-        // first tracked row in that order fixes the first REF that
-        // would land on loop state; every iteration whose REFs all
-        // come before it commits at once.
-        const std::uint64_t per = rec.refs.size();
+    std::uint64_t completed = max_iterations;
+    if (rec.refs > 0) {
+        // A quiescent REF-bearing record is TRR-off (endLoopRecording),
+        // so a REF only refreshes the next stripe of a fixed rotation
+        // -- slot s covers rows [stripeStart(s), stripeStart(s + 1)) of
+        // every bank -- and the REFs from refCounter_ on sweep the rows
+        // from `lo` on, cyclically.  The first tracked row in that
+        // order fixes the first REF that would land on loop state;
+        // every iteration whose REFs all come before it commits at
+        // once.
+        const RowId rows_per_bank = cfg_.rowsPerBank();
+        const auto window =
+            static_cast<std::uint64_t>(cfg_.timings.refsPerWindow);
+        const std::uint64_t per = rec.refs;
         const std::uint64_t first = refCounter_ % window;
-        auto slot_start = [&](std::uint64_t slot) {
-            return static_cast<RowId>(slot * rows_per_bank / window);
-        };
-        const RowId lo = slot_start(first);
+        const RowId lo = stripeStart(first);
         RowId next = kNoRow, lowest = kNoRow;
         for (const auto &rows : rec.tracked) {
             if (rows.empty())
@@ -792,6 +761,8 @@ Device::replayLoopIterations(const LoopRecord &rec,
             clear = (slot + window - first) % window;
         }
         completed = std::min(max_iterations, clear / per);
+        if (completed == 0)
+            return 0;
 
         // The committed REFs refresh rows [lo, hi) and, past the
         // bank's end, [0, wrap): untracked rows only, whose state the
@@ -803,9 +774,9 @@ Device::replayLoopIterations(const LoopRecord &rec,
         if (refs >= window)
             wrap = lo;
         else if (first + refs <= window)
-            hi = slot_start(first + refs);
+            hi = stripeStart(first + refs);
         else
-            wrap = slot_start(first + refs - window);
+            wrap = stripeStart(first + refs - window);
         auto covered = [&](RowId r) { return r >= lo ? r < hi : r < wrap; };
         const std::size_t span = (hi - lo) + wrap;
         for (BankState &bank : banks_) {
@@ -822,153 +793,23 @@ Device::replayLoopIterations(const LoopRecord &rec,
             for (RowId r = 0; r < wrap; ++r)
                 refreshRow(bank, r);
         }
-        counters_.refs += refs;
         refCounter_ += refs;
-    } else {
-        // Union of tracked rows across banks: a REF refreshes the same
-        // stripe range in every bank, so one sorted set answers "does
-        // this stripe touch loop state anywhere".
-        std::vector<RowId> &union_tracked = unionTracked_;
-        union_tracked.clear();
-        for (const auto &rows : rec.tracked)
-            union_tracked.insert(union_tracked.end(), rows.begin(),
-                                 rows.end());
-        std::sort(union_tracked.begin(), union_tracked.end());
-        union_tracked.erase(
-            std::unique(union_tracked.begin(), union_tracked.end()),
-            union_tracked.end());
-
-        auto stripe_hits_tracked = [&](RowId lo, RowId hi) {
-            const auto it = std::lower_bound(union_tracked.begin(),
-                                             union_tracked.end(), lo);
-            return it != union_tracked.end() && *it < hi;
-        };
-        auto is_tracked = [&](std::size_t b, RowId r) {
-            return std::binary_search(rec.tracked[b].begin(),
-                                      rec.tracked[b].end(), r);
-        };
-        // Sampler ring entry `gidx` pushes after the replay started
-        // (negative = still-live pre-replay slot).
-        auto ring_at = [&](std::size_t b, std::int64_t gidx) -> RowId {
-            const std::vector<RowId> &acts = rec.samplerActs[b];
-            if (gidx >= 0)
-                return acts[static_cast<std::size_t>(
-                    gidx % static_cast<std::int64_t>(acts.size()))];
-            return banks_[b].trrRing[static_cast<std::size_t>(
-                (static_cast<std::int64_t>(banks_[b].trrPos) +
-                 static_cast<std::int64_t>(kTrrWindow) + gidx) %
-                static_cast<std::int64_t>(kTrrWindow))];
-        };
-
-        std::vector<std::pair<std::size_t, RowId>> &trr_targets =
-            trrTargets_;
-        while (completed < max_iterations) {
-            // Dry-run this iteration's REFs: perform the TRR draws in
-            // live order, but commit nothing until the whole iteration
-            // is known to stay clear of tracked rows.  On a hit the
-            // RNG rewinds so the caller's live boundary iteration
-            // redraws the exact same stream.
-            const Rng rng_snapshot = trrRng_;
-            trr_targets.clear();
-            bool interesting = false;
-            std::uint64_t local_ref = refCounter_;
-            for (const LoopRecord::RefPoint &rp : rec.refs) {
-                const std::uint64_t slot = local_ref % window;
-                ++local_ref;
-                const RowId start = static_cast<RowId>(
-                    slot * rows_per_bank / window);
-                const RowId end = static_cast<RowId>(
-                    (slot + 1) * rows_per_bank / window);
-                if (start < end && stripe_hits_tracked(start, end)) {
-                    interesting = true;
-                    break;
-                }
-                for (std::size_t b = 0; b < nbanks && !interesting;
-                     ++b) {
-                    const std::uint64_t acts_before =
-                        completed * rec.samplerActs[b].size() +
-                        rp.actsBefore[b];
-                    const std::size_t fill =
-                        static_cast<std::size_t>(std::min<std::uint64_t>(
-                            kTrrWindow, banks_[b].trrFill + acts_before));
-                    if (fill == 0)
-                        continue;
-                    const std::size_t back = trrRng_.below(fill);
-                    const RowId aggr = ring_at(
-                        b, static_cast<std::int64_t>(acts_before) - 1 -
-                               static_cast<std::int64_t>(back));
-                    if (aggr == kNoRow)
-                        continue;
-                    const SubarrayId sub = subarrayOfPhysical(aggr);
-                    for (int d : {-1, 1}) {
-                        const std::int64_t v =
-                            static_cast<std::int64_t>(aggr) + d;
-                        if (v < 0 ||
-                            v >= static_cast<std::int64_t>(
-                                     rows_per_bank))
-                            continue;
-                        if (subarrayOfPhysical(
-                                static_cast<RowId>(v)) != sub)
-                            continue;
-                        if (is_tracked(b, static_cast<RowId>(v))) {
-                            interesting = true;
-                            break;
-                        }
-                        trr_targets.emplace_back(
-                            b, static_cast<RowId>(v));
-                    }
-                }
-                if (interesting)
-                    break;
-            }
-            if (interesting) {
-                trrRng_ = rng_snapshot;
-                break;
-            }
-
-            // Commit: stripe and TRR refreshes all land on untracked
-            // rows, whose state is loop-invariant, so they are
-            // idempotent and order-insensitive within the iteration.
-            local_ref = refCounter_;
-            for (std::size_t e = 0; e < rec.refs.size(); ++e) {
-                const std::uint64_t slot = local_ref % window;
-                ++local_ref;
-                const RowId start = static_cast<RowId>(
-                    slot * rows_per_bank / window);
-                const RowId end = static_cast<RowId>(
-                    (slot + 1) * rows_per_bank / window);
-                for (BankState &bank : banks_)
-                    for (RowId r = start; r < end; ++r)
-                        refreshRow(bank, r);
-                ++counters_.refs;
-            }
-            refCounter_ = local_ref;
-            for (const auto &[b, v] : trr_targets) {
-                refreshRow(banks_[b], v);
-                ++counters_.trrRefreshes;
-            }
-            obs_trr_refreshes += trr_targets.size();
-            ++completed;
-        }
     }
-
-    if (completed == 0)
-        return 0;
 
     // Keep the obs counters in lockstep with counters_ so the metrics
     // totals do not depend on how many REFs were replayed vs executed
-    // live.  Rolled up once after the replay loop (never inside it --
-    // this is the simulator's hottest loop); replay emits no per-REF
-    // trace events, fastpath_replay summarizes them.
+    // live.  Rolled up once per replay; replay emits no per-REF trace
+    // events, fastpath_replay summarizes them.  A replayed REF draws
+    // no TRR victim, but device.trr_refreshes is registered here too,
+    // so the --metrics listing carries it (as zero) whenever a loop
+    // replays.
     if (obs::metricsOn()) [[unlikely]] {
         static const obs::CounterId c_refs =
             obs::metrics().counterId("device.refs");
-        static const obs::CounterId c_trr =
+        [[maybe_unused]] static const obs::CounterId c_trr =
             obs::metrics().counterId("device.trr_refreshes");
-        if (!rec.refs.empty())
-            obs::metrics().add(c_refs, rec.refs.size() * completed);
-        if (obs_trr_refreshes > 0)
-            obs::metrics().add(c_trr, obs_trr_refreshes);
+        if (rec.refs > 0)
+            obs::metrics().add(c_refs, rec.refs * completed);
     }
 
     // Damage: the recorded iteration's deltas, scaled once.  Safe to
@@ -986,7 +827,7 @@ Device::replayLoopIterations(const LoopRecord &rec,
     // Every push past the ring's free slots evicts an entry, as
     // trrRecord counts live (without its per-push trace event).
     std::uint64_t evictions = 0;
-    for (std::size_t b = 0; b < nbanks; ++b) {
+    for (std::size_t b = 0; b < banks_.size(); ++b) {
         BankState &bank = banks_[b];
         const std::vector<RowId> &acts = rec.samplerActs[b];
         const std::uint64_t per = acts.size();
@@ -1113,7 +954,7 @@ Device::endPrefixLog(Time chunk_end)
     prefixLog_ = nullptr;
     disturb_.logOps(nullptr);
     const LoopRecord &rec = loopRecord_;
-    if (!rec.quiescent || !rec.refs.empty() || log.wrote_ ||
+    if (!rec.quiescent || rec.refs > 0 || log.wrote_ ||
         dataEpoch_ != log.epoch_)
         return false;
 

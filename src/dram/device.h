@@ -94,7 +94,8 @@ struct DeviceCounters
  * A device with a hook attached records loop iterations as
  * never-quiescent, so the executor falls back to exact naive
  * execution instead of arithmetic replay -- mitigation state machines
- * are not iteration-affine.
+ * are not iteration-affine.  Native TRR does the same to a loop whose
+ * body issues a REF (Device::endLoopRecording).
  */
 class MitigationHook
 {
@@ -199,28 +200,22 @@ class Device
      * One steady-state loop iteration, captured for arithmetic replay.
      * Beyond the per-cell damage deltas this remembers everything the
      * body does to iteration-dependent device state: the ACT addresses
-     * it pushes into each bank's TRR sampler ring (in order), where
-     * its REFs fall relative to those pushes, which rows it touches,
-     * and the command-counter deltas.
+     * it pushes into each bank's TRR sampler ring (in order), how many
+     * REFs it issues, which rows it touches, and the command-counter
+     * deltas.
      */
     struct LoopRecord
     {
         DamageRecord damage;  //!< per-cell net deposits, one iteration
 
-        /** ACT/PRE/op counter deltas of one iteration (REF/TRR are
-         *  counted live during replay instead). */
+        /** Command-counter deltas of one iteration. */
         DeviceCounters counterDelta;
 
         /** Per bank: ACT addresses sampled by TRR, in push order. */
         std::vector<std::vector<RowId>> samplerActs;
 
-        /** One entry per REF in the body. */
-        struct RefPoint
-        {
-            /** Per bank: sampler pushes issued before this REF. */
-            std::vector<std::uint32_t> actsBefore;
-        };
-        std::vector<RefPoint> refs;
+        /** REFs in the body. */
+        std::uint64_t refs = 0;
 
         /** Per bank, sorted: physical rows whose damage, data, or
          *  close-side state the body mutates (deposit victims are
@@ -228,8 +223,10 @@ class Device
          *  repeats, while recording. */
         std::vector<std::vector<RowId>> tracked;
 
-        /** False if a refresh hit a tracked row *during* recording:
-         *  the iteration is then not periodic and must not replay. */
+        /** False if a refresh hit a tracked row *during* recording, a
+         *  mitigation hook is attached, or the body issues a REF with
+         *  TRR on: the iteration is then not periodic and must not
+         *  replay. */
         bool quiescent = true;
     };
 
@@ -310,13 +307,13 @@ class Device
 
     /**
      * Replay up to `max_iterations` further iterations of the recorded
-     * body and return how many were committed.  Per virtual iteration
-     * the TRR RNG draws and refresh counters advance exactly as a live
-     * iteration would (the sampler ring is advanced closed-form at the
-     * end); damage deposits are applied once, scaled by the committed
-     * count.  Replay stops early -- a *phase break* -- the moment a
-     * stripe or TRR refresh would land on a tracked row, with the RNG
-     * rewound so the caller can execute that iteration live.
+     * body and return how many were committed.  Damage deposits and
+     * command counters are applied once, scaled by the committed
+     * count, and each bank's TRR sampler ring is advanced closed-form.
+     * A REF-bearing body (TRR off: see LoopRecord::quiescent) commits
+     * the iterations whose stripe refreshes all miss tracked rows and
+     * stops -- a *phase break* -- before the first REF that would hit
+     * one, so the caller can execute that iteration live.
      */
     std::uint64_t replayLoopIterations(const LoopRecord &record,
                                        std::uint64_t max_iterations);
@@ -541,6 +538,19 @@ class Device
     void trrRecord(BankState &bank, RowId physical);
     void refreshRow(BankState &bank, RowId physical);
 
+    /**
+     * First row of REF slot `slot`'s refresh stripe: slot s of the
+     * window covers rows [stripeStart(s), stripeStart(s + 1)) of every
+     * bank.
+     */
+    RowId
+    stripeStart(std::uint64_t slot) const
+    {
+        return static_cast<RowId>(
+            slot * cfg_.rowsPerBank() /
+            static_cast<std::uint64_t>(cfg_.timings.refsPerWindow));
+    }
+
     /** Restore a row's charge: materialize flips, clear damage. */
     void restoreRow(BankState &bank, RowId physical);
 
@@ -630,8 +640,6 @@ class Device
     std::vector<std::pair<std::size_t, RowId>> stampedRows_;
 
     // Replay scratch, kept warm across replays.
-    std::vector<RowId> unionTracked_;
-    std::vector<std::pair<std::size_t, RowId>> trrTargets_;
     std::array<RowId, kTrrWindow> ringScratch_{};
     Celsius temperature_;
     /**

@@ -591,6 +591,55 @@ TEST_P(FastPathEquivalence, MatchesNaiveExecution)
 INSTANTIATE_TEST_SUITE_P(Patterns, FastPathEquivalence,
                          ::testing::Values(0, 1, 2, 3, 4));
 
+/** Whether two values agree bit for bit (floats included). */
+template <class T>
+bool
+sameBits(const T &x, const T &y)
+{
+    return std::memcmp(&x, &y, sizeof(T)) == 0;
+}
+
+/**
+ * Compare two devices bit for bit, without materializing any row:
+ * the rows each has drawn, with their data, damage, side state and
+ * close stamps; the counters; the TRR rings; both RNG streams; and
+ * the clock.
+ */
+void
+expectSameDevice(const Device &a, const Device &b)
+{
+    ASSERT_EQ(a.populatedRowCount(), b.populatedRowCount());
+    const DeviceCounters &ca = a.counters(), &cb = b.counters();
+    EXPECT_TRUE(ca.acts == cb.acts && ca.pres == cb.pres &&
+                ca.refs == cb.refs && ca.comraCopies == cb.comraCopies &&
+                ca.simraOps == cb.simraOps &&
+                ca.ignoredCommands == cb.ignoredCommands &&
+                ca.trrRefreshes == cb.trrRefreshes);
+    EXPECT_EQ(a.now(), b.now());
+    EXPECT_TRUE(a.trrRng() == b.trrRng());
+    EXPECT_TRUE(a.noiseRng() == b.noiseRng());
+    const DeviceConfig &cfg = a.config();
+    for (BankId bank = 0; bank < cfg.banks; ++bank) {
+        EXPECT_EQ(a.trrSamplerFill(bank), b.trrSamplerFill(bank));
+        EXPECT_EQ(a.trrSamplerRows(bank), b.trrSamplerRows(bank));
+        for (RowId r = 0; r < cfg.rowsPerBank(); ++r) {
+            ASSERT_EQ(a.populated(bank, r), b.populated(bank, r));
+            EXPECT_EQ(a.lastCloseAt(bank, r), b.lastCloseAt(bank, r))
+                << "row " << r;
+            EXPECT_EQ(a.lastSide(bank, r), b.lastSide(bank, r))
+                << "row " << r;
+            if (!a.populated(bank, r))
+                continue;
+            EXPECT_TRUE(a.readRowDirect(bank, r) == b.readRowDirect(bank, r))
+                << "row " << r;
+            const auto &wa = a.weakCells(bank, r), &wb = b.weakCells(bank, r);
+            for (std::size_t i = 0; i < wa.size(); ++i)
+                EXPECT_TRUE(sameBits(wa[i].damage, wb[i].damage))
+                    << "row " << r << " cell " << i;
+        }
+    }
+}
+
 /** Everything observable after a REF-interleaved hammering run. */
 struct RunState
 {
@@ -692,13 +741,47 @@ TEST_P(RefFastPathEquivalence, MatchesNaiveExecution)
 
 // Hammer counts chosen to cover a partially-filled sampler ring (100
 // iterations push 200 ACTs < the 450-entry window) and a saturated,
-// wrapped one; each with the pattern running TRR-off (pure replay)
-// and TRR-on (replay phase-breaks on TRR victim refreshes and the
-// executor falls back to live execution).
+// wrapped one; each with the pattern running TRR-off (replay, with
+// phase breaks where a stripe refresh would hit the hammered rows)
+// and TRR-on (the REF-bearing loop runs live).
 INSTANTIATE_TEST_SUITE_P(
     TrrAndScale, RefFastPathEquivalence,
     ::testing::Combine(::testing::Bool(),
                        ::testing::Values(100u, 4000u)));
+
+TEST(Executor, TrrRefLoopRunsLive)
+{
+    // With TRR on, a REF-bearing loop never replays, even when no
+    // refresh of its recorded iteration hits the loop's rows: here a
+    // prelude of ACTs to far rows fills the sampler ring, so the
+    // recorded REF's TRR draw lands on an untracked row.  Device::ref
+    // alone applies sampling TRR, so the fast path leaves the device
+    // exactly as naive execution does.
+    auto run = [](TestBench &bench, bool fast) {
+        bench.executor().setFastPath(fast);
+        Device &dev = bench.device();
+        dev.setTrrEnabled(true);
+        const TimingParams &tm = dev.config().timings;
+        hammer::PatternTimings t;
+        Program p;
+        for (std::size_t i = 0; i < Device::kTrrWindow; ++i)
+            p.act(0, dev.toLogical(static_cast<RowId>(80 + i % 40)),
+                  tm.tRP)
+                .pre(0, t.aggOn());
+        p.loopBegin(300)
+            .act(0, dev.toLogical(32), tm.tRFC)
+            .pre(0, t.aggOn())
+            .act(0, dev.toLogical(34), tm.tRP)
+            .pre(0, t.aggOn())
+            .ref(tm.tRP)
+            .loopEnd();
+        return bench.run(p);
+    };
+    TestBench fast(smallConfig(11)), naive(smallConfig(11));
+    EXPECT_EQ(run(fast, true).fastPathIterations, 0u);
+    run(naive, false);
+    expectSameDevice(fast.device(), naive.device());
+}
 
 /** {ACTs per iteration, trip count, ACTs before the loop}. */
 class SamplerRingReplay
@@ -922,55 +1005,6 @@ TEST(Executor, ReplayShiftsCloseStampsAheadOfTheLoopStart)
 // ---------------------------------------------------------------------------
 // Prefix log
 // ---------------------------------------------------------------------------
-
-/** Whether two values agree bit for bit (floats included). */
-template <class T>
-bool
-sameBits(const T &x, const T &y)
-{
-    return std::memcmp(&x, &y, sizeof(T)) == 0;
-}
-
-/**
- * Compare two devices bit for bit, without materializing any row:
- * the rows each has drawn, with their data, damage, side state and
- * close stamps; the counters; the TRR rings; both RNG streams; and
- * the clock.
- */
-void
-expectSameDevice(const Device &a, const Device &b)
-{
-    ASSERT_EQ(a.populatedRowCount(), b.populatedRowCount());
-    const DeviceCounters &ca = a.counters(), &cb = b.counters();
-    EXPECT_TRUE(ca.acts == cb.acts && ca.pres == cb.pres &&
-                ca.refs == cb.refs && ca.comraCopies == cb.comraCopies &&
-                ca.simraOps == cb.simraOps &&
-                ca.ignoredCommands == cb.ignoredCommands &&
-                ca.trrRefreshes == cb.trrRefreshes);
-    EXPECT_EQ(a.now(), b.now());
-    EXPECT_TRUE(a.trrRng() == b.trrRng());
-    EXPECT_TRUE(a.noiseRng() == b.noiseRng());
-    const DeviceConfig &cfg = a.config();
-    for (BankId bank = 0; bank < cfg.banks; ++bank) {
-        EXPECT_EQ(a.trrSamplerFill(bank), b.trrSamplerFill(bank));
-        EXPECT_EQ(a.trrSamplerRows(bank), b.trrSamplerRows(bank));
-        for (RowId r = 0; r < cfg.rowsPerBank(); ++r) {
-            ASSERT_EQ(a.populated(bank, r), b.populated(bank, r));
-            EXPECT_EQ(a.lastCloseAt(bank, r), b.lastCloseAt(bank, r))
-                << "row " << r;
-            EXPECT_EQ(a.lastSide(bank, r), b.lastSide(bank, r))
-                << "row " << r;
-            if (!a.populated(bank, r))
-                continue;
-            EXPECT_TRUE(a.readRowDirect(bank, r) == b.readRowDirect(bank, r))
-                << "row " << r;
-            const auto &wa = a.weakCells(bank, r), &wb = b.weakCells(bank, r);
-            for (std::size_t i = 0; i < wa.size(); ++i)
-                EXPECT_TRUE(sameBits(wa[i].damage, wb[i].damage))
-                    << "row " << r << " cell " << i;
-        }
-    }
-}
 
 /** Searches on twin testers and the probes and prefix reuses made. */
 struct OracleTally

@@ -34,8 +34,6 @@ SCHEMA = {
         "reads": int,
         "fastpath_iters": int,
     },
-    "plan_compile": {"hash": int, "insts": int, "loops": int},
-    "plan_cache_hit": {"hash": int},
     "fastpath_record": {"loop": int, "it": int, "quiescent": bool},
     "fastpath_replay": {"loop": int, "replayed": int, "remaining": int},
     "phase_break": {"loop": int, "it": int},
