@@ -24,13 +24,34 @@ constexpr std::uint64_t kReadReserveCap = 1ULL << 20;
  */
 constexpr std::size_t kPrefixLogBody = 16;
 
-/** Bump a prefix-log counter in the stats and the metrics. */
+/**
+ * Most distinct segment contents of one loop body that keep a log; a
+ * body with more runs the rest live.
+ */
+constexpr std::size_t kSegmentLogs = 8;
+
+/**
+ * A segment log whose failures -- a fill that cannot be reused, a
+ * preview that sees the hook refresh -- outnumber its successes by
+ * this many stops logging for the rest of the loop.
+ */
+constexpr unsigned kSegmentDebt = 8;
+
+/** Bump a run-log counter in the stats and the metrics. */
 void
-countPrefix(std::uint64_t &stat, const char *metric)
+countLog(std::uint64_t &stat, const char *metric)
 {
     ++stat;
     if (obs::metricsOn()) [[unlikely]]
         obs::metrics().add(obs::metrics().counterId(metric));
+}
+
+/** Whether two instructions issue the same command at the same gap. */
+bool
+sameCommand(const Inst &a, const Inst &b)
+{
+    return a.op == b.op && a.gap == b.gap && a.bank == b.bank &&
+           a.row == b.row && a.dataIndex == b.dataIndex;
 }
 
 } // namespace
@@ -116,6 +137,24 @@ Executor::execLoop(const Program &program, std::size_t loop_index,
         return;
     }
 
+    // A flat body that can never replay runs segment by segment
+    // (DESIGN.md §4.2), or wholly live under a hook that cannot
+    // preview, whose segments could never apply a log.  One that nests
+    // loops keeps the chunks below: their recorded iterations run its
+    // inner loops live, which segments would not.
+    const LoopNode &node = program.loops()[loop_index];
+    if (node.next == loop_index + 1 &&
+        !device_->loopReplayable(cls == BodyClass::Recorded)) {
+        const dram::MitigationHook *hook = device_->mitigation();
+        if (hook != nullptr && !hook->previews()) {
+            for (std::uint64_t it = 0; it < n; ++it)
+                body();
+        } else {
+            execSegments(program, loop_index, n, cursor, result);
+        }
+        return;
+    }
+
     std::uint64_t it = 0;
     int strikes = 0;
 
@@ -124,8 +163,7 @@ Executor::execLoop(const Program &program, std::size_t loop_index,
     // log when the device passes its guards, and fills the log
     // otherwise; a shape's first run leaves the logs alone, so a
     // program that runs once never pays for logging (DESIGN.md §4.2).
-    const LoopNode &node = program.loops()[loop_index];
-    dram::Device::PrefixLog *log =
+    dram::Device::RunLog *log =
         repeatRun_ && node.parent == Program::npos &&
                 cls == BodyClass::Simple &&
                 node.end - node.begin <= kPrefixLogBody
@@ -139,20 +177,20 @@ Executor::execLoop(const Program &program, std::size_t loop_index,
     // in one chunk; a REF-bearing body replays until a refresh is
     // about to land on a loop-damaged row (phase break), executes that
     // iteration live, and re-records.  A body whose refreshes keep
-    // colliding with its own rows never settles, nor does one whose
-    // record can never replay (a REF with TRR on, a mitigation hook)
-    // -- after two fruitless chunks we stop re-recording and finish
-    // naively.
+    // colliding with its own rows never settles, nor does a nested one
+    // whose record can never replay (Device::loopReplayable) -- after
+    // two fruitless chunks we stop re-recording and finish naively.
     while (n - it >= kFastPathThreshold && strikes < 2) {
         const Time chunk_start = cursor;
         const dram::Device::LoopRecord *recorded;
-        if (log != nullptr && device_->applyPrefixLog(*log, chunk_start)) {
+        if (log != nullptr && device_->applyLog(*log, chunk_start) ==
+                                  dram::Device::LogApply::Applied) {
             cursor += log->duration();
             recorded = &log->record();
-            countPrefix(stats_.prefixReuses, "executor.prefix_reuses");
+            countLog(stats_.prefixReuses, "executor.prefix_reuses");
         } else {
             const bool logging =
-                log != nullptr && device_->beginPrefixLog(*log, chunk_start);
+                log != nullptr && device_->beginLog(*log, chunk_start);
             body();
             body();
             device_->beginLoopRecording();
@@ -160,9 +198,9 @@ Executor::execLoop(const Program &program, std::size_t loop_index,
             body();
             recording_ = false;
             recorded = &device_->endLoopRecording();
-            if (logging && device_->endPrefixLog(cursor)) {
+            if (logging && device_->endPrefixLog(*log, cursor)) {
                 recorded = &log->record();
-                countPrefix(stats_.prefixFills, "executor.prefix_fills");
+                countLog(stats_.prefixFills, "executor.prefix_fills");
             }
         }
         log = nullptr;
@@ -236,6 +274,103 @@ Executor::execLoop(const Program &program, std::size_t loop_index,
 }
 
 void
+Executor::execSegments(const Program &program, std::size_t loop_index,
+                       std::uint64_t n, Time &cursor, ExecResult &result)
+{
+    const auto &insts = program.insts();
+    const LoopNode &node = program.loops()[loop_index];
+
+    // The body's segments -- the runs of commands between its REFs --
+    // share a log when they issue the same commands.
+    segments_.clear();
+    std::size_t logs = 0;
+    for (std::size_t i = node.begin + 1; i < node.end; ++i) {
+        if (insts[i].op == Op::Ref)
+            continue;
+        std::size_t j = i + 1;
+        while (j < node.end && insts[j].op != Op::Ref)
+            ++j;
+        std::size_t log = 0;
+        for (; log < logs; ++log) {
+            const SegmentLog &s = segmentLogs_[log];
+            if (s.end - s.begin == j - i &&
+                std::equal(insts.begin() + i, insts.begin() + j,
+                           insts.begin() + s.begin, sameCommand))
+                break;
+        }
+        if (log == logs && logs < kSegmentLogs) {
+            if (logs == segmentLogs_.size())
+                segmentLogs_.emplace_back();
+            SegmentLog &s = segmentLogs_[logs++];
+            s.begin = i;
+            s.end = j;
+            s.next = 0;
+            s.debt = 0;
+            for (dram::Device::RunLog &way : s.ways)
+                way.clear();
+        }
+        segments_.push_back({i, j, log < logs ? log : Program::npos});
+        i = j;
+    }
+
+    for (std::uint64_t it = 0; it < n; ++it) {
+        std::size_t i = node.begin + 1;
+        for (const Segment &seg : segments_) {
+            for (; i < seg.begin; ++i)  // REFs stay live
+                execOne(program, insts[i], cursor, result);
+            runSegment(program, seg, cursor, result);
+            i = seg.end;
+        }
+        for (; i < node.end; ++i)
+            execOne(program, insts[i], cursor, result);
+    }
+}
+
+void
+Executor::runSegment(const Program &program, const Segment &seg,
+                     Time &cursor, ExecResult &result)
+{
+    const auto &insts = program.insts();
+    auto live = [&] {
+        for (std::size_t i = seg.begin; i < seg.end; ++i)
+            execOne(program, insts[i], cursor, result);
+    };
+    if (seg.log == Program::npos ||
+        segmentLogs_[seg.log].debt >= kSegmentDebt) {
+        live();
+        return;
+    }
+    SegmentLog &log = segmentLogs_[seg.log];
+    const Time start = cursor;
+    for (const dram::Device::RunLog &way : log.ways) {
+        switch (device_->applyLog(way, start)) {
+          case dram::Device::LogApply::Applied:
+            cursor += way.duration();
+            log.debt -= log.debt > 0 ? 1 : 0;
+            countLog(stats_.segmentApplies, "executor.segment_applies");
+            return;
+          case dram::Device::LogApply::HookFires:
+            // Live, the hook refreshes a row, which spoils a fill.
+            ++log.debt;
+            live();
+            return;
+          case dram::Device::LogApply::Stale:
+            break;
+        }
+    }
+    dram::Device::RunLog &way = log.ways[log.next];
+    const bool logging = device_->beginLog(way, start);
+    live();
+    if (logging && device_->endLog(way, cursor)) {
+        log.next = (log.next + 1) % kSegmentWays;
+        log.debt -= log.debt > 0 ? 1 : 0;
+        countLog(stats_.segmentFills, "executor.segment_fills");
+    } else {
+        ++log.debt;
+    }
+}
+
+void
 Executor::execBody(const Program &program, std::size_t loop_id,
                    Time &cursor, ExecResult &result)
 {
@@ -249,7 +384,7 @@ Executor::execBody(const Program &program, std::size_t loop_id,
         });
 }
 
-dram::Device::PrefixLog &
+dram::Device::RunLog &
 Executor::prefixLog(std::size_t loop_index)
 {
     PrefixSlot *free = nullptr;
@@ -285,8 +420,7 @@ Executor::sameShape(const Program &program) const
     for (std::size_t i = 0; i < insts.size(); ++i) {
         const Inst &a = insts[i];
         const Inst &b = shapeInsts_[i];
-        if (a.op != b.op || a.gap != b.gap || a.bank != b.bank ||
-            a.row != b.row || a.dataIndex != b.dataIndex ||
+        if (!sameCommand(a, b) ||
             (a.op != Op::LoopBegin && a.count != b.count))
             return false;
     }

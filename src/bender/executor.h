@@ -3,22 +3,30 @@
  * Interpreter for bender test programs against the DRAM device model.
  *
  * The executor issues each instruction at its scheduled time.  Hot
- * loops take an exact *fast-path*: the body runs live for two warm-up
+ * loops take a *fast-path*: the body runs live for two warm-up
  * iterations, one steady-state iteration is recorded (damage deltas,
  * TRR sampler pushes, REF count, touched rows), and the remaining
  * trip count is replayed arithmetically.  REF-free bodies commit the
  * whole remaining count in one step; with TRR off, a body containing
  * REF commits every iteration before the first stripe refresh that
  * would land on a loop-damaged row, with a *phase break* back to live
- * execution there.  A body whose recorded iteration cannot replay --
- * a REF with TRR on, any body under a mitigation hook, a refresh that
- * hit the loop's own rows -- is re-recorded once and then finished
- * naively.  Nested loops fast-path inside naive outer iterations, and
- * an outer loop records across its inner loops when the cost model
- * says that wins.  Only RD in the body forces fully naive execution
- * (results are collected per iteration).  All of this
- * is exact under the linear damage-accrual model and verified
- * bit-identical against naive execution in the tests, TRR included.
+ * execution there.  A record whose refresh hit the loop's own rows is
+ * re-recorded once and then finished naively.  A loop that can never
+ * replay -- a REF with TRR on, any body under a mitigation hook
+ * (Device::loopReplayable) -- runs live instead: a flat body segment
+ * by segment, its REF-free segments re-applied from run logs where
+ * the device allows (DESIGN.md §4.2); a nested one records twice and
+ * finishes naively.  Nested loops fast-path inside naive outer
+ * iterations, and an outer loop records across its inner loops when
+ * the cost model says that wins.  Only RD in the body forces fully
+ * naive execution (results are collected per iteration).
+ *
+ * The contract, as the tests check it: arithmetic replay scales one
+ * iteration's float deposits, so it matches naive execution within a
+ * tolerance (1e-4 + 0.2% per cell, `expectSameRun`), not bit for bit.
+ * The prefix and segment logs re-apply the same float adds in the
+ * same order, so they match live execution bit for bit (`sameBits`,
+ * `expectSameDevice`).
  *
  * Each run's costs (bender/plan.h) are recomputed in one pass.  The
  * executor keeps a copy of the last run's *shape* -- the program with
@@ -32,6 +40,7 @@
 #ifndef PUD_BENDER_EXECUTOR_H
 #define PUD_BENDER_EXECUTOR_H
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -60,6 +69,8 @@ struct ExecStats
     std::uint64_t phaseBreaks = 0;  //!< replays interrupted by a refresh
     std::uint64_t prefixFills = 0;  //!< prefix logs filled
     std::uint64_t prefixReuses = 0;  //!< loop prefixes applied from a log
+    std::uint64_t segmentFills = 0;    //!< segment logs filled
+    std::uint64_t segmentApplies = 0;  //!< segments applied from a log
 };
 
 /** Executes programs against a Device. */
@@ -90,7 +101,7 @@ class Executor
     void setPreflight(bool on) { preflight_ = on; }
     bool preflight() const { return preflight_; }
 
-    /** Cumulative fast-path / shape / prefix-log counters. */
+    /** Cumulative fast-path / shape / run-log counters. */
     const ExecStats &stats() const { return stats_; }
 
     /**
@@ -116,7 +127,7 @@ class Executor
     bool sameShape(const Program &program) const;
 
     /** Loop `loop_index`'s prefix log, taking a free one if it has none. */
-    dram::Device::PrefixLog &prefixLog(std::size_t loop_index);
+    dram::Device::RunLog &prefixLog(std::size_t loop_index);
 
     /** Forget every prefix log, keeping its buffers. */
     void freePrefixLogs();
@@ -128,6 +139,21 @@ class Executor
     /** Run one counted loop (fast-path or naive). */
     void execLoop(const Program &program, std::size_t loop_index,
                   std::uint64_t n, Time &cursor, ExecResult &result);
+
+    /** A REF-free run of a loop body's commands, [begin, end), and its
+     *  log in segmentLogs_ (npos: none, it runs live). */
+    struct Segment
+    {
+        std::size_t begin, end, log;
+    };
+
+    /** Run a flat loop that cannot replay, segment by segment. */
+    void execSegments(const Program &program, std::size_t loop_index,
+                      std::uint64_t n, Time &cursor, ExecResult &result);
+
+    /** Run one segment from its log, or live (filling the log). */
+    void runSegment(const Program &program, const Segment &seg,
+                    Time &cursor, ExecResult &result);
 
     void execOne(const Program &program, const Inst &inst, Time &cursor,
                  ExecResult &result);
@@ -161,9 +187,29 @@ class Executor
     struct PrefixSlot
     {
         std::size_t loop;
-        dram::Device::PrefixLog log;
+        dram::Device::RunLog log;
     };
     std::vector<PrefixSlot> prefixLogs_;
+
+    /** Ways per segment log: TRR's refreshes leave a segment's rows in
+     *  a handful of states from one REF window to the next. */
+    static constexpr std::size_t kSegmentWays = 8;
+
+    /**
+     * The log the running loop's segments that issue the same commands
+     * as [begin, end) share (DESIGN.md §4.2).  `debt` counts failures
+     * less successes, floored at 0; the logs live for one loop, their
+     * buffers for the executor.
+     */
+    struct SegmentLog
+    {
+        std::size_t begin = 0, end = 0;
+        std::array<dram::Device::RunLog, kSegmentWays> ways;
+        std::size_t next = 0;  //!< the way the next fill replaces
+        unsigned debt = 0;
+    };
+    std::vector<SegmentLog> segmentLogs_;
+    std::vector<Segment> segments_;  //!< the running loop's
 };
 
 } // namespace pud::bender

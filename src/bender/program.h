@@ -67,7 +67,9 @@ enum class BodyClass : std::uint8_t
      * REF stripe refreshes and nested-loop damage advance by
      * closed-form per-iteration deltas, with a live "phase break"
      * whenever a refresh is about to touch a loop-damaged row.  With
-     * TRR on, a body with a REF records but never replays.
+     * TRR on, a body with a REF never replays (nor does any body under
+     * a mitigation hook): a flat one runs segment by segment, a nested
+     * one records and then runs naively.
      */
     Recorded,
     /** Contains RD: results must be collected per iteration. */

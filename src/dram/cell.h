@@ -175,6 +175,10 @@ struct Row
      * one-sided aggression is scaled down.
      */
     std::int8_t lastSide = 0;
+
+    /** Where the run log being filled holds this row's image, if the
+     *  image there is this row's (Device::logRow checks). */
+    std::uint32_t logImage = 0;
 };
 
 } // namespace pud::dram

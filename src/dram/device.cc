@@ -271,8 +271,8 @@ Device::restoreRow(BankState &bank, RowId physical)
             ++dataEpoch_;
         }
         cell.resetDamage();
-        disturb_.noteReset(cell);
     }
+    disturb_.noteReset(row);
 }
 
 RowData
@@ -338,8 +338,8 @@ Device::trrRecord(BankState &bank, RowId physical)
         ++bank.trrFill;
     if (recorder_.active)
         loopRecord_.samplerActs[bankIndex(bank)].push_back(physical);
-    if (prefixLog_ != nullptr) [[unlikely]]
-        prefixLog_->pushes_.emplace_back(bankIndex(bank), physical);
+    if (runLog_ != nullptr) [[unlikely]]
+        logFill_.pushes.emplace_back(bankIndex(bank), physical);
 }
 
 void
@@ -420,7 +420,7 @@ Device::applyPendingClose(BankState &bank, const BankProtocol::Step *copy)
     // aggressors, whose lastSide advances).
     const bool factors = ev.cls != TechClass::Conventional;
     const bool track = (recorder_.active && !recorder_.inRefresh) ||
-                       prefixLog_ != nullptr;
+                       runLog_ != nullptr;
     const auto nrows = static_cast<std::int64_t>(bank.rows.size());
     for (RowId a : ev.rows) {
         if (track)
@@ -451,9 +451,21 @@ Device::applyPendingClose(BankState &bank, const BankProtocol::Step *copy)
     }
     if (mitigation_ != nullptr) {
         // The hook sees the final classification, including the
-        // CoMRA retro-tag.
+        // CoMRA retro-tag.  A run log keeps the close for the hook's
+        // preview, and is spoiled by a refresh the hook asks for.
+        if (runLog_ != nullptr) [[unlikely]] {
+            // endLog() points the spans at the log's buffer.
+            std::vector<RowId> &rows = logFill_.closeRows;
+            rows.insert(rows.end(), ev.rows.begin(), ev.rows.end());
+            logFill_.closes.push_back(
+                {static_cast<BankId>(bankIndex(bank)), ev.cls,
+                 {rows.end() - static_cast<std::ptrdiff_t>(ev.rows.size()),
+                  rows.end()}});
+        }
         mitigationRefresh_.clear();
         mitigation_->onClose(bankIndex(bank), ev, mitigationRefresh_);
+        if (runLog_ != nullptr && !mitigationRefresh_.empty()) [[unlikely]]
+            spoilLog();
         for (RowId r : mitigationRefresh_) {
             if (r < bank.rows.size())
                 refreshRow(bank, r);
@@ -509,10 +521,9 @@ Device::act(Time t, BankId b, RowId logical_row)
             dst.data = bank.rows[step.src].data;
             ++dataEpoch_;
         }
-        for (WeakCell &c : bank.rows[phys].cells) {
+        for (WeakCell &c : dst.cells)
             c.resetDamage();
-            disturb_.noteReset(c);
-        }
+        disturb_.noteReset(dst);
         bank.open.comraDelay = step.gap;
         bank.open.comraPartner = step.src;
         ++counters_.comraCopies;
@@ -522,11 +533,11 @@ Device::act(Time t, BankId b, RowId logical_row)
 
     const Time last = bank.rows[phys].lastCloseAt;
     bank.open.offGap = last >= 0 ? t - last : 0;
-    if (prefixLog_ != nullptr) [[unlikely]] {
-        // The first reopen gap the prefix takes from before its chunk.
-        PrefixLog::RowImage &img = logRow(bank, phys);
+    if (runLog_ != nullptr) [[unlikely]] {
+        // The first reopen gap the run takes from before its start.
+        RunLog::RowImage &img = logRow(bank, phys);
         if (!img.stamped && img.gapAt < 0) {
-            img.gapAt = t - prefixLog_->start_;
+            img.gapAt = t - runLog_->start_;
             img.gapKey = DisturbanceModel::offGapKey(bank.open.offGap);
         }
     }
@@ -571,18 +582,17 @@ Device::wr(Time t, BankId b, const RowData &data)
         fatal("WR on bank %u with no open row", b);
     if (data.bits() != cfg_.cols)
         fatal("WR with %u bits to a %u-bit row", data.bits(), cfg_.cols);
-    if (prefixLog_ != nullptr) [[unlikely]]
-        prefixLog_->wrote_ = true;
+    if (runLog_ != nullptr) [[unlikely]]
+        spoilLog();
     for (RowId r : bank.proto.openRows) {
         noteLoopTouched(bank, r);
         if (bank.rows[r].data != data) {
             bank.rows[r].data = data;
             ++dataEpoch_;
         }
-        for (WeakCell &c : bank.rows[r].cells) {
+        for (WeakCell &c : bank.rows[r].cells)
             c.resetDamage();
-            disturb_.noteReset(c);
-        }
+        disturb_.noteReset(bank.rows[r]);
     }
 }
 
@@ -593,6 +603,8 @@ Device::ref(Time t)
     ++counters_.refs;
     if (recorder_.active)
         ++loopRecord_.refs;
+    if (runLog_ != nullptr) [[unlikely]]
+        spoilLog();
     const std::uint64_t slot =
         refCounter_ % static_cast<std::uint64_t>(cfg_.timings.refsPerWindow);
     const RowId start = stripeStart(slot);
@@ -710,12 +722,7 @@ Device::endLoopRecording()
             break;
         }
     }
-    // A close-driven mitigation is an arbitrary state machine over
-    // the close stream, and sampling TRR's REF refreshes the
-    // neighbours of a randomly drawn ring entry: neither's refreshes
-    // are iteration-affine, so a hooked device, or a TRR device's
-    // REF-bearing body, never exposes a replayable steady state.
-    if (mitigation_ != nullptr || (trrEnabled_ && rec.refs > 0))
+    if (!loopReplayable(rec.refs > 0))
         rec.quiescent = false;
     return rec;
 }
@@ -903,110 +910,138 @@ Device::shiftLoopTimestamps(Time from, Time delta)
     stampedRows_.resize(kept);
 }
 
-Device::PrefixLog::RowImage &
-Device::logRow(const BankState &bank, RowId physical)
+Device::RunLog::RowImage &
+Device::addLogRow(BankState &bank, RowId physical)
 {
-    PrefixLog &log = *prefixLog_;
-    const std::size_t b = bankIndex(bank);
-    // Newest first: a row is mostly looked up again right after it
-    // was first touched.
-    for (auto img = log.rows_.rbegin(); img != log.rows_.rend(); ++img)
-        if (img->physical == physical && img->bank == b)
-            return *img;
-    Row &row = banks_[b].rows[physical];
-    log.rows_.push_back({&row, b, physical,
-                         static_cast<std::uint32_t>(log.damage_.size()),
+    LogFill &fill = logFill_;
+    Row &row = bank.rows[physical];
+    row.logImage = static_cast<std::uint32_t>(fill.rows.size());
+    fill.rows.push_back({&row, bankIndex(bank), physical,
+                         static_cast<std::uint32_t>(fill.damage.size()),
                          row.lastSide});
     for (const WeakCell &cell : row.cells)
-        log.damage_.push_back(cell.damage);
-    return log.rows_.back();
+        fill.damage.push_back(cell.damage);
+    return fill.rows.back();
 }
 
 bool
-Device::beginPrefixLog(PrefixLog &log, Time chunk_start)
+Device::beginLog(RunLog &log, Time start)
 {
-    if (mitigation_ != nullptr)
-        return false;
     for (const BankState &bank : banks_)
         if (bank.proto.isOpen() || bank.proto.pending.valid)
             return false;
     log.filled_ = false;
-    log.wrote_ = false;
-    log.start_ = chunk_start;
+    log.start_ = start;
     log.epoch_ = dataEpoch_;
     log.temperature_ = temperature_;
     log.trrEnabled_ = trrEnabled_;
+    log.hook_ = mitigation_;
     log.counters_ = counters_;
-    log.damageLog_.clear();
-    log.rows_.clear();
-    log.damage_.clear();
-    log.banks_.clear();
-    log.pushes_.clear();
-    prefixLog_ = &log;
-    disturb_.logOps(&log.damageLog_);
+    logFill_.rows.clear();
+    logFill_.damage.clear();
+    logFill_.pushes.clear();
+    logFill_.closes.clear();
+    logFill_.closeRows.clear();
+    runLog_ = &log;
+    disturb_.beginCapture(kLogRuns);
     return true;
 }
 
 bool
-Device::endPrefixLog(Time chunk_end)
+Device::endLog(RunLog &log, Time end)
 {
-    PrefixLog &log = *prefixLog_;
-    prefixLog_ = nullptr;
-    disturb_.logOps(nullptr);
-    const LoopRecord &rec = loopRecord_;
-    if (!rec.quiescent || rec.refs > 0 || log.wrote_ ||
-        dataEpoch_ != log.epoch_)
+    if (runLog_ != &log)
+        return false;  // spoiled
+    runLog_ = nullptr;
+    if (!disturb_.endCapture(dataEpoch_ == log.epoch_ ? &log.damageLog_
+                                                      : nullptr))
         return false;
 
-    for (PrefixLog::RowImage &img : log.rows_) {
+    const LogFill &fill = logFill_;
+    log.rows_.assign(fill.rows.begin(), fill.rows.end());
+    log.damage_.clear();
+    std::size_t banks = 0;
+    for (RunLog::RowImage &img : log.rows_) {
         img.sideAfter = img.row->lastSide;
         if (img.stamped)
             img.closeAt = img.row->lastCloseAt - log.start_;
-        // Every bank the prefix changed holds a row it touched.
-        if (std::none_of(log.banks_.begin(), log.banks_.end(),
-                         [&](const PrefixLog::BankImage &bi) {
+        if (img.readsDamage) {
+            const auto at = fill.damage.begin() + img.damageAt;
+            img.damageAt = static_cast<std::uint32_t>(log.damage_.size());
+            log.damage_.insert(
+                log.damage_.end(), at,
+                at + static_cast<std::ptrdiff_t>(img.row->cells.size()));
+        }
+        // Every bank the run changed holds a row it touched.  The
+        // images are reused, so their protocol buffers keep their
+        // capacity.
+        const auto end = log.banks_.begin() +
+                         static_cast<std::ptrdiff_t>(banks);
+        if (std::none_of(log.banks_.begin(), end,
+                         [&](const RunLog::BankImage &bi) {
                              return bi.bank == img.bank;
-                         }))
-            log.banks_.push_back({img.bank, {}, {}});
+                         })) {
+            if (banks == log.banks_.size())
+                log.banks_.emplace_back();
+            log.banks_[banks++].bank = img.bank;
+        }
     }
-    for (PrefixLog::BankImage &bi : log.banks_) {
+    log.banks_.resize(banks);
+    log.pushes_.assign(fill.pushes.begin(), fill.pushes.end());
+    log.closes_.assign(fill.closes.begin(), fill.closes.end());
+    log.closeRows_.assign(fill.closeRows.begin(), fill.closeRows.end());
+    for (RunLog::BankImage &bi : log.banks_) {
         bi.proto = banks_[bi.bank].proto;
         shiftProtocol(bi.proto, -log.start_);
         bi.open = banks_[bi.bank].open;
     }
+    const RowId *rows = log.closeRows_.data();
+    for (LoggedClose &close : log.closes_) {
+        close.rows = {rows, close.rows.size()};
+        rows += close.rows.size();
+    }
     log.counters_ = counters_.since(log.counters_);
-    log.damageLog_.fold();
     log.nowAt_ = now_ - log.start_;
-    log.duration_ = chunk_end - log.start_;
-    // The record moves into the log; its old buffers serve the next
-    // recording.
-    std::swap(log.record_, loopRecord_);
+    log.duration_ = end - log.start_;
     log.filled_ = true;
     return true;
 }
 
 bool
-Device::applyPrefixLog(const PrefixLog &log, Time chunk_start)
+Device::endPrefixLog(RunLog &log, Time end)
 {
-    // Guards (DESIGN.md §4.2): the same environment and data epoch --
-    // so the same data and cells everywhere -- idle banks, and per
-    // touched row the same side state, the same damage where the
-    // prefix reads it, and the same off-time key for a reopen gap
-    // that reaches back before the chunk.
-    if (!log.filled_ || mitigation_ != nullptr ||
+    if (runLog_ == &log && !loopRecord_.quiescent)
+        spoilLog();
+    if (!endLog(log, end))
+        return false;
+    // The record moves into the log; its old buffers serve the next
+    // recording.
+    std::swap(log.record_, loopRecord_);
+    return true;
+}
+
+Device::LogApply
+Device::applyLog(const RunLog &log, Time start)
+{
+    // Guards (DESIGN.md §4.2): the same environment, hook and data
+    // epoch -- so the same data and cells everywhere -- idle banks,
+    // and per touched row the same side state, the same damage where
+    // the run reads it, and the same off-time key for a reopen gap
+    // that reaches back before the run.
+    if (!log.filled_ || mitigation_ != log.hook_ ||
         trrEnabled_ != log.trrEnabled_ ||
         temperature_ != log.temperature_ ||
         dataEpoch_ != log.epoch_)
-        return false;
-    for (const PrefixLog::BankImage &bi : log.banks_) {
+        return LogApply::Stale;
+    for (const RunLog::BankImage &bi : log.banks_) {
         const BankProtocol &proto = banks_[bi.bank].proto;
         if (proto.isOpen() || proto.pending.valid)
-            return false;
+            return LogApply::Stale;
     }
-    for (const PrefixLog::RowImage &img : log.rows_) {
+    for (const RunLog::RowImage &img : log.rows_) {
         const Row &row = *img.row;
         if (row.lastSide != img.sideBefore)
-            return false;
+            return LogApply::Stale;
         if (img.readsDamage &&
             !std::equal(row.cells.begin(), row.cells.end(),
                         log.damage_.begin() + img.damageAt,
@@ -1016,32 +1051,34 @@ Device::applyPrefixLog(const PrefixLog &log, Time chunk_start)
                                                was.data(),
                                                sizeof was) == 0;
                         }))
-            return false;
+            return LogApply::Stale;
         if (img.gapAt >= 0) {
             const Time last = row.lastCloseAt;
-            const Time gap = last >= 0 ? chunk_start + img.gapAt - last : 0;
+            const Time gap = last >= 0 ? start + img.gapAt - last : 0;
             if (DisturbanceModel::offGapKey(gap) != img.gapKey)
-                return false;
+                return LogApply::Stale;
         }
     }
+    if (mitigation_ != nullptr && !mitigation_->preview(log.closes_))
+        return LogApply::HookFires;
 
     log.damageLog_.apply();
-    for (const PrefixLog::RowImage &img : log.rows_) {
+    for (const RunLog::RowImage &img : log.rows_) {
         img.row->lastSide = img.sideAfter;
         if (img.stamped)
-            stampClose(img.bank, img.physical, chunk_start + img.closeAt);
+            stampClose(img.bank, img.physical, start + img.closeAt);
     }
-    for (const PrefixLog::BankImage &bi : log.banks_) {
+    for (const RunLog::BankImage &bi : log.banks_) {
         BankState &bank = banks_[bi.bank];
         bank.proto = bi.proto;
-        shiftProtocol(bank.proto, chunk_start);
+        shiftProtocol(bank.proto, start);
         bank.open = bi.open;
     }
     for (const auto &[b, r] : log.pushes_)
         trrRecord(banks_[b], r);
     counters_.add(log.counters_);
-    now_ = chunk_start + log.nowAt_;
-    return true;
+    now_ = start + log.nowAt_;
+    return LogApply::Applied;
 }
 
 void

@@ -27,6 +27,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "dram/cell.h"
@@ -79,6 +80,14 @@ struct DeviceCounters
     }
 };
 
+/** A close a run log holds, as MitigationHook::preview() sees it. */
+struct LoggedClose
+{
+    BankId bank;
+    TechClass cls;
+    std::span<const RowId> rows;  //!< physical, sorted
+};
+
 /**
  * Observer-side mitigation mechanism attached to a Device.
  *
@@ -91,11 +100,12 @@ struct DeviceCounters
  * PRAC / PARA / Graphene models live in src/mitigation and implement
  * this interface.
  *
- * A device with a hook attached records loop iterations as
- * never-quiescent, so the executor falls back to exact naive
- * execution instead of arithmetic replay -- mitigation state machines
- * are not iteration-affine.  Native TRR does the same to a loop whose
- * body issues a REF (Device::endLoopRecording).
+ * Mitigation state machines are not iteration-affine, so a loop on a
+ * device with a hook attached never replays arithmetically
+ * (Device::loopReplayable); native TRR does the same to a loop whose
+ * body issues a REF.  The executor runs such a loop segment by
+ * segment instead, applying a segment's run log where the device and
+ * the hook's preview() allow (DESIGN.md §4.2).
  */
 class MitigationHook
 {
@@ -108,6 +118,26 @@ class MitigationHook
      */
     virtual void onClose(BankId bank, const CloseEvent &event,
                          std::vector<RowId> &refresh) = 0;
+
+    /**
+     * Whether the hook implements preview().  The default does not, so
+     * every close runs live and no run is logged for it.
+     */
+    virtual bool previews() const { return false; }
+
+    /**
+     * Exact preview of a logged run of closes, asked only of a hook
+     * that previews(): return true iff onClose() on each of `closes`,
+     * in order, would ask for no refresh, having then moved the hook's
+     * state exactly as those calls would; otherwise return false with
+     * the state untouched.
+     */
+    virtual bool
+    preview(std::span<const LoggedClose> closes)
+    {
+        (void)closes;
+        return false;
+    }
 };
 
 /**
@@ -223,78 +253,117 @@ class Device
          *  repeats, while recording. */
         std::vector<std::vector<RowId>> tracked;
 
-        /** False if a refresh hit a tracked row *during* recording, a
-         *  mitigation hook is attached, or the body issues a REF with
-         *  TRR on: the iteration is then not periodic and must not
-         *  replay. */
+        /** False if a refresh hit a tracked row *during* recording, or
+         *  the loop is not replayable at all (loopReplayable): the
+         *  iteration is then not periodic and must not replay. */
         bool quiescent = true;
     };
 
     /**
-     * What a top-level loop's first chunk -- two warm-up iterations
-     * and the recorded one -- did to the device, kept so that a later
-     * run of the same plan can apply it instead of executing them
-     * (DESIGN.md §4.2).  Times are relative to the chunk start.  The
-     * executor owns the logs; a refill reuses their buffers.
+     * What a run of live commands did to the device, kept so that the
+     * same commands can later apply it instead of executing
+     * (DESIGN.md §4.2): a top-level loop's first chunk -- two warm-up
+     * iterations and the recorded one -- on a later run of the same
+     * shape, or a REF-free segment of a loop that cannot replay.
+     * Times are relative to the run's start.  The executor owns the
+     * logs; a refill reuses their buffers.
      */
-    class PrefixLog
+    class RunLog
     {
       public:
+        // closes_ views closeRows_: a copy would view the original's.
+        RunLog() = default;
+        RunLog(const RunLog &) = delete;
+        RunLog &operator=(const RunLog &) = delete;
+        RunLog(RunLog &&) = default;
+        RunLog &operator=(RunLog &&) = default;
+
         /** Forget the fill; the buffers stay. */
         void clear() { filled_ = false; }
-        /** How far the three iterations advance the cursor. */
+        /** How far the run advances the cursor. */
         Time duration() const { return duration_; }
-        /** The recorded iteration, to replay from. */
+        /** A prefix's recorded iteration, to replay from. */
         const LoopRecord &record() const { return record_; }
 
       private:
         friend class Device;
 
-        /** A row the prefix touched, as the chunk found it. */
+        /** A row the run touched, as the run found it. */
         struct RowImage
         {
             Row *row;
             std::size_t bank;
             RowId physical;
-            std::uint32_t damageAt;  //!< its cells' damage, in damage_
-            std::int8_t sideBefore;     //!< lastSide at the chunk start
-            std::int8_t sideAfter = 0;  //!< and after the prefix
+            /** Its cells' damage, in damage_ (LogFill::damage while
+             *  filling). */
+            std::uint32_t damageAt;
+            std::int8_t sideBefore;     //!< lastSide at the run's start
+            std::int8_t sideAfter = 0;  //!< and after the run
             /** Restored by an ACT: its flips decide its data. */
             bool readsDamage = false;
-            /** Closed by the prefix, last at `closeAt`. */
+            /** Closed by the run, last at `closeAt`. */
             bool stamped = false;
             Time closeAt = 0;
             /** Its first ACT, if that read a close stamp from before
-             *  the chunk, and the off-time key it gave (-1: none). */
+             *  the run, and the off-time key it gave (-1: none). */
             Time gapAt = -1;
             Time gapKey = 0;
         };
 
-        /** A bank the prefix issued commands to, as it left it. */
+        /** A bank the run issued commands to, as it left it. */
         struct BankImage
         {
             std::size_t bank;
-            BankProtocol proto;  //!< times relative to the chunk start
+            BankProtocol proto;  //!< times relative to the run's start
             OpenConditions open;
         };
 
         bool filled_ = false;
-        bool wrote_ = false;  //!< a WR ran: its data may change per run
-        Time start_ = 0;      //!< the fill's chunk start
+        Time start_ = 0;      //!< the fill's start
         Time duration_ = 0;
         Time nowAt_ = 0;
         std::uint64_t epoch_ = 0;  //!< dataEpoch_ at the fill
         Celsius temperature_ = 0;
         bool trrEnabled_ = false;
+        MitigationHook *hook_ = nullptr;
         DeviceCounters counters_;  //!< at the start, then the delta
         DamageLog damageLog_;
         std::vector<RowImage> rows_;
+        /** At the start, of the rows the run restores. */
         std::vector<std::array<float, 3>> damage_;
         std::vector<BankImage> banks_;
         /** TRR sampler pushes, (bank, row), in live order. */
-        std::vector<std::pair<std::size_t, RowId>> pushes_;
+        std::vector<std::pair<std::uint32_t, RowId>> pushes_;
+        /** With a hook attached, the closes, for its preview(); their
+         *  rows live in closeRows_. */
+        std::vector<LoggedClose> closes_;
+        std::vector<RowId> closeRows_;
         LoopRecord record_;
     };
+
+    /** What applyLog() made of a log. */
+    enum class LogApply : std::uint8_t
+    {
+        Applied,
+        /** A guard failed: the device is not as the fill found it. */
+        Stale,
+        /** The guards passed, but the hook would refresh a row. */
+        HookFires,
+    };
+
+    /**
+     * Whether a loop whose body issues REFs (`refs`) or none could
+     * replay arithmetically: a close-driven mitigation is an arbitrary
+     * state machine over the close stream, and sampling TRR's REF
+     * refreshes the neighbours of a randomly drawn ring entry, so
+     * neither a hooked device nor a TRR device's REF-bearing body ever
+     * exposes an iteration-affine steady state.
+     */
+    bool
+    loopReplayable(bool refs) const
+    {
+        return mitigation_ == nullptr && !(trrEnabled_ && refs);
+    }
 
     void beginLoopRecording();
 
@@ -330,33 +399,42 @@ class Device
      */
     void shiftLoopTimestamps(Time from, Time delta);
 
-    // ---- executor prefix log (DESIGN.md §4.2) ------------------------------
+    // ---- executor run logs (DESIGN.md §4.2) --------------------------------
+
+    /** Most runs of equal adds (DamageLog) a run log keeps; a run of
+     *  commands with more is not logged. */
+    static constexpr std::size_t kLogRuns = 4096;
 
     /**
-     * Start logging into `log` what the next iterations -- a loop
-     * chunk's two warm-up iterations and its recorded one, which the
-     * caller runs next -- do to the device.  Returns false, logging
-     * nothing, when the result could not be reused: a mitigation hook
-     * is attached, or a bank is not idle.
+     * Start logging into `log` what the commands the caller runs next
+     * do to the device.  Returns false, logging nothing, when a bank
+     * is not idle: the result could not be reused.
      */
-    bool beginPrefixLog(PrefixLog &log, Time chunk_start);
+    bool beginLog(RunLog &log, Time start);
 
     /**
-     * Stop logging, right after endLoopRecording(); `chunk_end` is the
-     * caller's cursor.  Returns whether the log is reusable: the
-     * recording was quiescent and REF-free, and no row's data or
-     * cells changed (dataEpoch_ held).  If so, the
-     * record endLoopRecording() returned has moved into the log:
-     * replay from log.record().
+     * Stop logging into `log`; `end` is the caller's cursor.  Returns
+     * whether the log is reusable: nothing spoiled it (spoilLog()), no
+     * row's data or cells changed (dataEpoch_ held), and it stayed
+     * within kLogRuns.
      */
-    bool endPrefixLog(Time chunk_end);
+    bool endLog(RunLog &log, Time end);
 
     /**
-     * Apply a filled log at `chunk_start` in place of executing the
-     * three iterations, if the device's state passes the log's guards;
-     * otherwise return false, touching nothing.
+     * endLog() for a loop prefix, right after endLoopRecording(): the
+     * record must be quiescent too, and, if the log is reusable, it
+     * has moved into the log: replay from log.record().
      */
-    bool applyPrefixLog(const PrefixLog &log, Time chunk_start);
+    bool endPrefixLog(RunLog &log, Time end);
+
+    /**
+     * Apply a filled log at `start` in place of executing its
+     * commands, if the device's state passes the log's guards and an
+     * attached hook's preview() sees no refresh; otherwise touch
+     * nothing (a preview that sees a refresh leaves the hook as it
+     * was).
+     */
+    LogApply applyLog(const RunLog &log, Time start);
 
     // ---- introspection ----------------------------------------------------
     const DeviceConfig &config() const { return cfg_; }
@@ -561,21 +639,32 @@ class Device
     }
 
     /**
-     * Loop-recording and prefix-logging hook: the body is about to
+     * Loop-recording and run-logging hook: the body is about to
      * mutate this row's state (`reads_damage`: and read its damage).
      */
     void
-    noteLoopTouched(const BankState &bank, RowId physical,
+    noteLoopTouched(BankState &bank, RowId physical,
                     bool reads_damage = false)
     {
         if (recorder_.active && !recorder_.inRefresh)
             loopRecord_.tracked[bankIndex(bank)].push_back(physical);
-        if (prefixLog_ != nullptr) [[unlikely]]
+        if (runLog_ != nullptr) [[unlikely]]
             logRow(bank, physical).readsDamage |= reads_damage;
     }
 
     /** The logged image of a row, added on first touch. */
-    PrefixLog::RowImage &logRow(const BankState &bank, RowId physical);
+    RunLog::RowImage &
+    logRow(BankState &bank, RowId physical)
+    {
+        Row &row = bank.rows[physical];
+        std::vector<RunLog::RowImage> &rows = logFill_.rows;
+        if (row.logImage < rows.size() && rows[row.logImage].row == &row)
+            return rows[row.logImage];
+        return addLogRow(bank, physical);
+    }
+
+    /** logRow() on a row's first touch: add its image. */
+    RunLog::RowImage &addLogRow(BankState &bank, RowId physical);
 
     /** Set a row's close stamp, keeping it on stampedRows_. */
     void
@@ -587,7 +676,7 @@ class Device
             row.stampListed = true;
             stampedRows_.emplace_back(bank, physical);
         }
-        if (prefixLog_ != nullptr) [[unlikely]]
+        if (runLog_ != nullptr) [[unlikely]]
             logRow(banks_[bank], physical).stamped = true;
     }
 
@@ -627,9 +716,36 @@ class Device
      */
     LoopRecord loopRecord_;
 
-    /** The log being filled, between beginPrefixLog() and
-     *  endPrefixLog(). */
-    PrefixLog *prefixLog_ = nullptr;
+    /** The log being filled, between beginLog() and endLog() unless
+     *  spoilLog() stopped it. */
+    RunLog *runLog_ = nullptr;
+
+    /**
+     * What a fill gathers, in the RunLog fields of the same names, for
+     * endLog() to copy into the log: one set of buffers serves every
+     * log, and a log's own keep the sizes of its fills.
+     */
+    struct LogFill
+    {
+        std::vector<RunLog::RowImage> rows;
+        std::vector<std::array<float, 3>> damage;  //!< of every row
+        std::vector<std::pair<std::uint32_t, RowId>> pushes;
+        std::vector<LoggedClose> closes;
+        std::vector<RowId> closeRows;
+    };
+    LogFill logFill_;
+
+    /**
+     * The log being filled cannot be reused -- a WR ran (its data may
+     * change per run), a REF, or a hook's refresh -- so stop filling
+     * it: endLog() will fail.
+     */
+    void
+    spoilLog()
+    {
+        runLog_ = nullptr;
+        disturb_.endCapture(nullptr);
+    }
 
     /**
      * Every row whose lastCloseAt may lie after a later loop's start:

@@ -90,9 +90,9 @@ minorityScale(TechClass cls, const WeakCell &cell)
 } // namespace
 
 void
-DamageFold::clear()
+CellIndex::clear()
 {
-    net_.clear();
+    cells_.clear();
     if (++gen_ == 0) {
         // Wrapped: stamps of 255 generations ago would read as live.
         for (Slot &s : slots_)
@@ -102,17 +102,17 @@ DamageFold::clear()
 }
 
 void
-DamageFold::grow()
+CellIndex::grow()
 {
     const std::size_t size = slots_.empty() ? 64 : 2 * slots_.size();
     slots_.assign(size, Slot{});
     shift_ = 64 - std::countr_zero(size);
     const std::size_t mask = size - 1;
-    for (std::size_t k = 0; k < net_.size(); ++k) {
-        std::size_t i = home(net_[k].cell);
+    for (std::size_t k = 0; k < cells_.size(); ++k) {
+        std::size_t i = home(cells_[k]);
         while (slots_[i].gen == gen_)
             i = (i + 1) & mask;
-        slots_[i] = {net_[k].cell, static_cast<std::uint32_t>(k), gen_};
+        slots_[i] = {cells_[k], static_cast<std::uint32_t>(k), gen_};
     }
 }
 
@@ -160,49 +160,61 @@ DisturbanceModel::deposit(WeakCell &cell, TechClass cls, float delta)
 }
 
 void
-DisturbanceModel::tap(WeakCell &cell, TechClass cls, float d, float x)
+DisturbanceModel::tap(Row &row, WeakCell &cell, TechClass cls, float d,
+                      float x)
 {
     if (recording_)
         fold_.add(cell, cls, d);
-    if (opLog_ != nullptr)
-        opLog_->deposit(cell, cls, d, x);
+    if (capturing_)
+        capture_.deposit(row, cell, cls, d, x);
 }
 
 void
-DisturbanceModel::tapReset(WeakCell &cell)
+DisturbanceModel::tapReset(Row &row)
 {
     if (recording_)
-        fold_.reset(cell);
-    if (opLog_ != nullptr)
-        opLog_->reset(cell);
+        for (WeakCell &cell : row.cells)
+            fold_.reset(cell);
+    if (capturing_)
+        capture_.reset(row);
 }
 
-void
-DamageLog::fold()
+bool
+DamageCapture::fold(DamageLog &out)
 {
-    std::sort(resets_.begin(), resets_.end());
-    resets_.erase(std::unique(resets_.begin(), resets_.end()),
-                  resets_.end());
-    sets_.clear();
-    adds_.clear();
-    for (const auto &[first, last] : resets_)
-        for (WeakCell *cell = first; cell != last; ++cell)
-            sets_.push_back({cell, cell->damage});
-    for (const Op &op : ops_) {
-        // A reset run holds the cell?  Few rows reset, so a branch-free
-        // scan beats a search.
-        bool reset = false;
-        for (const auto &[first, last] : resets_)
-            reset |= (op.cell >= first) & (op.cell < last);
-        if (reset)
+    out.sets_.clear();
+    out.accs_.clear();
+    out.runs_.clear();
+
+    for (const Cell &e : cells_)
+        if (e.reset)
+            out.sets_.push_back({e.cell, e.cell->damage});
+
+    // End every open run and lay each kept accumulator's runs out
+    // after its predecessors', then scatter the runs into place in
+    // live order.
+    std::uint32_t at = 0;
+    for (const std::uint32_t key : accs_) {
+        const std::uint32_t i = key >> 2, c = key & 3;
+        const Cell &e = cells_[i];
+        if (e.reset)
             continue;
-        // replayMemo()'s form of deposit().
-        const auto c = static_cast<int>(op.cls);
-        if (op.d != 0.0f)
-            adds_.push_back({&op.cell->damage[c], op.d});
-        if (c != 0 && op.x != 0.0f)
-            adds_.push_back({&op.cell->damage[0], op.x});
+        Classes &k = classes_[i];
+        if (k.open[c].count > 0)
+            end(i, c);
+        const std::uint32_t n = k.ended[c];
+        out.accs_.push_back({&e.cell->damage[c], n});
+        k.ended[c] = at;
+        at += n;
     }
+    if (over_)
+        return false;
+    out.runs_.resize(at);
+    for (const Run &r : runs_) {
+        if (!cells_[r.key >> 2].reset)
+            out.runs_[classes_[r.key >> 2].ended[r.key & 3]++] = r.run;
+    }
+    return true;
 }
 
 void
@@ -210,8 +222,19 @@ DamageLog::apply() const
 {
     for (const Set &s : sets_)
         s.cell->damage = s.damage;
-    for (const Add &a : adds_)
-        *a.acc += a.value;
+    const Run *r = runs_.data();
+    for (const Acc &a : accs_) {
+        float sum = *a.acc;
+        for (const Run *end = r + a.runs; r != end; ++r) {
+            for (std::uint32_t k = r->count / 2; k > 0; --k) {
+                sum += r->a;
+                sum += r->b;
+            }
+            if (r->count % 2 != 0)
+                sum += r->a;
+        }
+        *a.acc = sum;
+    }
 }
 
 void
@@ -435,7 +458,7 @@ DisturbanceModel::replayMemo(const MemoEntry &entry)
             if (cls != TechClass::Conventional)
                 m->cell->damage[0] += m->x;
             if (tapped_) [[unlikely]]
-                tap(*m->cell, cls, m->d, m->x);
+                tap(*victims[v].row, *m->cell, cls, m->d, m->x);
         }
         victims[v].row->lastSide = victims[v].after;
     }
@@ -751,7 +774,7 @@ DisturbanceModel::computeClose(std::vector<Row> &rows,
                 if constexpr (kFill)
                     memoDeposits_.push_back({&cell, d, cross()});
                 if (tapped_) [[unlikely]]
-                    tap(cell, eff_cls, d, cross());
+                    tap(victim, cell, eff_cls, d, cross());
             }
         }
 

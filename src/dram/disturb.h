@@ -152,89 +152,269 @@ struct DamageDelta
 using DamageRecord = std::vector<DamageDelta>;
 
 /**
- * The deposits and charge resets of a run of live commands, logged and
- * then folded so the run re-applies without a branch per event
- * (DESIGN.md §4.2).  A cell the run resets ends at the value the run
- * left it at, whatever it started from, so it is simply set; every
- * other cell's accumulators take the run's adds, each in live order:
- * `d` into the deposit's class, then the conventional cross-transfer
- * `x`, exactly as the close memo re-applies a deposit (adds of +0
- * dropped: they leave a non-negative accumulator's bits unchanged).
- * Re-applied to the same cells after the same data and conditions, the
- * run's deposits are the same, so the result is the one live execution
- * would give.
+ * Dense indices for weak cells, in first-touch order, without
+ * allocating once warm.
+ *
+ * A generation-stamped open-addressing table maps a cell to its index:
+ * a slot is live only while its stamp equals the current generation,
+ * so clear() is O(1) -- it bumps the generation -- and the slot array
+ * keeps its capacity.  The table grows at load 1/2 and is swept once
+ * whenever the (deliberately narrow) generation counter wraps.
+ */
+class CellIndex
+{
+  public:
+    /** The cell's index; a cell not seen since clear() gets size(). */
+    std::uint32_t
+    operator()(const WeakCell &cell)
+    {
+        if (slots_.empty()) [[unlikely]]
+            grow();
+        const std::size_t mask = slots_.size() - 1;
+        for (std::size_t i = home(&cell);; i = (i + 1) & mask) {
+            Slot &s = slots_[i];
+            if (s.gen != gen_) {
+                if (2 * (cells_.size() + 1) > slots_.size()) [[unlikely]] {
+                    grow();
+                    return (*this)(cell);
+                }
+                s = {&cell, static_cast<std::uint32_t>(cells_.size()), gen_};
+                cells_.push_back(&cell);
+                return s.index;
+            }
+            if (s.cell == &cell)
+                return s.index;
+        }
+    }
+
+    std::size_t size() const { return cells_.size(); }
+
+    /** Forget every cell. */
+    void clear();
+
+  private:
+    struct Slot
+    {
+        const WeakCell *cell = nullptr;
+        std::uint32_t index = 0;  //!< into cells_
+        std::uint8_t gen = 0;     //!< live iff equal to gen_
+    };
+
+    /**
+     * A cell's first probe slot.  Fibonacci hashing: the product's
+     * high bits mix every address bit (cells sit at a fixed stride, so
+     * the low bits do not).
+     */
+    std::size_t
+    home(const WeakCell *cell) const
+    {
+        return static_cast<std::size_t>(
+            (reinterpret_cast<std::uintptr_t>(cell) *
+             0x9E3779B97F4A7C15ULL) >> shift_);
+    }
+
+    /** Double the table (64 slots at first) and re-insert cells_. */
+    void grow();
+
+    std::vector<Slot> slots_;  //!< power-of-two size
+    int shift_ = 0;  //!< 64 - log2(slots_.size()), set by grow()
+    /** Current generation, never 0 (the stamp of a never-used slot).
+     *  Eight bits, so the wrap sweep runs every 255 clears: negligible
+     *  next to the runs it spans, and exercised by tests. */
+    std::uint8_t gen_ = 1;
+    std::vector<const WeakCell *> cells_;  //!< by index
+};
+
+/**
+ * The deposits and charge resets of a run of live commands, folded so
+ * the run re-applies without a branch per event (DESIGN.md §4.2).  A
+ * cell the run resets ends at the value the run left it at, whatever
+ * it started from, so it is simply set; every other accumulator takes
+ * the run's adds to it, in live order: `d` into the deposit's class,
+ * then the conventional cross-transfer `x`, exactly as the close memo
+ * re-applies a deposit (adds of +0 dropped: they leave a non-negative
+ * accumulator's bits unchanged).  Adds to different accumulators
+ * commute, so each accumulator's are kept together, as runs that
+ * alternate two values -- a repeated close deposits the same amounts,
+ * one per aggressor beside the victim -- and summed one by one in a
+ * register.  Re-applied to the same cells after the same data and
+ * conditions, the run's deposits are the same, so the result is the
+ * one live execution would give.  DamageCapture fills it.
  */
 class DamageLog
 {
   public:
-    /** Start a new run; the buffers stay. */
-    void
-    clear()
-    {
-        ops_.clear();
-        resets_.clear();
-    }
-
-    /** Log a deposit of `d` (cross-transfer `x`, +0 if none). */
-    void
-    deposit(WeakCell &cell, TechClass cls, float d, float x)
-    {
-        ops_.push_back({&cell, d, x, cls});
-    }
-
-    /** Log a charge reset.  A row resets its cells in order, so
-     *  consecutive resets of adjacent cells form one run. */
-    void
-    reset(WeakCell &cell)
-    {
-        if (!resets_.empty() && resets_.back().second == &cell)
-            ++resets_.back().second;
-        else
-            resets_.push_back({&cell, &cell + 1});
-    }
-
-    /** Fold the run, right after it was applied live. */
-    void fold();
-
-    /** Re-apply the folded run. */
+    /** Re-apply the run. */
     void apply() const;
 
   private:
-    struct Op
-    {
-        WeakCell *cell;
-        float d;
-        float x;
-        TechClass cls;
-    };
+    friend class DamageCapture;
+
     struct Set
     {
         WeakCell *cell;
         std::array<float, 3> damage;
     };
-    struct Add
+    /** An accumulator and how many of runs_ it takes, after its
+     *  predecessors'. */
+    struct Acc
     {
         float *acc;
-        float value;
+        std::uint32_t runs;
     };
-    std::vector<Op> ops_;
-    /** Reset runs of cells, [first, last); a run repeats whenever its
-     *  row resets again. */
-    std::vector<std::pair<WeakCell *, WeakCell *>> resets_;
+    /** `count` adds, alternating `a` and `b` (a first). */
+    struct Run
+    {
+        float a, b;
+        std::uint32_t count;
+    };
     std::vector<Set> sets_;
-    std::vector<Add> adds_;
+    std::vector<Acc> accs_;
+    std::vector<Run> runs_;
+};
+
+/**
+ * Captures a run's deposits and charge resets, in live order, and
+ * folds them into a DamageLog.  One capture serves every log a device
+ * fills, so its buffers -- sized by the longest run -- are shared.
+ */
+class DamageCapture
+{
+  public:
+    /** Start a run that keeps at most `cap` DamageLog runs. */
+    void
+    start(std::size_t cap)
+    {
+        index_.clear();
+        firsts_.clear();
+        cells_.clear();
+        classes_.clear();
+        accs_.clear();
+        lastRow_ = nullptr;
+        runs_.clear();
+        cap_ = cap;
+        over_ = false;
+    }
+
+    /** A deposit of `d` (cross-transfer `x`, +0 if none) into one of
+     *  `row`'s cells. */
+    void
+    deposit(Row &row, WeakCell &cell, TechClass cls, float d, float x)
+    {
+        const std::uint32_t i = entry(row, cell);
+        const auto c = static_cast<std::uint32_t>(cls);
+        if (d != 0.0f)
+            add(i, c, d);
+        if (c != 0 && x != 0.0f)
+            add(i, 0, x);
+    }
+
+    /** A charge reset of every cell of `row`. */
+    void
+    reset(Row &row)
+    {
+        if (row.cells.empty())
+            return;
+        Cell *e = &cells_[entry(row, row.cells.front())];
+        for (std::size_t k = 0; k < row.cells.size(); ++k)
+            e[k].reset = true;
+    }
+
+    /** Fold the run into `out`, right after it was applied live;
+     *  false (leaving `out` unusable) if it outgrew its cap. */
+    bool fold(DamageLog &out);
+
+  private:
+    struct Cell
+    {
+        WeakCell *cell;
+        bool reset;
+    };
+    /** A cell's runs, per class: the runs ended so far (during
+     *  fold(), the next slot in `out`) and the open run. */
+    struct Classes
+    {
+        std::array<std::uint32_t, 3> ended{};
+        std::array<DamageLog::Run, 3> open{};
+    };
+    /** An ended run of a cell's class, in live order. */
+    struct Run
+    {
+        std::uint32_t key;  //!< cell index << 2 | class
+        DamageLog::Run run;
+    };
+    /**
+     * The cell's index in cells_.  A row's cells take consecutive
+     * entries on its first touch, found through its first cell's
+     * CellIndex entry; deposits and resets come a row at a time, so the
+     * last row's first entry is kept at hand.
+     */
+    std::uint32_t
+    entry(Row &row, WeakCell &cell)
+    {
+        if (&row != lastRow_) [[unlikely]] {
+            const std::uint32_t r = index_(row.cells.front());
+            if (r == firsts_.size()) {
+                firsts_.push_back(static_cast<std::uint32_t>(cells_.size()));
+                for (WeakCell &c : row.cells)
+                    cells_.push_back({&c, false});
+                classes_.resize(cells_.size());
+            }
+            lastRow_ = &row;
+            lastFirst_ = firsts_[r];
+        }
+        return lastFirst_ +
+               static_cast<std::uint32_t>(&cell - row.cells.data());
+    }
+
+    /** Extend cell `i`'s open run of class `c` by `v`, or end it and
+     *  open another.  A run's second add fixes its `b`. */
+    void
+    add(std::uint32_t i, std::uint32_t c, float v)
+    {
+        Classes &k = classes_[i];
+        DamageLog::Run &r = k.open[c];
+        if (r.count == 0 && k.ended[c] == 0)
+            accs_.push_back(i << 2 | c);
+        if (r.count == 1)
+            r.b = v;
+        else if (r.count > 1 && v != (r.count % 2 != 0 ? r.b : r.a))
+            end(i, c);
+        if (r.count == 0)
+            r.a = v;
+        ++r.count;
+    }
+
+    /** End cell `i`'s open run of class `c`. */
+    void
+    end(std::uint32_t i, std::uint32_t c)
+    {
+        Classes &e = classes_[i];
+        if (runs_.size() < cap_)
+            runs_.push_back({i << 2 | c, e.open[c]});
+        else
+            over_ = true;
+        ++e.ended[c];
+        e.open[c].count = 0;
+    }
+
+    CellIndex index_;  //!< rows, by their first cell
+    std::vector<std::uint32_t> firsts_;  //!< by row: its first entry
+    std::vector<Cell> cells_;
+    std::vector<Classes> classes_;  //!< by cells_ entry
+    /** The accumulators added to, cell index << 2 | class. */
+    std::vector<std::uint32_t> accs_;
+    const Row *lastRow_ = nullptr;
+    std::uint32_t lastFirst_ = 0;
+    std::vector<Run> runs_;  //!< ended runs, at most cap_
+    std::size_t cap_ = 0;
+    bool over_ = false;  //!< a run was dropped at the cap
 };
 
 /**
  * Folds a stream of damage events into one DamageDelta per cell, in
- * first-touch order, without allocating once warm.
- *
- * A generation-stamped open-addressing index maps a cell to its entry:
- * a slot is live only while its stamp equals the current generation,
- * so clear() is O(1) -- it bumps the generation -- and the slot array
- * keeps its capacity across recordings.  The index grows at load 1/2
- * and is swept once whenever the (deliberately narrow) generation
- * counter wraps.
+ * first-touch order, without allocating once warm (CellIndex finds a
+ * cell's entry).
  */
 class DamageFold
 {
@@ -256,7 +436,12 @@ class DamageFold
     }
 
     /** Forget every cell. */
-    void clear();
+    void
+    clear()
+    {
+        net_.clear();
+        index_.clear();
+    }
 
     /** The folded entries, in first-touch order. */
     const DamageRecord &net() const { return net_; }
@@ -271,58 +456,17 @@ class DamageFold
     }
 
   private:
-    struct Slot
-    {
-        const WeakCell *cell = nullptr;
-        std::uint32_t index = 0;  //!< into net_
-        std::uint8_t gen = 0;     //!< live iff equal to gen_
-    };
-
     /** Find the cell's entry, appending a zeroed one on first touch. */
     DamageDelta &
     entry(WeakCell &cell)
     {
-        if (slots_.empty()) [[unlikely]]
-            grow();
-        const std::size_t mask = slots_.size() - 1;
-        for (std::size_t i = home(&cell);; i = (i + 1) & mask) {
-            Slot &s = slots_[i];
-            if (s.gen != gen_) {
-                if (2 * (net_.size() + 1) > slots_.size()) [[unlikely]] {
-                    grow();
-                    return entry(cell);
-                }
-                s = {&cell, static_cast<std::uint32_t>(net_.size()), gen_};
-                net_.push_back({&cell, {0.0f, 0.0f, 0.0f}, false});
-                return net_.back();
-            }
-            if (s.cell == &cell)
-                return net_[s.index];
-        }
+        const std::uint32_t i = index_(cell);
+        if (i == net_.size())
+            net_.push_back({&cell, {0.0f, 0.0f, 0.0f}, false});
+        return net_[i];
     }
 
-    /**
-     * A cell's first probe slot.  Fibonacci hashing: the product's
-     * high bits mix every address bit (cells sit at a fixed stride, so
-     * the low bits do not).
-     */
-    std::size_t
-    home(const WeakCell *cell) const
-    {
-        return static_cast<std::size_t>(
-            (reinterpret_cast<std::uintptr_t>(cell) *
-             0x9E3779B97F4A7C15ULL) >> shift_);
-    }
-
-    /** Double the index (64 slots at first) and re-insert net_. */
-    void grow();
-
-    std::vector<Slot> slots_;  //!< power-of-two size
-    int shift_ = 0;  //!< 64 - log2(slots_.size()), set by grow()
-    /** Current generation, never 0 (the stamp of a never-used slot).
-     *  Eight bits, so the wrap sweep runs every 255 clears: negligible
-     *  next to the recordings it spans, and exercised by tests. */
-    std::uint8_t gen_ = 1;
+    CellIndex index_;
     DamageRecord net_;
 };
 
@@ -398,7 +542,7 @@ class DisturbanceModel
     endRecording(DamageRecord &out)
     {
         recording_ = false;
-        tapped_ = opLog_ != nullptr;
+        tapped_ = capturing_;
         fold_.take(out);
     }
 
@@ -414,22 +558,34 @@ class DisturbanceModel
      */
     static void replay(const DamageRecord &record, std::uint64_t times);
 
-    /** Record a charge restoration while recording or logging (no-op
-     *  otherwise). */
+    /** Record a charge restoration of every cell of `row` while
+     *  recording or capturing (no-op otherwise). */
     void
-    noteReset(WeakCell &cell)
+    noteReset(Row &row)
     {
         if (tapped_) [[unlikely]]
-            tapReset(cell);
+            tapReset(row);
     }
 
-    /** Append every deposit and charge reset to `ops`, in live order,
-     *  until called with nullptr. */
+    /** Start capturing every deposit and charge reset, keeping at
+     *  most `cap` runs of adds. */
     void
-    logOps(DamageLog *log)
+    beginCapture(std::size_t cap)
     {
-        opLog_ = log;
-        tapped_ = recording_ || opLog_ != nullptr;
+        capturing_ = tapped_ = true;
+        capture_.start(cap);
+    }
+
+    /**
+     * Stop capturing; with `out`, fold the run into it and return
+     * whether it stayed within its cap (false without `out`).
+     */
+    bool
+    endCapture(DamageLog *out)
+    {
+        capturing_ = false;
+        tapped_ = recording_;
+        return out != nullptr && capture_.fold(*out);
     }
 
     // --- individual factors, exposed for unit tests -------------------
@@ -533,14 +689,16 @@ class DisturbanceModel
 
     bool recording_ = false;
     DamageFold fold_;
-    DamageLog *opLog_ = nullptr;
-    /** Recording or logging: the one flag the close paths test. */
+    bool capturing_ = false;
+    DamageCapture capture_;
+    /** Recording or capturing: the one flag the close paths test. */
     bool tapped_ = false;
 
-    /** A deposit or a reset while recording or logging: out of line,
-     *  so the live paths' loops stay small. */
-    void tap(WeakCell &cell, TechClass cls, float d, float x);
-    void tapReset(WeakCell &cell);
+    /** A deposit into or a reset of one of `row`'s cells while
+     *  recording or capturing: out of line, so the live paths' loops
+     *  stay small. */
+    void tap(Row &row, WeakCell &cell, TechClass cls, float d, float x);
+    void tapReset(Row &row);
 
     // --- close memo ------------------------------------------------------
 

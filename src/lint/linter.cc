@@ -285,9 +285,11 @@ class Walker
           case bender::BodyClass::Recorded:
             add(Code::FastPathEligible, loop.begin,
                 "hot loop (%llu iterations) is fast-path eligible: "
-                "REF/TRR effects and nested loops replay by "
-                "closed-form per-iteration deltas from one recorded "
-                "iteration",
+                "with TRR off and no mitigation hook, REF stripe "
+                "refreshes and nested loops replay by closed-form "
+                "per-iteration deltas from one recorded iteration; "
+                "otherwise it runs live, a flat body segment by "
+                "segment (REF-free segments re-applied from logs)",
                 static_cast<unsigned long long>(count));
             break;
           case bender::BodyClass::Naive:

@@ -148,6 +148,23 @@ ParaMitigation::onClose(BankId bank, const dram::CloseEvent &event,
     }
 }
 
+bool
+ParaMitigation::preview(std::span<const dram::LoggedClose> closes)
+{
+    // onClose() draws one coin per closed row, in order; its state is
+    // nothing else.
+    const Rng saved = rng_;
+    for (const dram::LoggedClose &close : closes) {
+        for (std::size_t i = 0; i < close.rows.size(); ++i) {
+            if (rng_.chance(cfg_.probability)) {
+                rng_ = saved;
+                return false;
+            }
+        }
+    }
+    return true;
+}
+
 GrapheneMitigation::GrapheneMitigation(const GrapheneConfig &cfg,
                                        BankId banks,
                                        RowId rows_per_subarray)

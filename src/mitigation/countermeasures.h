@@ -134,7 +134,16 @@ class ParaMitigation : public dram::MitigationHook
     void onClose(BankId bank, const dram::CloseEvent &event,
                  std::vector<RowId> &refresh) override;
 
+    bool previews() const override { return true; }
+
+    /** Draws each logged close's coins; keeps them only if none
+     *  fires. */
+    bool preview(std::span<const dram::LoggedClose> closes) override;
+
     std::uint64_t fires() const { return fires_; }
+
+    /** Test-only: the coin stream. */
+    const Rng &rng() const { return rng_; }
 
   private:
     ParaConfig cfg_;

@@ -18,6 +18,7 @@
 #include "bender/program.h"
 #include "dram/device.h"
 #include "hammer/patterns.h"
+#include "mitigation/countermeasures.h"
 #include "obs/metrics.h"
 
 namespace {
@@ -334,6 +335,41 @@ TEST(ZeroAlloc, WarmProbeReusingThePrefixLogAllocatesNothing)
     probe(probes.back());
     const std::size_t allocations = gNewCalls - before;
     EXPECT_EQ(bench.executor().stats().prefixReuses - reuses, 1u);
+    EXPECT_EQ(allocations, 0u);
+}
+
+/**
+ * A Fig-24 loop on a TRR device with a PARA hook whose coins never
+ * fire: it cannot replay, so it runs segment by segment.  Once a run
+ * has grown every buffer, a run that fills and applies its segment
+ * logs -- the hook's preview included -- allocates nothing.
+ */
+TEST(ZeroAlloc, WarmSegmentApplyAllocatesNothing)
+{
+    DeviceConfig cfg = makeConfig("HMA81GU7AFR8N-UH", 5);
+    cfg.banks = 1;
+    cfg.subarraysPerBank = 2;
+    cfg.rowsPerSubarray = 64;
+    bender::TestBench bench(cfg);
+    Device &dev = bench.device();
+    mitigation::ParaConfig pcfg;
+    pcfg.probability = 1e-12;
+    mitigation::ParaMitigation para(pcfg, cfg.rowsPerSubarray);
+    dev.setTrrEnabled(true);
+    dev.setMitigation(&para);
+    hammer::PatternTimings pt;
+    pt.base = cfg.timings;
+    const bender::Program program = hammer::trrBypassPattern(
+        0, {dev.toLogical(20), dev.toLogical(22)}, dev.toLogical(4), false,
+        64, pt, 156);
+    bench.run(program);
+
+    const std::uint64_t applies = bench.executor().stats().segmentApplies;
+    const std::size_t before = gNewCalls;
+    bench.run(program);
+    const std::size_t allocations = gNewCalls - before;
+    dev.setMitigation(nullptr);
+    EXPECT_GT(bench.executor().stats().segmentApplies - applies, 200u);
     EXPECT_EQ(allocations, 0u);
 }
 

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "bender/host.h"
+#include "hammer/experiment.h"
 #include "hammer/hcfirst.h"
 #include "hammer/patterns.h"
 #include "hammer/tester.h"
@@ -1229,6 +1230,256 @@ TEST(PrefixLog, SearchesMatchATesterThatNeverReuses)
     // Not vacuous: most probes of the hook-free, REF-free searches come
     // from the log.
     EXPECT_GT(tally.reuses, tally.probes / 3);
+}
+
+// ---- segment logs (DESIGN.md §4.2) -----------------------------------
+
+/** What a loop that cannot replay runs under. */
+enum class SegmentArm
+{
+    Trr,       //!< native TRR: REF-bearing bodies never replay
+    Para,      //!< a PARA hook, which can preview its closes
+    Graphene,  //!< a Graphene hook, which cannot
+};
+
+/** A Fig-24 cell: its technique and N. */
+struct Fig24Cell
+{
+    hammer::TrrTechnique tech;
+    int param;
+};
+
+/**
+ * A Fig-24 cell's program -- the pattern runTrrExperiment() builds,
+ * without its profiling sweep, for `cycles` loop iterations -- run
+ * once under `arm` with the fast path on or off.  `weak` divides the
+ * family's RowHammer thresholds by 400, so cells flip, and TRR and the
+ * hooks' refreshes materialize the flips, while the loop runs.
+ */
+class SegmentRun
+{
+  public:
+    SegmentRun(const Fig24Cell &cell, SegmentArm arm, bool fast, bool weak,
+               std::uint64_t cycles)
+        : tester_(config(weak))
+    {
+        using hammer::TrrTechnique;
+        Device &dev = tester_.device();
+        const RowId rps = dev.config().rowsPerSubarray;
+        const RowId base = rps, mid = base + rps / 2;
+        hammer::PatternTimings t;
+        Program program;
+        std::vector<RowId> aggressors;  // physical
+        if (cell.tech == TrrTechnique::Simra) {
+            const auto plan =
+                cell.param <= 16
+                    ? tester_.planSimraDouble((mid & ~RowId(3)) | 1,
+                                              cell.param)
+                    : tester_.planSimraSingle(
+                          mid / cell.param * cell.param - 1, cell.param);
+            EXPECT_TRUE(plan.has_value());
+            aggressors = plan->group;
+            program = hammer::trrSimraPattern(
+                0, dev.toLogical(plan->r1), dev.toLogical(plan->r2), cycles,
+                t, 156);
+        } else {
+            std::vector<RowId> logical;
+            for (int i = 0; i < cell.param; ++i) {
+                aggressors.push_back(mid + 2 * static_cast<RowId>(i));
+                logical.push_back(dev.toLogical(aggressors.back()));
+            }
+            program = hammer::trrBypassPattern(
+                0, logical, dev.toLogical(base + 4),
+                cell.tech == TrrTechnique::Comra, cycles, t, 156);
+        }
+
+        const DataPattern pattern = cell.tech == TrrTechnique::Simra
+                                        ? DataPattern::P00
+                                        : DataPattern::P55;
+        const RowData aggr(dev.config().cols, pattern);
+        const RowData victim(dev.config().cols, negate(pattern));
+        for (RowId r = base; r < base + rps; ++r) {
+            const bool is_aggr = std::find(aggressors.begin(),
+                                           aggressors.end(),
+                                           r) != aggressors.end();
+            dev.writeRowDirect(0, dev.toLogical(r), is_aggr ? aggr : victim);
+        }
+        switch (arm) {
+          case SegmentArm::Trr:
+            dev.setTrrEnabled(true);
+            break;
+          case SegmentArm::Para:
+            para_.emplace(mitigation::ParaConfig{}, rps);
+            dev.setMitigation(&*para_);
+            break;
+          case SegmentArm::Graphene:
+            graphene_.emplace(mitigation::GrapheneConfig{}, 1, rps);
+            dev.setMitigation(&*graphene_);
+            break;
+        }
+        tester_.bench().executor().setFastPath(fast);
+        end_ = tester_.bench().run(program).endTime;
+        dev.setMitigation(nullptr);
+    }
+
+    const Device &device() { return tester_.device(); }
+    const ExecStats &stats() { return tester_.bench().executor().stats(); }
+    Time end() const { return end_; }
+    const std::optional<mitigation::ParaMitigation> &para() const
+    {
+        return para_;
+    }
+    const std::optional<mitigation::GrapheneMitigation> &graphene() const
+    {
+        return graphene_;
+    }
+
+  private:
+    static DeviceConfig
+    config(bool weak)
+    {
+        DeviceConfig cfg = makeConfig("HMA81GU7AFR8N-UH", 3);
+        cfg.banks = 1;
+        cfg.subarraysPerBank = 2;
+        cfg.rowsPerSubarray = 128;
+        cfg.cols = 256;
+        if (weak) {
+            cfg.profile.rhMin /= 400;
+            cfg.profile.rhAvg /= 400;
+        }
+        return cfg;
+    }
+
+    hammer::ModuleTester tester_;
+    std::optional<mitigation::ParaMitigation> para_;
+    std::optional<mitigation::GrapheneMitigation> graphene_;
+    Time end_ = 0;
+};
+
+/** Compare a fast-path run with a live one bit for bit, hooks too. */
+void
+expectSameSegmentRun(SegmentRun &fast, SegmentRun &live)
+{
+    EXPECT_EQ(live.stats().segmentApplies, 0u);
+    EXPECT_EQ(fast.end(), live.end());
+    expectSameDevice(fast.device(), live.device());
+    if (fast.para()) {
+        EXPECT_EQ(fast.para()->fires(), live.para()->fires());
+        Rng a = fast.para()->rng(), b = live.para()->rng();
+        EXPECT_EQ(a.next(), b.next()) << "PARA's next draw";
+    }
+    if (fast.graphene()) {
+        EXPECT_EQ(fast.graphene()->triggers(),
+                  live.graphene()->triggers());
+    }
+}
+
+/** {cell index in kFig24Cells, arm}. */
+class SegmentLog
+    : public ::testing::TestWithParam<std::tuple<int, SegmentArm>>
+{};
+
+const Fig24Cell kFig24Cells[] = {
+    {hammer::TrrTechnique::RowHammer, 2}, {hammer::TrrTechnique::RowHammer, 4},
+    {hammer::TrrTechnique::Comra, 2},     {hammer::TrrTechnique::Comra, 4},
+    {hammer::TrrTechnique::Simra, 2},     {hammer::TrrTechnique::Simra, 8},
+    {hammer::TrrTechnique::Simra, 16},    {hammer::TrrTechnique::Simra, 32},
+};
+
+TEST_P(SegmentLog, MatchesLiveExecution)
+{
+    // A Fig-24 loop under TRR or a hook never replays: it runs segment
+    // by segment, each applied from its log where the guards and the
+    // hook's preview allow.  The device and the hook must end exactly
+    // as live execution leaves them.
+    const auto [index, arm] = GetParam();
+    const Fig24Cell &cell = kFig24Cells[index];
+    const std::uint64_t cycles =
+        cell.tech == hammer::TrrTechnique::Simra ? 300 : 200;
+    SegmentRun fast(cell, arm, true, false, cycles);
+    SegmentRun live(cell, arm, false, false, cycles);
+    expectSameSegmentRun(fast, live);
+    EXPECT_EQ(fast.stats().fastPathIterations, 0u);
+    // Not vacuous: TRR's segments, and PARA's where a segment's coins
+    // mostly stay quiet (fewer than 312 per segment), come from the
+    // logs; Graphene cannot preview, so its loop runs live and logs
+    // nothing.
+    const bool quiet_para = cell.tech != hammer::TrrTechnique::Simra ||
+                            cell.param <= 2;
+    if (arm == SegmentArm::Trr ||
+        (arm == SegmentArm::Para && quiet_para)) {
+        EXPECT_GT(fast.stats().segmentApplies, cycles / 2);
+    }
+    if (arm == SegmentArm::Graphene) {
+        EXPECT_EQ(fast.stats().segmentApplies, 0u);
+        EXPECT_EQ(fast.stats().segmentFills, 0u);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Fig24, SegmentLog,
+    ::testing::Combine(::testing::Range(0, 8),
+                       ::testing::Values(SegmentArm::Trr, SegmentArm::Para,
+                                         SegmentArm::Graphene)));
+
+TEST(SegmentLog, FlipsMidRunMatchLiveExecution)
+{
+    // With thresholds 400x lower, TRR's and PARA's refreshes
+    // materialize flips while the loop runs: each moves the data
+    // epoch, which stales every log, so the segments refill.
+    for (const Fig24Cell &cell :
+         {Fig24Cell{hammer::TrrTechnique::RowHammer, 2},
+          Fig24Cell{hammer::TrrTechnique::Simra, 8}}) {
+        for (SegmentArm arm : {SegmentArm::Trr, SegmentArm::Para}) {
+            SegmentRun fast(cell, arm, true, true, 200);
+            SegmentRun live(cell, arm, false, true, 200);
+            expectSameSegmentRun(fast, live);
+            EXPECT_GT(fast.stats().segmentFills, 3u);
+        }
+    }
+}
+
+TEST(SegmentLog, FillDuringWhichTheHookFiredIsNeverApplied)
+{
+    // Three adjacent rows ACTed in turn, then a REF.  A PARA refresh
+    // fired by the middle row's close lands on the two outer rows,
+    // which the segment restores anyway, so the damage and side guards
+    // can pass on a later segment: only discarding the fill keeps a
+    // quiet segment from re-applying that refresh.  Such a fill is
+    // rare -- most segments apply a log -- hence the long loops.
+    struct Outcome
+    {
+        std::uint64_t fires;
+        Rng rng;
+    };
+    auto run = [](TestBench &bench, bool fast, std::uint64_t seed) {
+        Device &dev = bench.device();
+        mitigation::ParaConfig pcfg;
+        pcfg.probability = 0.15;
+        pcfg.seed = seed;
+        mitigation::ParaMitigation para(pcfg, dev.config().rowsPerSubarray);
+        dev.setMitigation(&para);
+        bench.executor().setFastPath(fast);
+        const TimingParams &tm = dev.config().timings;
+        hammer::PatternTimings t;
+        Program p;
+        p.loopBegin(2000);
+        for (RowId r = 20; r < 23; ++r)
+            p.act(0, dev.toLogical(r), tm.tRP).pre(0, t.aggOn());
+        p.ref(tm.tRP).loopEnd();
+        bench.run(p);
+        dev.setMitigation(nullptr);
+        return Outcome{para.fires(), para.rng()};
+    };
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        TestBench fast_bench(smallConfig(5)), live_bench(smallConfig(5));
+        const Outcome fast = run(fast_bench, true, seed);
+        const Outcome live = run(live_bench, false, seed);
+        expectSameDevice(fast_bench.device(), live_bench.device());
+        EXPECT_EQ(fast.fires, live.fires);
+        EXPECT_TRUE(fast.rng == live.rng);
+        EXPECT_GT(fast_bench.executor().stats().segmentApplies, 1000u);
+    }
 }
 
 } // namespace
