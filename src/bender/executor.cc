@@ -137,21 +137,38 @@ Executor::execLoop(const Program &program, std::size_t loop_index,
         return;
     }
 
-    // A flat body that can never replay runs segment by segment
-    // (DESIGN.md §4.2), or wholly live under a hook that cannot
-    // preview, whose segments could never apply a log.  One that nests
-    // loops keeps the chunks below: their recorded iterations run its
-    // inner loops live, which segments would not.
+    // A flat body that can never replay runs segment by segment, and
+    // so do a flat REF-bearing body's unrecorded live iterations after
+    // its first chunk: the later chunks' warm-ups, the phase breaks and
+    // the tail (DESIGN.md §4.2).  The segments are planned on first
+    // use, so a loop that replays to its end in one chunk pays for no
+    // log.  Under a hook that cannot preview, no segment could apply a
+    // log, so they run wholly live.  A body that nests loops keeps to
+    // the chunks below: their recorded iterations run its inner loops
+    // live, which segments would not.
     const LoopNode &node = program.loops()[loop_index];
-    if (node.next == loop_index + 1 &&
-        !device_->loopReplayable(cls == BodyClass::Recorded)) {
-        const dram::MitigationHook *hook = device_->mitigation();
-        if (hook != nullptr && !hook->previews()) {
-            for (std::uint64_t it = 0; it < n; ++it)
-                body();
-        } else {
-            execSegments(program, loop_index, n, cursor, result);
+    const bool flat = node.next == loop_index + 1;
+    const bool replayable =
+        device_->loopReplayable(cls == BodyClass::Recorded);
+    const dram::MitigationHook *hook = device_->mitigation();
+    const bool segmented = flat &&
+                           (!replayable || cls == BodyClass::Recorded) &&
+                           (hook == nullptr || hook->previews());
+    bool planned = false;
+    auto live = [&] {
+        if (!segmented) {
+            body();
+            return;
         }
+        if (!planned) {
+            planSegments(program, loop_index);
+            planned = true;
+        }
+        execSegments(program, loop_index, cursor, result);
+    };
+    if (flat && !replayable) {
+        for (std::uint64_t it = 0; it < n; ++it)
+            live();
         return;
     }
 
@@ -191,8 +208,13 @@ Executor::execLoop(const Program &program, std::size_t loop_index,
         } else {
             const bool logging =
                 log != nullptr && device_->beginLog(*log, chunk_start);
-            body();
-            body();
+            if (it == 0) {  // the first chunk
+                body();
+                body();
+            } else {
+                live();
+                live();
+            }
             device_->beginLoopRecording();
             recording_ = true;
             body();
@@ -257,7 +279,7 @@ Executor::execLoop(const Program &program, std::size_t loop_index,
             obs::trace().event(
                 "phase_break",
                 {{"loop", loop_index}, {"it", it}});
-        body();
+        live();
         ++it;
         strikes = replayed >= kFastPathThreshold ? 0 : strikes + 1;
     }
@@ -268,14 +290,13 @@ Executor::execLoop(const Program &program, std::size_t loop_index,
                             {"trip", n - it},
                             {"reason", "strikes"}});
     while (it < n) {
-        body();
+        live();
         ++it;
     }
 }
 
 void
-Executor::execSegments(const Program &program, std::size_t loop_index,
-                       std::uint64_t n, Time &cursor, ExecResult &result)
+Executor::planSegments(const Program &program, std::size_t loop_index)
 {
     const auto &insts = program.insts();
     const LoopNode &node = program.loops()[loop_index];
@@ -312,18 +333,23 @@ Executor::execSegments(const Program &program, std::size_t loop_index,
         segments_.push_back({i, j, log < logs ? log : Program::npos});
         i = j;
     }
+}
 
-    for (std::uint64_t it = 0; it < n; ++it) {
-        std::size_t i = node.begin + 1;
-        for (const Segment &seg : segments_) {
-            for (; i < seg.begin; ++i)  // REFs stay live
-                execOne(program, insts[i], cursor, result);
-            runSegment(program, seg, cursor, result);
-            i = seg.end;
-        }
-        for (; i < node.end; ++i)
+void
+Executor::execSegments(const Program &program, std::size_t loop_index,
+                       Time &cursor, ExecResult &result)
+{
+    const auto &insts = program.insts();
+    const LoopNode &node = program.loops()[loop_index];
+    std::size_t i = node.begin + 1;
+    for (const Segment &seg : segments_) {
+        for (; i < seg.begin; ++i)  // REFs stay live
             execOne(program, insts[i], cursor, result);
+        runSegment(program, seg, cursor, result);
+        i = seg.end;
     }
+    for (; i < node.end; ++i)
+        execOne(program, insts[i], cursor, result);
 }
 
 void

@@ -16,7 +16,9 @@
  * (Device::loopReplayable) -- runs live instead: a flat body segment
  * by segment, its REF-free segments re-applied from run logs where
  * the device allows (DESIGN.md §4.2); a nested one records twice and
- * finishes naively.  Nested loops fast-path inside naive outer
+ * finishes naively.  A flat REF-bearing loop that replays runs its
+ * unrecorded live iterations -- warm-ups, phase breaks, the tail --
+ * segment by segment too.  Nested loops fast-path inside naive outer
  * iterations, and an outer loop records across its inner loops when
  * the cost model says that wins.  Only RD in the body forces fully
  * naive execution (results are collected per iteration).
@@ -147,9 +149,13 @@ class Executor
         std::size_t begin, end, log;
     };
 
-    /** Run a flat loop that cannot replay, segment by segment. */
+    /** Split flat loop `loop_index`'s body into segments_, each with
+     *  a fresh log in segmentLogs_ where one is free. */
+    void planSegments(const Program &program, std::size_t loop_index);
+
+    /** Run one iteration of the planned loop, segment by segment. */
     void execSegments(const Program &program, std::size_t loop_index,
-                      std::uint64_t n, Time &cursor, ExecResult &result);
+                      Time &cursor, ExecResult &result);
 
     /** Run one segment from its log, or live (filling the log). */
     void runSegment(const Program &program, const Segment &seg,

@@ -142,6 +142,23 @@ struct Row
     RowData data;
     std::vector<WeakCell> cells;
 
+    /** When this row last closed; -1 before its first activation. */
+    Time lastCloseAt = -1;
+
+    /**
+     * Where the run log being filled holds this row's image, if the
+     * image there is this row's (Device::logRow checks).  The two
+     * indices below work the same way for a loop recording; a stale
+     * one, left by an earlier fill or recording, names another row's
+     * entry or none and is ignored.
+     */
+    std::uint32_t logImage = 0;
+    /** The row's place on its bank's tracked rows of the recording
+     *  (Device::noteLoopTouched). */
+    std::uint32_t trackedAt = 0;
+    /** Its first cell's entry in the recording's DamageFold. */
+    std::uint32_t foldAt = 0;
+
     /**
      * True once the row's data and weak-cell population have been
      * drawn (Device::populateRow).  Rows start as unpopulated shells
@@ -161,9 +178,6 @@ struct Row
      */
     bool factorsDrawn = false;
 
-    /** When this row last closed; -1 before its first activation. */
-    Time lastCloseAt = -1;
-
     /** On the device's list of rows whose close stamp a loop replay
      *  may have to shift (Device::stampedRows_). */
     bool stampListed = false;
@@ -175,10 +189,6 @@ struct Row
      * one-sided aggression is scaled down.
      */
     std::int8_t lastSide = 0;
-
-    /** Where the run log being filled holds this row's image, if the
-     *  image there is this row's (Device::logRow checks). */
-    std::uint32_t logImage = 0;
 };
 
 } // namespace pud::dram

@@ -705,10 +705,8 @@ Device::endLoopRecording()
 
     LoopRecord &rec = loopRecord_;
     disturb_.endRecording(rec.damage);
-    for (auto &rows : rec.tracked) {
+    for (auto &rows : rec.tracked)
         std::sort(rows.begin(), rows.end());
-        rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
-    }
 
     rec.counterDelta = counters_.since(recorder_.countersAtStart);
 

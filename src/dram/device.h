@@ -249,8 +249,8 @@ class Device
 
         /** Per bank, sorted: physical rows whose damage, data, or
          *  close-side state the body mutates (deposit victims are
-         *  over-approximated by the +-2 blast radius).  Unsorted, with
-         *  repeats, while recording. */
+         *  over-approximated by the +-2 blast radius).  In first-touch
+         *  order while recording. */
         std::vector<std::vector<RowId>> tracked;
 
         /** False if a refresh hit a tracked row *during* recording, or
@@ -641,13 +641,21 @@ class Device
     /**
      * Loop-recording and run-logging hook: the body is about to
      * mutate this row's state (`reads_damage`: and read its damage).
+     * A recording tracks each row once (Row::trackedAt).
      */
     void
     noteLoopTouched(BankState &bank, RowId physical,
                     bool reads_damage = false)
     {
-        if (recorder_.active && !recorder_.inRefresh)
-            loopRecord_.tracked[bankIndex(bank)].push_back(physical);
+        if (recorder_.active && !recorder_.inRefresh) {
+            std::vector<RowId> &rows = loopRecord_.tracked[bankIndex(bank)];
+            Row &row = bank.rows[physical];
+            if (row.trackedAt >= rows.size() ||
+                rows[row.trackedAt] != physical) {
+                row.trackedAt = static_cast<std::uint32_t>(rows.size());
+                rows.push_back(physical);
+            }
+        }
         if (runLog_ != nullptr) [[unlikely]]
             logRow(bank, physical).readsDamage |= reads_damage;
     }

@@ -164,17 +164,31 @@ DisturbanceModel::tap(Row &row, WeakCell &cell, TechClass cls, float d,
                       float x)
 {
     if (recording_)
-        fold_.add(cell, cls, d);
+        fold_.add(row, cell, cls, d);
     if (capturing_)
         capture_.deposit(row, cell, cls, d, x);
+}
+
+void
+DisturbanceModel::tapVictim(Row &row, TechClass cls, const MemoDeposit *m,
+                            std::uint32_t n)
+{
+    if (recording_) {
+        DamageDelta *e = fold_.entries(row);
+        const auto c = static_cast<int>(cls);
+        for (std::uint32_t k = 0; k < n; ++k)
+            e[m[k].cell - row.cells.data()].delta[c] += m[k].d;
+    }
+    if (capturing_)
+        for (std::uint32_t k = 0; k < n; ++k)
+            capture_.deposit(row, *m[k].cell, cls, m[k].d, m[k].x);
 }
 
 void
 DisturbanceModel::tapReset(Row &row)
 {
     if (recording_)
-        for (WeakCell &cell : row.cells)
-            fold_.reset(cell);
+        fold_.reset(row);
     if (capturing_)
         capture_.reset(row);
 }
@@ -457,9 +471,10 @@ DisturbanceModel::replayMemo(const MemoEntry &entry)
             m->cell->damage[c] += m->d;
             if (cls != TechClass::Conventional)
                 m->cell->damage[0] += m->x;
-            if (tapped_) [[unlikely]]
-                tap(*victims[v].row, *m->cell, cls, m->d, m->x);
         }
+        if (tapped_ && victims[v].deposits > 0) [[unlikely]]
+            tapVictim(*victims[v].row, cls, m - victims[v].deposits,
+                      victims[v].deposits);
         victims[v].row->lastSide = victims[v].after;
     }
     return true;

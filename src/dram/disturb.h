@@ -147,8 +147,8 @@ struct DamageDelta
     bool reset;  //!< charge restored during the iteration (self-refresh, WR)
 };
 
-/** Net damage of one loop iteration, one entry per touched cell in
- *  first-touch order; replayable k more times. */
+/** Net damage of one loop iteration, one entry per cell of every
+ *  touched row; replayable k more times. */
 using DamageRecord = std::vector<DamageDelta>;
 
 /**
@@ -412,38 +412,54 @@ class DamageCapture
 };
 
 /**
- * Folds a stream of damage events into one DamageDelta per cell, in
- * first-touch order, without allocating once warm (CellIndex finds a
- * cell's entry).
+ * Folds a stream of damage events into one DamageDelta per cell,
+ * without allocating once warm.  A row's cells take consecutive
+ * entries, zeroed, on the row's first touch; the row's `foldAt` finds
+ * them again once checked against the entry it names, so a deposit or
+ * a whole row's reset costs one lookup.
  */
 class DamageFold
 {
   public:
-    /** Add `delta` to the cell's `cls` sum. */
+    /** Add `delta` to the `cls` sum of `cell`, one of `row`'s cells. */
     void
-    add(WeakCell &cell, TechClass cls, float delta)
+    add(Row &row, WeakCell &cell, TechClass cls, float delta)
     {
-        entry(cell).delta[static_cast<int>(cls)] += delta;
+        entries(row)[&cell - row.cells.data()]
+            .delta[static_cast<int>(cls)] += delta;
     }
 
-    /** A charge restoration: zero the cell's sums and latch `reset`. */
+    /** A charge restoration of every cell of `row`: zero their sums
+     *  and latch `reset`. */
     void
-    reset(WeakCell &cell)
+    reset(Row &row)
     {
-        DamageDelta &e = entry(cell);
-        e.delta[0] = e.delta[1] = e.delta[2] = 0.0f;
-        e.reset = true;
+        DamageDelta *e = entries(row);
+        for (std::size_t k = 0; k < row.cells.size(); ++k)
+            e[k] = {e[k].cell, {0.0f, 0.0f, 0.0f}, true};
     }
 
-    /** Forget every cell. */
-    void
-    clear()
+    /**
+     * The row's entries, one per cell in order, appended (zeroed) on
+     * the row's first touch; valid until the next append.
+     */
+    DamageDelta *
+    entries(Row &row)
     {
-        net_.clear();
-        index_.clear();
+        if (row.foldAt >= net_.size() ||
+            net_[row.foldAt].cell != row.cells.data()) {
+            row.foldAt = static_cast<std::uint32_t>(net_.size());
+            for (WeakCell &cell : row.cells)
+                net_.push_back({&cell, {0.0f, 0.0f, 0.0f}, false});
+        }
+        return net_.data() + row.foldAt;
     }
 
-    /** The folded entries, in first-touch order. */
+    /** Forget every row. */
+    void clear() { net_.clear(); }
+
+    /** The folded entries, a row's cells together, rows in first-touch
+     *  order. */
     const DamageRecord &net() const { return net_; }
 
     /** Swap the folded entries into `out` (both buffers keep their
@@ -456,17 +472,6 @@ class DamageFold
     }
 
   private:
-    /** Find the cell's entry, appending a zeroed one on first touch. */
-    DamageDelta &
-    entry(WeakCell &cell)
-    {
-        const std::uint32_t i = index_(cell);
-        if (i == net_.size())
-            net_.push_back({&cell, {0.0f, 0.0f, 0.0f}, false});
-        return net_[i];
-    }
-
-    CellIndex index_;
     DamageRecord net_;
 };
 
@@ -765,6 +770,11 @@ class DisturbanceModel
         float d;
         float x;
     };
+
+    /** tap() for `n` memoized deposits into `row`'s cells, in order;
+     *  a recording finds the row's fold entries once. */
+    void tapVictim(Row &row, TechClass cls, const MemoDeposit *m,
+                   std::uint32_t n);
 
     /** A memoized close: its key and where its outcome lives in the
      *  flat buffers. */

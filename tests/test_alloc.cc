@@ -373,4 +373,33 @@ TEST(ZeroAlloc, WarmSegmentApplyAllocatesNothing)
     EXPECT_EQ(allocations, 0u);
 }
 
+TEST(ZeroAlloc, WarmPhaseBreakAllocatesNothing)
+{
+    // With TRR off a REF-bearing loop replays, and a stripe refresh
+    // every REF keeps landing on its rows: every phase break re-records
+    // the loop, and its live iterations re-apply segment logs.
+    DeviceConfig cfg = makeConfig("HMA81GU7AFR8N-UH", 5);
+    cfg.banks = 1;
+    cfg.subarraysPerBank = 2;
+    cfg.rowsPerSubarray = 64;
+    cfg.timings.refsPerWindow = 128;
+    bender::TestBench bench(cfg);
+    Device &dev = bench.device();
+    hammer::PatternTimings pt;
+    pt.base = cfg.timings;
+    const bender::Program program = hammer::trrBypassPattern(
+        0, {dev.toLogical(20), dev.toLogical(22)}, dev.toLogical(4), false,
+        400, pt, 156);
+    bench.run(program);
+
+    const bender::ExecStats warm = bench.executor().stats();
+    const std::size_t before = gNewCalls;
+    bench.run(program);
+    const std::size_t allocations = gNewCalls - before;
+    const bender::ExecStats &stats = bench.executor().stats();
+    EXPECT_GT(stats.phaseBreaks - warm.phaseBreaks, 10u);
+    EXPECT_GT(stats.segmentApplies - warm.segmentApplies, 100u);
+    EXPECT_EQ(allocations, 0u);
+}
+
 } // namespace

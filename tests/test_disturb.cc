@@ -401,53 +401,67 @@ struct MapFold
 
 TEST(DamageFold, MatchesHashMapFoldBitForBit)
 {
-    // 1200 recordings over 1500 cells: most touch a few dozen cells
-    // (reuse of stale slots across generations, the 8-bit generation
-    // wrapping four times), every 50th touches over a thousand (index
-    // growth).
-    std::vector<WeakCell> cells(1500);
-    DamageFold fold;
+    // 1200 recordings over 300 rows of 0-8 cells: most touch a few
+    // rows (stale row indices from earlier recordings, in range and
+    // not), every 50th touches every row.  The fold holds every cell
+    // of a touched row, rows in first-touch order; each cell's sums
+    // must match the reference bit for bit, and a cell the reference
+    // never saw must hold nothing.
+    std::vector<Row> rows(300);
     Rng rng(42);
+    for (Row &row : rows)
+        row.cells.resize(rng.below(9));
+    DamageFold fold;
     std::size_t events = 0, resets = 0, max_cells = 0;
     for (int round = 0; round < 1200; ++round) {
         fold.clear();
         MapFold ref;
-        std::vector<WeakCell *> order;  // reference first-touch order
+        std::vector<Row *> order;  // reference first-touch order
         const bool wide = round % 50 == 0;
-        const std::size_t span = wide ? cells.size() : 48;
-        const std::size_t lo =
-            wide ? 0 : rng.below(cells.size() - span);
+        const std::size_t span = wide ? rows.size() : 12;
+        const std::size_t lo = wide ? 0 : rng.below(rows.size() - span);
         const int n = wide ? 4000 : static_cast<int>(rng.below(40));
         for (int e = 0; e < n; ++e) {
-            WeakCell *cell = &cells[lo + rng.below(span)];
-            if (ref.net.find(cell) == ref.net.end())
-                order.push_back(cell);
-            if (rng.chance(0.05)) {
-                fold.reset(*cell);
-                ref.reset(cell);
+            Row &row = rows[lo + rng.below(span)];
+            const bool reset = row.cells.empty() || rng.chance(0.05);
+            if (!row.cells.empty() &&
+                std::find(order.begin(), order.end(), &row) == order.end())
+                order.push_back(&row);
+            if (reset) {
+                fold.reset(row);
+                for (WeakCell &cell : row.cells)
+                    ref.reset(&cell);
                 ++resets;
             } else {
+                WeakCell &cell = row.cells[rng.below(row.cells.size())];
                 const int cls = static_cast<int>(rng.below(3));
                 const auto delta =
                     static_cast<float>(rng.uniform(1e-7, 1e-3));
-                fold.add(*cell, static_cast<TechClass>(cls), delta);
-                ref.add(cell, cls, delta);
+                fold.add(row, cell, static_cast<TechClass>(cls), delta);
+                ref.add(&cell, cls, delta);
             }
             ++events;
         }
 
         const DamageRecord &net = fold.net();
-        ASSERT_EQ(net.size(), ref.net.size()) << "round " << round;
-        max_cells = std::max(max_cells, net.size());
-        for (std::size_t i = 0; i < net.size(); ++i) {
-            ASSERT_EQ(net[i].cell, order[i]) << "round " << round;
-            const MapFold::Net &want = ref.net.at(net[i].cell);
-            EXPECT_EQ(std::memcmp(net[i].delta, want.delta,
-                                  sizeof want.delta),
-                      0)
-                << "round " << round << " entry " << i;
-            EXPECT_EQ(net[i].reset, want.reset);
+        std::size_t at = 0;
+        for (Row *row : order) {
+            for (WeakCell &cell : row->cells) {
+                ASSERT_LT(at, net.size()) << "round " << round;
+                const DamageDelta &got = net[at++];
+                ASSERT_EQ(got.cell, &cell) << "round " << round;
+                const auto it = ref.net.find(&cell);
+                const MapFold::Net want =
+                    it != ref.net.end() ? it->second : MapFold::Net{};
+                EXPECT_EQ(std::memcmp(got.delta, want.delta,
+                                      sizeof want.delta),
+                          0)
+                    << "round " << round << " entry " << at - 1;
+                EXPECT_EQ(got.reset, want.reset);
+            }
         }
+        EXPECT_EQ(at, net.size()) << "round " << round;
+        max_cells = std::max(max_cells, net.size());
     }
     EXPECT_GE(events, 10000u);
     EXPECT_GT(resets, 500u);
@@ -455,37 +469,36 @@ TEST(DamageFold, MatchesHashMapFoldBitForBit)
 
     // take() hands the entries over and leaves the fold empty.
     fold.clear();
-    fold.add(cells[0], TechClass::Simra, 0.5f);
+    Row row;
+    row.cells.resize(2);
+    fold.add(row, row.cells[1], TechClass::Simra, 0.5f);
     DamageRecord out(3);
     fold.take(out);
-    ASSERT_EQ(out.size(), 1u);
-    EXPECT_EQ(out[0].cell, &cells[0]);
-    EXPECT_EQ(out[0].delta[2], 0.5f);
+    ASSERT_EQ(out.size(), 2u);
+    EXPECT_EQ(out[1].cell, &row.cells[1]);
+    EXPECT_EQ(out[1].delta[2], 0.5f);
+    EXPECT_EQ(out[0].delta[2], 0.0f);
     EXPECT_TRUE(fold.net().empty());
 }
 
-TEST(DamageFold, GenerationWrapForgetsStaleSlots)
+TEST(CellIndex, GenerationWrapForgetsStaleSlots)
 {
-    // Cells 0..99 are touched once every 255 clears -- exactly when the
+    // Cells 0..99 are indexed once every 255 clears -- exactly when the
     // 8-bit generation comes back to the same stamp -- and left alone
     // in between, so only the wrap sweep keeps their old slots from
     // reading as live.
     std::vector<WeakCell> cells(200);
-    DamageFold fold;
+    CellIndex index;
     for (int round = 0; round < 520; ++round) {
-        fold.clear();
+        index.clear();
         const bool wide = round % 255 == 0;
         const std::size_t lo = wide ? 0 : 150;
         const std::size_t n = wide ? 100 : 10;
-        for (std::size_t i = lo; i < lo + n; ++i)
-            fold.add(cells[i], TechClass::Comra, 0.25f);
-        const DamageRecord &net = fold.net();
-        ASSERT_EQ(net.size(), n) << "round " << round;
-        for (std::size_t i = 0; i < n; ++i) {
-            EXPECT_EQ(net[i].cell, &cells[lo + i]);
-            EXPECT_EQ(net[i].delta[1], 0.25f);
-            EXPECT_FALSE(net[i].reset);
-        }
+        for (std::size_t i = 0; i < n; ++i)
+            EXPECT_EQ(index(cells[lo + i]), i) << "round " << round;
+        for (std::size_t i = 0; i < n; ++i)
+            EXPECT_EQ(index(cells[lo + i]), i) << "round " << round;
+        ASSERT_EQ(index.size(), n) << "round " << round;
     }
 }
 

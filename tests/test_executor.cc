@@ -7,15 +7,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
 
 #include "bender/host.h"
+#include "fuzz/campaign.h"
+#include "fuzz/fuzz.h"
 #include "hammer/experiment.h"
 #include "hammer/hcfirst.h"
 #include "hammer/patterns.h"
@@ -1234,12 +1238,13 @@ TEST(PrefixLog, SearchesMatchATesterThatNeverReuses)
 
 // ---- segment logs (DESIGN.md §4.2) -----------------------------------
 
-/** What a loop that cannot replay runs under. */
+/** What a Fig-24 loop runs under. */
 enum class SegmentArm
 {
     Trr,       //!< native TRR: REF-bearing bodies never replay
     Para,      //!< a PARA hook, which can preview its closes
     Graphene,  //!< a Graphene hook, which cannot
+    None,      //!< no mitigation: the loop replays, with phase breaks
 };
 
 /** A Fig-24 cell: its technique and N. */
@@ -1315,6 +1320,8 @@ class SegmentRun
           case SegmentArm::Graphene:
             graphene_.emplace(mitigation::GrapheneConfig{}, 1, rps);
             dev.setMitigation(&*graphene_);
+            break;
+          case SegmentArm::None:
             break;
         }
         tester_.bench().executor().setFastPath(fast);
@@ -1479,6 +1486,231 @@ TEST(SegmentLog, FillDuringWhichTheHookFiredIsNeverApplied)
         EXPECT_EQ(fast.fires, live.fires);
         EXPECT_TRUE(fast.rng == live.rng);
         EXPECT_GT(fast_bench.executor().stats().segmentApplies, 1000u);
+    }
+}
+
+// ---- phase breaks (DESIGN.md §4.2) -----------------------------------
+
+/** FNV-1a over a device's whole observable state: what
+ *  expectSameDevice() compares, for a table of pinned digests. */
+std::uint64_t
+deviceDigest(const Device &dev)
+{
+    std::uint64_t h = 0xCBF29CE484222325ULL;
+    auto mix = [&h](const auto &value) {
+        const auto *p = reinterpret_cast<const unsigned char *>(&value);
+        for (std::size_t i = 0; i < sizeof value; ++i) {
+            h ^= p[i];
+            h *= 0x100000001B3ULL;
+        }
+    };
+    const DeviceCounters &c = dev.counters();
+    for (std::uint64_t v : {c.acts, c.pres, c.refs, c.comraCopies, c.simraOps,
+                            c.ignoredCommands, c.trrRefreshes})
+        mix(v);
+    mix(dev.now());
+    Rng trr = dev.trrRng(), noise = dev.noiseRng();
+    mix(trr.next());
+    mix(noise.next());
+    const DeviceConfig &cfg = dev.config();
+    for (BankId bank = 0; bank < cfg.banks; ++bank) {
+        mix(dev.trrSamplerFill(bank));
+        for (RowId r : dev.trrSamplerRows(bank))
+            mix(r);
+        for (RowId r = 0; r < cfg.rowsPerBank(); ++r) {
+            mix(dev.lastCloseAt(bank, r));
+            mix(dev.lastSide(bank, r));
+            if (!dev.populated(bank, r))
+                continue;
+            mix(r);
+            const RowData data = dev.readRowDirect(bank, r);
+            for (ColId col = 0; col < data.bits(); ++col)
+                mix(data.get(col));
+            for (const WeakCell &cell : dev.weakCells(bank, r))
+                mix(cell.damage);
+        }
+    }
+    return h;
+}
+
+/** A digest pinned for a named run; print the table on a mismatch. */
+struct PinnedDigest
+{
+    const char *name;
+    std::uint64_t digest;
+};
+
+/**
+ * Check a run's digest against its pinned value and that the run took
+ * the path under test: phase breaks, with segments applied from logs.
+ */
+void
+expectPinned(std::span<const PinnedDigest> table, const std::string &name,
+             std::uint64_t digest, const ExecStats &stats)
+{
+    const auto it = std::find_if(table.begin(), table.end(),
+                                 [&](const PinnedDigest &p) {
+                                     return name == p.name;
+                                 });
+    char line[96];
+    std::snprintf(line, sizeof line, "{\"%s\", 0x%016llxULL},", name.c_str(),
+                  static_cast<unsigned long long>(digest));
+    EXPECT_TRUE(it != table.end() && it->digest == digest) << line;
+    EXPECT_GT(stats.phaseBreaks, 0u) << name;
+    EXPECT_GT(stats.segmentApplies, 0u) << name;
+}
+
+/**
+ * A refSync fuzz candidate run the way the campaign probes it -- host
+ * writes, then the period loop -- at `trips` and again at two thirds
+ * of it, on a fresh campaign device; `weak` divides every threshold
+ * anchor by 400, so flips materialize on refreshes mid-run.
+ */
+std::pair<std::uint64_t, ExecStats>
+runRefSync(const fuzz::Candidate &c, std::uint64_t trips, bool weak)
+{
+    fuzz::CampaignConfig ccfg;
+    ccfg.seed = 17;
+    DeviceConfig cfg = fuzz::campaignDeviceConfig(ccfg);
+    if (weak) {
+        for (double *anchor :
+             {&cfg.profile.rhMin, &cfg.profile.rhAvg, &cfg.profile.comraMin,
+              &cfg.profile.comraAvg, &cfg.profile.simraMin,
+              &cfg.profile.simraAvg})
+            *anchor /= 400;
+    }
+    const RowId victim = fuzz::campaignVictim(cfg.rowsPerSubarray);
+    const fuzz::BuiltPattern built =
+        fuzz::buildPattern(c, 0, victim, trips, cfg);
+    TestBench bench(cfg);
+    Device &dev = bench.device();
+    const RowData aggr(cfg.cols, DataPattern::P55);
+    const RowData vict(cfg.cols, negate(DataPattern::P55));
+    for (std::uint64_t n : {trips, trips * 2 / 3}) {
+        for (RowId a : built.aggressors)
+            dev.writeRowDirect(0, a, aggr);
+        dev.writeRowDirect(0, victim, vict);
+        bench.run(built.program.withLoopCount(0, n));
+    }
+    return {deviceDigest(dev), bench.executor().stats()};
+}
+
+/** The refSync candidates the oracle runs, and their names. */
+std::vector<std::pair<std::string, fuzz::Candidate>>
+refSyncCandidates()
+{
+    using fuzz::Tech;
+    std::vector<std::pair<std::string, fuzz::Candidate>> out;
+    // Every technique alone, then under a RowHammer stripe, over 1-4
+    // tREFIs.
+    for (int trefis = 1; trefis <= 4; ++trefis) {
+        for (int tech = 0; tech < 4; ++tech) {
+            fuzz::Candidate c;
+            c.trefis = static_cast<std::uint8_t>(trefis);
+            c.slotsPerTrefi = 8;
+            c.refSync = true;
+            fuzz::Component k;
+            k.tech = static_cast<Tech>(tech);
+            k.phase = static_cast<std::uint8_t>(trefis % 3);
+            k.stride = static_cast<std::uint8_t>(1 + tech % 2);
+            if (k.tech == Tech::Simra) {
+                k.offLo = k.offHi = 0;
+                k.simraN = static_cast<std::uint8_t>(2 << (trefis % 3));
+            }
+            k.timingSel = static_cast<std::uint8_t>(
+                k.tech == Tech::Press ? 1 + trefis % 3 : trefis % 3);
+            c.comps.push_back(k);
+            if (trefis % 2 == 0) {
+                c.comps.push_back({Tech::RowHammer, 1, 4, -2, 2, 0, 0});
+            }
+            out.emplace_back("t" + std::to_string(trefis) + "-" +
+                                 fuzz::techName(k.tech),
+                             c);
+        }
+    }
+    // Campaign draws, made refSync.
+    for (std::uint64_t i = 0; i < 6; ++i) {
+        fuzz::Candidate c = fuzz::generateCandidate(5, i);
+        c.refSync = true;
+        out.emplace_back("gen" + std::to_string(i), c);
+    }
+    return out;
+}
+
+/**
+ * Digests of the runs below, taken from a build that ran every
+ * unrecorded live iteration command by command: the segment logs must
+ * reproduce it bit for bit.  A mismatch prints the run's line.
+ */
+const PinnedDigest kRefSyncDigests[] = {
+    {"t1-rowhammer", 0x144c0513f8e8aa8bULL},
+    {"t1-comra", 0xb463432b42ee3095ULL},
+    {"t1-simra", 0x7452c81f2242a078ULL},
+    {"t1-press", 0x5090a1636f77f00bULL},
+    {"t2-rowhammer", 0x482ba8b3beae1a1dULL},
+    {"t2-comra", 0x12f28cfac20dd698ULL},
+    {"t2-simra", 0x68eaed911e0ca3e2ULL},
+    {"t2-press", 0x3fc1908650c6f322ULL},
+    {"t3-rowhammer", 0x404c4735960bbc20ULL},
+    {"t3-comra", 0x604b14456b6c7488ULL},
+    {"t3-simra", 0xaff56ea83c671b28ULL},
+    {"t3-press", 0xb52a2bccc3712216ULL},
+    {"t4-rowhammer", 0xaf8ccef76efd6f24ULL},
+    {"t4-comra", 0x08ac0615f2bc410cULL},
+    {"t4-simra", 0xd4981f2a09b6d9f7ULL},
+    {"t4-press", 0xcd2650f2faee9c37ULL},
+    {"gen0", 0x867d8bfbc29b815dULL},
+    {"gen1", 0xd29a83cf62b5d88fULL},
+    {"gen2", 0xd6724d0eebb35bb7ULL},
+    {"gen3", 0x0cec9df383770f89ULL},
+    {"gen4", 0xa51eaa8a1d90d795ULL},
+    {"gen5", 0x866b6363e1e134d6ULL},
+    {"weak", 0x8379da178cf3d687ULL},
+};
+
+const PinnedDigest kFig24Digests[] = {
+    {"rh-2", 0xd0bd2ced3f9675b4ULL},
+    {"simra-8", 0xc293b4cfd541e8e6ULL},
+};
+
+TEST(PhaseBreak, RefSyncFuzzProgramsMatchPinnedDigests)
+{
+    // A REF at every tREFI keeps landing the stripe refresh on rows the
+    // loop damages: each collision is a phase break, whose live
+    // iterations -- the break itself, the next chunk's warm-ups --
+    // re-apply segment logs.  Each run's REFs sweep the victim's block
+    // of rows twice.
+    for (const auto &[name, c] : refSyncCandidates()) {
+        SCOPED_TRACE(name);
+        const std::uint64_t trips = 12000 / c.trefis + 37;
+        const auto [digest, stats] = runRefSync(c, trips, false);
+        expectPinned(kRefSyncDigests, name, digest, stats);
+    }
+    // Flips materialize mid-run: every refresh that toggles a bit
+    // moves the data epoch and stales the logs.
+    fuzz::Candidate weak;
+    weak.trefis = 2;
+    weak.slotsPerTrefi = 8;
+    weak.refSync = true;
+    weak.comps = {{fuzz::Tech::RowHammer, 0, 1, -1, 1, 0, 0},
+                  {fuzz::Tech::Simra, 3, 4, 0, 0, 4, 1}};
+    const auto [digest, stats] = runRefSync(weak, 3000, true);
+    expectPinned(kRefSyncDigests, "weak", digest, stats);
+}
+
+TEST(PhaseBreak, Fig24BodiesWithTrrOffMatchPinnedDigests)
+{
+    // Without TRR the Fig-24 loops replay; over a whole refresh window
+    // the stripe crosses the aggressors and the dummy row.
+    for (const Fig24Cell &cell :
+         {Fig24Cell{hammer::TrrTechnique::RowHammer, 2},
+          Fig24Cell{hammer::TrrTechnique::Simra, 8}}) {
+        const std::string name =
+            cell.tech == hammer::TrrTechnique::Simra ? "simra-8" : "rh-2";
+        SCOPED_TRACE(name);
+        SegmentRun run(cell, SegmentArm::None, true, false, 8500);
+        expectPinned(kFig24Digests, name, deviceDigest(run.device()),
+                     run.stats());
     }
 }
 
